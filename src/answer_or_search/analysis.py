@@ -17,10 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .evaluation import Judgment
-
-#: Percentage rates copied from published tables carry rounding residue.
-RATE_SUM_TOLERANCE = 0.2
+from .evaluation import RATE_SUM_TOLERANCE
+from .fileio import atomic_write
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,6 @@ class HistogramSpec:
 
     bin_edges: tuple[float, ...]
     value_transform: str = "log"
-    class_key: Judgment | None = None
 
     def __post_init__(self) -> None:
         if len(self.bin_edges) < 2:
@@ -129,16 +126,14 @@ def write_tradeoff_table(
     comments: Sequence[str] = (),
 ) -> Path:
     """Emit a plot-ready table with ratio,c,h rows ('#' lines carry provenance)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["ratio", "c", "h"])
         for pt in points:
             writer.writerow([f"{pt.ratio:g}", f"{pt.c:.10g}", f"{pt.h:.10g}"])
-    return path
+    return Path(path)
 
 
 def write_histogram_table(
@@ -147,9 +142,7 @@ def write_histogram_table(
     comments: Sequence[str] = (),
 ) -> Path:
     """Emit per-class bin counts: one row per (class, bin) plus out-of-range rows."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
@@ -159,7 +152,7 @@ def write_histogram_table(
             for (lo, hi), count in zip(zip(edges, edges[1:]), result.counts):
                 writer.writerow([cls, f"{lo:.10g}", f"{hi:.10g}", count])
             writer.writerow([cls, "out_of_range", "", result.out_of_range])
-    return path
+    return Path(path)
 
 
 def read_table(path: str | Path) -> list[dict]:

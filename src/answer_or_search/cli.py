@@ -20,6 +20,7 @@ import yaml
 from .analysis import tradeoff_curve, write_tradeoff_table, HistogramSpec, histogram, write_histogram_table
 from .corpus import (
     DEFAULT_PROFILE,
+    SPLITS,
     Corpus,
     NormalizationProfile,
     exact_match,
@@ -35,8 +36,10 @@ from .errors import (
     TransportError,
 )
 from .evaluation import Judgment, evaluate_pair, judge, render_table, read_report, write_report
+from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
 from .inference import (
     DEFAULT_MAX_NEW_TOKENS,
+    PROMPT_STYLES,
     FewShotPool,
     GenerationClient,
     ResponseCache,
@@ -50,7 +53,7 @@ from .labeling import (
     read_masked_dataset,
     write_masked_dataset,
 )
-from .ppl_threshold import apply_threshold, calibrate, load_threshold, save_threshold
+from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -113,6 +116,15 @@ def _build_profile(raw: dict) -> NormalizationProfile:
     )
 
 
+def _number(kind: type, section: dict, key: str, default: object):
+    """``kind(section[key])`` or the default; a bad value is a configuration error."""
+    value = section.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read, override, validate, and hash a YAML pipeline configuration."""
     path = Path(path)
@@ -140,7 +152,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         raise ConfigError("config must declare at least one corpus split under 'corpus'")
     corpus: dict[str, dict] = {}
     for split, meta in corpus_cfg.items():
-        if split not in ("train", "dev", "test"):
+        if split not in SPLITS:
             raise ConfigError(f"unknown corpus split {split!r}")
         if not isinstance(meta, dict) or "path" not in meta:
             raise ConfigError(f"corpus split {split!r} needs a 'path'")
@@ -153,17 +165,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     prompt = raw.get("prompt", {})
     ppl = raw.get("ppl", {})
 
-    fewshot_k = int(prompt.get("fewshot_k", 16))
+    fewshot_k = _number(int, prompt, "fewshot_k", 16)
     if fewshot_k <= 0 or fewshot_k % 2 != 0:
         raise ConfigError(f"prompt.fewshot_k must be an even positive integer, got {fewshot_k}")
-    lam = float(raw.get("lambda", 1.0))
+    lam = _number(float, raw, "lambda", 1.0)
     if lam < 1.0:
         raise ConfigError(f"lambda must be >= 1, got {lam}")
     prompt_style = prompt.get("style", "zeroshot-qa")
-    if prompt_style not in ("zeroshot-qa", "fewshot-balanced", "instruct-idk"):
+    if prompt_style not in PROMPT_STYLES:
         raise ConfigError(f"unknown prompt style {prompt_style!r}")
     strategy = ppl.get("strategy", "max-f1")
-    if strategy not in ("max-f1", "target-search-rate"):
+    if strategy not in STRATEGIES:
         raise ConfigError(f"unknown ppl calibration strategy {strategy!r}")
     target_rate = ppl.get("target_rate")
     if strategy == "target-search-rate" and target_rate is None:
@@ -176,19 +188,19 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         corpus=corpus,
         endpoint_url=endpoint.get("url", "http://127.0.0.1:8811"),
         model_tag=endpoint.get("model_tag", "unnamed-model"),
-        max_new_tokens=int(endpoint.get("max_new_tokens", DEFAULT_MAX_NEW_TOKENS)),
-        max_retries=int(endpoint.get("max_retries", 3)),
-        timeout=float(endpoint.get("timeout", 30.0)),
-        max_in_flight=int(raw.get("max_in_flight", 4)),
+        max_new_tokens=_number(int, endpoint, "max_new_tokens", DEFAULT_MAX_NEW_TOKENS),
+        max_retries=_number(int, endpoint, "max_retries", 3),
+        timeout=_number(float, endpoint, "timeout", 30.0),
+        max_in_flight=_number(int, raw, "max_in_flight", 4),
         profile=_build_profile(raw.get("normalization", {})),
         token=SearchToken(raw.get("search_token", "<search>")),
         prompt_style=prompt_style,
         template=prompt.get("template", "{q}"),
         fewshot_k=fewshot_k,
-        seed=int(prompt.get("seed", 13)),
+        seed=_number(int, prompt, "seed", 13),
         pool_path=prompt.get("pool_path"),
         ppl_strategy=strategy,
-        ppl_target_rate=float(target_rate) if target_rate is not None else None,
+        ppl_target_rate=None if target_rate is None else _number(float, ppl, "target_rate", None),
         lam=lam,
         cache_dir=Path(raw.get("cache_dir", "cache")),
         output_dir=Path(raw.get("output_dir", "out")),
@@ -209,17 +221,13 @@ def predictions_path(config: PipelineConfig, split: str) -> Path:
     return config.output_dir / f"predictions.{split}.jsonl"
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _load_split(config: PipelineConfig, split: str) -> Corpus:
     path = corpus_path(config, split)
     if not path.exists():
         raise DataError(f"canonical corpus for split {split!r} not found at {path}; run 'ingest'")
-    return ingest(path, "canonical-jsonl", split, profile=config.profile)
+    corpus = ingest(path, "canonical-jsonl", split, profile=config.profile)
+    check_manifest(path, len(corpus))
+    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +247,9 @@ def cmd_ingest(config: PipelineConfig) -> int:
                     f"{seen[rec.id]!r} and {split!r}"
                 )
             seen[rec.id] = split
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     for split, corp in corpora.items():
         out = write_canonical(corp, corpus_path(config, split))
-        _write_manifest(
-            Path(str(out) + ".manifest.json"),
-            {"split": split, "records": len(corp), **config.provenance},
-        )
+        write_manifest(out, len(corp), split=split, **config.provenance)
         print(f"ingest: split={split} records={len(corp)} -> {out}")
     return EXIT_OK
 
@@ -284,25 +288,21 @@ def cmd_infer(config: PipelineConfig, split: str) -> int:
             max_in_flight=config.max_in_flight,
         )
     except RunAbortedError as exc:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        progress = config.output_dir / f"progress.{split}.json"
-        _write_manifest(
-            progress,
+        progress = write_json(
+            config.output_dir / f"progress.{split}.json",
             {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance},
         )
         print(f"infer: aborted at record {exc.failed_id}; progress -> {progress}", file=sys.stderr)
         raise
 
     out = write_predictions(predictions, predictions_path(config, split))
-    _write_manifest(
-        Path(str(out) + ".manifest.json"),
-        {
-            "split": split,
-            "records": len(predictions),
-            "model_tag": config.model_tag,
-            "prompt_style": config.prompt_style,
-            **config.provenance,
-        },
+    write_manifest(
+        out,
+        len(predictions),
+        split=split,
+        model_tag=config.model_tag,
+        prompt_style=config.prompt_style,
+        **config.provenance,
     )
     print(f"infer: split={split} predictions={len(predictions)} -> {out}")
     return EXIT_OK
@@ -350,25 +350,6 @@ def cmd_calibrate(config: PipelineConfig, split: str, predictions_file: str | No
     return EXIT_OK
 
 
-def _read_adapted_outputs(path: str | Path) -> tuple[list[str], list[str]]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"adapted outputs file does not exist: {path}")
-    ids: list[str] = []
-    outputs: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                ids.append(str(raw["id"]))
-                outputs.append(raw["output"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"malformed adapted output at line {line_no}: {exc}") from exc
-    return ids, outputs
-
-
 def cmd_evaluate(
     config: PipelineConfig,
     split: str,
@@ -387,13 +368,13 @@ def cmd_evaluate(
 
     if threshold_file is not None:
         threshold = load_threshold(threshold_file)
-        adapted_ids = list(base_ids)
-        adapted_outputs = apply_threshold(base_preds, threshold, config.token)
+        adapted = list(zip(base_ids, apply_threshold(base_preds, threshold, config.token)))
     else:
-        adapted_ids, adapted_outputs = _read_adapted_outputs(adapted_file)
+        adapted = read_jsonl(
+            adapted_file, lambda raw: (str(raw["id"]), raw["output"]), "adapted outputs file"
+        )
     adapted_judgments = [
-        judge(out, corpus[rid], config.profile, config.token)
-        for rid, out in zip(adapted_ids, adapted_outputs)
+        judge(out, corpus[rid], config.profile, config.token) for rid, out in adapted
     ]
 
     report = evaluate_pair(
@@ -401,16 +382,15 @@ def cmd_evaluate(
         adapted_judgments,
         lam=config.lam,
         base_ids=base_ids,
-        adapted_ids=adapted_ids,
+        adapted_ids=[rid for rid, _ in adapted],
     )
-    json_path = config.output_dir / "eval_report.json"
-    write_report(report, json_path, extra=config.provenance)
-    table_path = config.output_dir / "eval_report.txt"
-    with table_path.open("w", encoding="utf-8") as fh:
+    json_path = write_report(report, config.output_dir / "eval_report.json", extra=config.provenance)
+    table = render_table(report, title=f"split={split} lambda={config.lam:g}")
+    with atomic_write(config.output_dir / "eval_report.txt") as fh:
         for comment in config.comments():
             fh.write(f"# {comment}\n")
-        fh.write(render_table(report, title=f"split={split} lambda={config.lam:g}"))
-    print(render_table(report, title=f"split={split} lambda={config.lam:g}"), end="")
+        fh.write(table)
+    print(table, end="")
     print(f"evaluate: report -> {json_path}")
     return EXIT_OK
 
@@ -451,9 +431,7 @@ def cmd_histogram(
     results = {
         cls: histogram(
             values,
-            HistogramSpec(
-                bin_edges=tuple(edges), value_transform=transform, class_key=Judgment(cls)
-            ),
+            HistogramSpec(bin_edges=tuple(edges), value_transform=transform),
         )
         for cls, values in grouped.items()
     }

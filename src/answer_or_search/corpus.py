@@ -19,6 +19,7 @@ from typing import Iterator, Sequence
 
 from ._stopwords import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .errors import DataError
+from .fileio import read_lines, write_jsonl
 
 SPLITS = ("train", "dev", "test")
 
@@ -166,17 +167,9 @@ class Corpus:
 
 
 def _parse_canonical_line(line: str, line_no: int, default_split: str) -> QaRecord:
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed record at line {line_no}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"malformed record at line {line_no}: expected an object")
-    try:
-        question = raw["question"]
-        answers = raw["answers"]
-    except KeyError as exc:
-        raise DataError(f"malformed record at line {line_no}: missing field {exc}") from exc
+    raw = json.loads(line)
+    question = raw["question"]
+    answers = raw["answers"]
     rec_id = str(raw.get("id", f"q{line_no:06d}"))
     if not isinstance(answers, list) or not answers:
         raise DataError(f"record {rec_id}: gold answer list is empty or not a list")
@@ -191,7 +184,7 @@ def _parse_canonical_line(line: str, line_no: int, default_split: str) -> QaReco
 def _parse_tsv_line(line: str, line_no: int, split: str) -> QaRecord:
     parts = line.split("\t")
     if len(parts) != 2:
-        raise DataError(f"malformed record at line {line_no}: expected question<TAB>answers")
+        raise ValueError("expected question<TAB>answers")
     question, answer_field = parts
     answers = tuple(a for a in answer_field.split("|") if a.strip())
     if not answers:
@@ -214,25 +207,13 @@ def ingest(
     sequential ones derived from their line number. Malformed lines raise
     :class:`DataError` naming the offending line.
     """
-    path = Path(path)
     if split not in SPLITS:
         raise DataError(f"unknown split {split!r}")
     if fmt not in ("canonical-jsonl", "tsv-pairs"):
         raise DataError(f"unknown corpus format {fmt!r}")
-    if not path.exists():
-        raise DataError(f"corpus file does not exist: {path}")
-
-    records: list[QaRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if fmt == "canonical-jsonl":
-                records.append(_parse_canonical_line(line, line_no, split))
-            else:
-                records.append(_parse_tsv_line(line, line_no, split))
-    return Corpus(name=name or path.stem, records=tuple(records), profile=profile)
+    parse = _parse_canonical_line if fmt == "canonical-jsonl" else _parse_tsv_line
+    records = read_lines(path, lambda line, line_no: parse(line, line_no, split), "corpus file")
+    return Corpus(name=name or Path(path).stem, records=tuple(records), profile=profile)
 
 
 def write_canonical(corpus: Corpus, path: str | Path) -> Path:
@@ -241,20 +222,15 @@ def write_canonical(corpus: Corpus, path: str | Path) -> Path:
     Re-ingesting the emitted file reproduces the corpus exactly (ids,
     order, text).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for rec in corpus:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "question": rec.question,
-                        "answers": list(rec.gold_answers),
-                        "split": rec.split,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    return path
+    return write_jsonl(
+        path,
+        (
+            {
+                "id": rec.id,
+                "question": rec.question,
+                "answers": list(rec.gold_answers),
+                "split": rec.split,
+            }
+            for rec in corpus
+        ),
+    )

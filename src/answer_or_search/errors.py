@@ -1,6 +1,6 @@
 """Exception taxonomy shared across the toolkit.
 
-Each class maps to one CLI exit code (see ``cli.EXIT_CODES``) so that
+Each class maps to one CLI exit code (see ``cli.exit_code_for``) so that
 callers and shell scripts can tell configuration mistakes, bad data,
 network trouble, and endpoint capability gaps apart.
 """

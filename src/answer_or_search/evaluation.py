@@ -13,7 +13,6 @@ avoids hallucinating (lambda >= 1 weights hallucinations).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Sequence
 
 from .corpus import DEFAULT_PROFILE, NormalizationProfile, QaRecord, exact_match
 from .errors import DataError, PairingError
+from .fileio import read_json, write_json
 from .labeling import SearchToken
 from .ppl_threshold import Decision
 
@@ -330,32 +330,10 @@ def render_table(report: EvalReport, title: str = "evaluation") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(
-    report: EvalReport,
-    json_path: str | Path,
-    table_path: str | Path | None = None,
-    extra: dict | None = None,
-    title: str = "evaluation",
-) -> Path:
-    """Serialize a report as JSON (machine) and optionally as a text table."""
-    json_path = Path(json_path)
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
-    with json_path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if table_path is not None:
-        table_path = Path(table_path)
-        with table_path.open("w", encoding="utf-8") as fh:
-            fh.write(render_table(report, title=title))
-    return json_path
+def write_report(report: EvalReport, json_path: str | Path, extra: dict | None = None) -> Path:
+    """Serialize a report as JSON, with ``extra`` provenance fields merged in."""
+    return write_json(json_path, {**report.to_dict(), **(extra or {})})
 
 
 def read_report(path: str | Path) -> EvalReport:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"evaluation report does not exist: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))
+    return read_json(path, EvalReport.from_dict, "evaluation report")

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import random
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
+from .fileio import atomic_write, check_manifest, read_jsonl, write_jsonl
 
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
 
@@ -73,14 +73,10 @@ class GenerationRequest:
 
     prompt: str
     max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-    decoding: str = "greedy"
-    want_logprobs: bool = True
 
     def __post_init__(self) -> None:
         if self.max_new_tokens < 1:
             raise ConfigError("max_new_tokens must be a positive integer")
-        if self.decoding != "greedy":
-            raise ConfigError(f"unsupported decoding mode {self.decoding!r}")
 
 
 @dataclass(frozen=True)
@@ -150,27 +146,13 @@ class Prediction:
 
 
 def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for pred in predictions:
-            fh.write(json.dumps(pred.to_dict(), ensure_ascii=False) + "\n")
-    return path
+    return write_jsonl(path, (pred.to_dict() for pred in predictions))
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"predictions file does not exist: {path}")
-    preds = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                preds.append(Prediction.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"malformed prediction at line {line_no}: {exc}") from exc
+    """Read a predictions file, checked against its sidecar manifest if any."""
+    preds = read_jsonl(path, Prediction.from_dict, "predictions file")
+    check_manifest(path, len(preds))
     return preds
 
 
@@ -279,13 +261,15 @@ class ResponseCache:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def key(model_tag: str, prompt: str, max_new_tokens: int, decoding: str) -> str:
+    def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
+        # "decoding" stays in the hashed blob so caches written when it was a
+        # parameter keep their keys.
         blob = json.dumps(
             {
                 "model_tag": model_tag,
                 "prompt": prompt,
                 "max_new_tokens": max_new_tokens,
-                "decoding": decoding,
+                "decoding": "greedy",
             },
             sort_keys=True,
             ensure_ascii=True,
@@ -303,10 +287,8 @@ class ResponseCache:
             return json.load(fh)
 
     def put(self, key: str, payload: dict) -> None:
-        tmp = self.directory / f"{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        with tmp.open("w", encoding="utf-8") as fh:
+        with atomic_write(self._path(key)) as fh:
             json.dump(payload, fh, ensure_ascii=False)
-        os.replace(tmp, self._path(key))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +332,7 @@ class GenerationClient:
         """Return ``{"text", "token_logprobs"}``, from cache when possible."""
         key = None
         if self.cache is not None:
-            key = ResponseCache.key(
-                self.model_tag, request.prompt, request.max_new_tokens, request.decoding
-            )
+            key = ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
             cached = self.cache.get(key)
             if cached is not None:
                 return cached["response"]
@@ -366,7 +346,7 @@ class GenerationClient:
                         "model_tag": self.model_tag,
                         "prompt": request.prompt,
                         "max_new_tokens": request.max_new_tokens,
-                        "decoding": request.decoding,
+                        "decoding": "greedy",
                     },
                     "response": response,
                 },
@@ -378,7 +358,7 @@ class GenerationClient:
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
             "greedy": True,
-            "logprobs": request.want_logprobs,
+            "logprobs": True,
         }
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):

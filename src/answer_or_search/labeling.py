@@ -8,13 +8,20 @@ by construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus, NormalizationProfile, QaRecord, exact_match, normalize
 from .errors import DataError, PairingError
+from .fileio import (
+    check_manifest,
+    manifest_path_for,
+    read_json,
+    read_jsonl,
+    write_jsonl,
+    write_manifest,
+)
 from .inference import Prediction
 
 DEFAULT_SEARCH_TOKEN = "<search>"
@@ -145,85 +152,60 @@ def write_masked_dataset(
     """
     if corpus is not None:
         _check_token_collisions(dataset, corpus)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.record_id,
-                        "question": ex.question,
-                        "target": ex.target,
-                        "was_masked": ex.was_masked,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    manifest = {
-        "stats": dataset.stats(),
-        "provenance": {
+    path = write_jsonl(
+        path,
+        (
+            {
+                "id": ex.record_id,
+                "question": ex.question,
+                "target": ex.target,
+                "was_masked": ex.was_masked,
+            }
+            for ex in dataset.examples
+        ),
+    )
+    write_manifest(
+        path,
+        dataset.n_total,
+        stats=dataset.stats(),
+        provenance={
             "model_tag": dataset.model_tag,
             "corpus": dataset.corpus_name,
             "normalization_profile": dataset.profile.to_dict(),
             "normalization_profile_hash": dataset.profile.fingerprint(),
             "search_token": dataset.token.literal,
         },
-    }
-    if extra_manifest:
-        manifest.update(extra_manifest)
-    manifest_path = manifest_path_for(path)
-    with manifest_path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        **(extra_manifest or {}),
+    )
     return path
 
 
-def manifest_path_for(dataset_path: str | Path) -> Path:
-    dataset_path = Path(dataset_path)
-    return dataset_path.with_name(dataset_path.name + ".manifest.json")
+def _parse_example(raw: dict) -> MaskedExample:
+    return MaskedExample(
+        record_id=str(raw["id"]),
+        question=raw["question"],
+        target=raw["target"],
+        was_masked=raw["was_masked"],
+    )
 
 
 def read_masked_dataset(path: str | Path) -> MaskedDataset:
     """Re-ingest an emitted dataset (with its manifest) exactly."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"masked dataset does not exist: {path}")
-    examples: list[MaskedExample] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                examples.append(
-                    MaskedExample(
-                        record_id=str(raw["id"]),
-                        question=raw["question"],
-                        target=raw["target"],
-                        was_masked=raw["was_masked"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise DataError(f"malformed masked example at line {line_no}: {exc}") from exc
+    examples = tuple(read_jsonl(path, _parse_example, "masked dataset"))
 
-    manifest_path = manifest_path_for(path)
-    if not manifest_path.exists():
-        raise DataError(f"missing manifest for masked dataset: {manifest_path}")
-    with manifest_path.open("r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    provenance = manifest["provenance"]
-
-    dataset = MaskedDataset(
-        examples=tuple(examples),
-        model_tag=provenance["model_tag"],
-        corpus_name=provenance["corpus"],
-        profile=NormalizationProfile.from_dict(provenance["normalization_profile"]),
-        token=SearchToken(provenance["search_token"]),
-    )
-    if dataset.stats() != manifest["stats"]:
-        raise DataError(
-            f"manifest stats {manifest['stats']} do not match examples {dataset.stats()}"
+    def parse_manifest(manifest: dict) -> tuple[MaskedDataset, dict]:
+        provenance = manifest["provenance"]
+        dataset = MaskedDataset(
+            examples=examples,
+            model_tag=provenance["model_tag"],
+            corpus_name=provenance["corpus"],
+            profile=NormalizationProfile.from_dict(provenance["normalization_profile"]),
+            token=SearchToken(provenance["search_token"]),
         )
+        return dataset, manifest["stats"]
+
+    dataset, stats = read_json(manifest_path_for(path), parse_manifest, "masked dataset manifest")
+    check_manifest(path, len(examples))
+    if dataset.stats() != stats:
+        raise DataError(f"manifest stats {stats} do not match examples {dataset.stats()}")
     return dataset

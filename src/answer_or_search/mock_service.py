@@ -17,6 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .fileio import read_jsonl, write_jsonl
 
 FAULTS = ("timeout", "http-error", "no-logprobs")
 
@@ -87,44 +88,30 @@ class Script:
         return self.default
 
     def to_file(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as fh:
-            for prompt, entry in self.exact.items():
-                fh.write(json.dumps(_entry_row("exact", prompt, entry), ensure_ascii=False) + "\n")
-            for question, entry in self.by_question:
-                fh.write(
-                    json.dumps(_entry_row("question", question, entry), ensure_ascii=False) + "\n"
-                )
-        return path
+        rows = [_entry_row("exact", prompt, entry) for prompt, entry in self.exact.items()]
+        rows += [_entry_row("question", question, entry) for question, entry in self.by_question]
+        return write_jsonl(path, rows)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Script":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"script file does not exist: {path}")
         script = cls()
-        with path.open("r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                    match = raw["match"]
-                    key = raw["key"]
-                    entry = ScriptEntry(
-                        text=raw["text"],
-                        token_logprobs=tuple(raw["token_logprobs"]),
-                        fault=raw.get("fault"),
-                    )
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise DataError(f"malformed script entry at line {line_no}: {exc}") from exc
-                if match == "exact":
-                    script.exact[key] = entry
-                elif match == "question":
-                    script.by_question.append((key, entry))
-                else:
-                    raise DataError(f"malformed script entry at line {line_no}: match={match!r}")
+        for match, key, entry in read_jsonl(path, _parse_entry_row, "script file"):
+            if match == "exact":
+                script.exact[key] = entry
+            else:
+                script.by_question.append((key, entry))
         return script
+
+
+def _parse_entry_row(raw: dict) -> tuple[str, str, ScriptEntry]:
+    if raw["match"] not in ("exact", "question"):
+        raise ValueError(f"match={raw['match']!r}")
+    entry = ScriptEntry(
+        text=raw["text"],
+        token_logprobs=tuple(raw["token_logprobs"]),
+        fault=raw.get("fault"),
+    )
+    return raw["match"], raw["key"], entry
 
 
 def _entry_row(match: str, key: str, entry: ScriptEntry) -> dict:

@@ -10,7 +10,6 @@ hallucinations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CalibrationError, ConfigError, DataError
+from .fileio import read_json, write_json
 from .inference import Prediction
 from .labeling import SearchToken
 
@@ -173,31 +173,23 @@ def _decode_tau(raw: float | str) -> float:
 
 def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None = None) -> Path:
     """Persist the threshold manifest: {tau, strategy, target_rate, fitted_on}."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tau": _encode_tau(threshold.tau),
         "strategy": threshold.calibration,
         "target_rate": threshold.target_rate,
         "fitted_on": threshold.fitted_on,
     }
-    if extra:
-        manifest.update(extra)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return write_json(path, {**manifest, **(extra or {})})
 
 
-def load_threshold(path: str | Path) -> PplThreshold:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"threshold manifest does not exist: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+def _parse_threshold(manifest: dict) -> PplThreshold:
     return PplThreshold(
         tau=_decode_tau(manifest["tau"]),
         calibration=manifest["strategy"],
         fitted_on=manifest["fitted_on"],
         target_rate=manifest.get("target_rate"),
     )
+
+
+def load_threshold(path: str | Path) -> PplThreshold:
+    return read_json(path, _parse_threshold, "threshold manifest")

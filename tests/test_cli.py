@@ -348,6 +348,41 @@ def test_histogram_splits_classes(workspace):
 
 
 # ---------------------------------------------------------------------------
+# malformed inputs
+# ---------------------------------------------------------------------------
+
+# (command, flag, file content); flag None truncates infer's own predictions
+# file below the record count in its manifest.
+MALFORMED_INPUTS = {
+    "tradeoff-report-not-json": ("tradeoff", "--report", "not json\n"),
+    "tradeoff-report-empty-object": ("tradeoff", "--report", "{}\n"),
+    "label-predictions-wrong-type": ("label", "--predictions", "[1,2]\n"),
+    "evaluate-threshold-missing-fields": ("evaluate", "--threshold", '{"tau": 1.0}\n'),
+    "evaluate-adapted-wrong-type": ("evaluate", "--adapted", '["a"]\n'),
+    "label-predictions-truncated": ("label", None, None),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys()
+)
+def test_malformed_input_exits_data(workspace, capsys, command, flag, content):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    if flag is None:
+        path = workspace["out"] / "predictions.dev.jsonl"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+        argv = [command]
+    else:
+        path = workspace["tmp"] / "malformed.json"
+        path.write_text(content)
+        argv = [command, flag, str(path)]
+    capsys.readouterr()
+    assert run(workspace, *argv) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # idempotence and provenance
 # ---------------------------------------------------------------------------
 
@@ -367,6 +402,12 @@ def test_full_pipeline_outputs_embed_provenance(workspace):
 def test_config_rejects_odd_fewshot_k(workspace):
     rewrite_config(workspace, lambda c: c["prompt"].update(fewshot_k=7))
     assert run(workspace, "ingest") == EXIT_CONFIG
+
+
+def test_config_rejects_non_numeric_value(workspace, capsys):
+    rewrite_config(workspace, lambda c: c["prompt"].update(fewshot_k="two"))
+    assert run(workspace, "ingest") == EXIT_CONFIG
+    assert "fewshot_k" in capsys.readouterr().err
 
 
 def test_config_rejects_lambda_below_one(workspace):

@@ -208,15 +208,23 @@ def test_instruct_prompts_differ_only_in_question():
 
 
 def test_cache_keys_separate_every_request_dimension():
-    base = ResponseCache.key("m", "prompt", 32, "greedy")
-    assert ResponseCache.key("m2", "prompt", 32, "greedy") != base
-    assert ResponseCache.key("m", "prompt!", 32, "greedy") != base
-    assert ResponseCache.key("m", "prompt", 33, "greedy") != base
+    base = ResponseCache.key("m", "prompt", 32)
+    assert ResponseCache.key("m2", "prompt", 32) != base
+    assert ResponseCache.key("m", "prompt!", 32) != base
+    assert ResponseCache.key("m", "prompt", 33) != base
+
+
+def test_cache_key_is_unchanged_for_existing_caches():
+    # Digest of ("m", "p", 32) from before decoding stopped being a parameter.
+    assert (
+        ResponseCache.key("m", "p", 32)
+        == "b132ec9f31ab53ea7a8c4edbf62201e8f014ecd836341bdfe46ffd54e4435055"
+    )
 
 
 def test_cache_round_trip(tmp_path):
     cache = ResponseCache(tmp_path)
-    key = ResponseCache.key("m", "p", 32, "greedy")
+    key = ResponseCache.key("m", "p", 32)
     assert cache.get(key) is None
     cache.put(key, {"response": {"text": "x", "token_logprobs": [-1.0]}})
     assert cache.get(key)["response"]["text"] == "x"

@@ -145,6 +145,7 @@ def test_emit_writes_manifest_stats(tmp_path):
     dataset = build_masked_dataset(preds, corpus)
     path = write_masked_dataset(dataset, tmp_path / "masked.jsonl", corpus=corpus)
     manifest = json.loads(manifest_path_for(path).read_text())
+    assert manifest["records"] == 2
     assert manifest["stats"] == {"n_total": 2, "n_answer": 1, "n_masked": 1}
     assert manifest["provenance"]["search_token"] == "<search>"
     assert manifest["provenance"]["model_tag"] == "mock-model"
