@@ -5,6 +5,15 @@ the generated text together with one log-probability per generated token.
 Every response is cached on disk keyed by a content hash of the request, so
 re-running a corpus with a warm cache touches the network zero times and is
 byte-for-byte deterministic.
+
+:func:`run_corpus` is cache-first: it resolves every cached record in the
+calling thread and hands only misses to a thread pool, at most
+``max_in_flight`` at a time. The HTTP stack (``requests``) is imported, and
+each worker thread's session built, on the first miss only, so a fully
+cached run starts no worker thread and never loads it. A cache entry that
+cannot be decoded or lacks its response fields counts as a miss: the
+calling thread, which found the entry, fetches the record again and the
+entry is rewritten.
 """
 
 from __future__ import annotations
@@ -14,13 +23,15 @@ import json
 import math
 import os
 import random
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .corpus import Corpus, QaRecord
 from .errors import (
@@ -253,7 +264,8 @@ class ResponseCache:
 
     Keys cover everything that can change a greedy completion: model tag,
     prompt, and decoding parameters. Writes are atomic (tmp + rename), so
-    concurrent writers to distinct keys never interfere.
+    concurrent writers to distinct keys never interfere, and a reader sees
+    a whole entry or none.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -279,12 +291,30 @@ class ResponseCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
+        return os.path.exists(self._path(key))
+
     def get(self, key: str) -> dict | None:
-        path = self._path(key)
-        if not path.exists():
+        """The stored entry, or None when it is missing or unusable.
+
+        An entry that is not JSON, or whose ``response`` lacks a string
+        ``text`` or a list ``token_logprobs`` (a truncated or hand-edited
+        file), is a miss, so the caller fetches again and ``put`` replaces it.
+        """
+        try:
+            with self._path(key).open("r", encoding="utf-8") as fh:
+                entry = json.load(fh)
+        except (FileNotFoundError, ValueError):  # never written, or not JSON
             return None
-        with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
+        response = entry.get("response") if isinstance(entry, dict) else None
+        if (
+            not isinstance(response, dict)
+            or not isinstance(response.get("text"), str)
+            or not isinstance(response.get("token_logprobs"), list)
+        ):
+            return None
+        return entry
 
     def put(self, key: str, payload: dict) -> None:
         with atomic_write(self._path(key)) as fh:
@@ -304,7 +334,12 @@ class GenerationClient:
     The endpoint receives ``{"prompt", "max_new_tokens", "greedy": true,
     "logprobs": true}`` and must answer ``{"text": str, "token_logprobs":
     [float, ...]}``. A response without log-probabilities raises
-    :class:`CapabilityError` telling the operator to enable them.
+    :class:`CapabilityError` telling the operator to enable them. Every
+    failure to reach the endpoint is a :class:`TransportError`.
+
+    Each thread that fetches gets its own ``requests.Session``, built on its
+    first fetch, because requests does not promise that one session is safe
+    to share between threads.
     """
 
     def __init__(
@@ -316,7 +351,6 @@ class GenerationClient:
         max_retries: int = 3,
         backoff_seconds: float = 0.2,
         timeout: float = 30.0,
-        session: requests.Session | None = None,
     ) -> None:
         self.endpoint = endpoint
         self.model_tag = model_tag
@@ -324,9 +358,17 @@ class GenerationClient:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self._local = threading.local()
         token = os.environ.get(AUTH_TOKEN_ENV)
         self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+
+    def has_cached(self, request: GenerationRequest) -> bool:
+        """Whether the cache holds an entry for ``request``, usable or not."""
+        return (
+            self.cache is not None
+            and ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
+            in self.cache
+        )
 
     def generate(self, request: GenerationRequest) -> dict:
         """Return ``{"text", "token_logprobs"}``, from cache when possible."""
@@ -354,23 +396,32 @@ class GenerationClient:
         return response
 
     def _fetch(self, request: GenerationRequest) -> dict:
+        # Imported here, not at module level: a run whose every record is
+        # cached never pays for loading the HTTP stack.
+        import requests
+
         body = {
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
             "greedy": True,
             "logprobs": True,
         }
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
             try:
-                resp = self._session.post(
+                resp = session.post(
                     self.endpoint, json=body, headers=self._headers, timeout=self.timeout
                 )
             except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue
+            except requests.RequestException as exc:
+                raise TransportError(f"request to {self.endpoint!r} failed: {exc}") from exc
             if resp.status_code in _RETRYABLE_STATUS:
                 last_error = TransportError(
                     f"endpoint returned HTTP {resp.status_code}"
@@ -413,10 +464,17 @@ def run_corpus(
 ) -> list[Prediction]:
     """Collect one prediction per record, in corpus order.
 
-    Up to ``max_in_flight`` requests run concurrently; output order always
-    equals corpus order. If any record still fails after the client's
-    retries, the run aborts with a :class:`RunAbortedError` whose
-    ``completed_ids`` lists every record that did finish.
+    Records are visited in corpus order. A cached record is built in the
+    calling thread; a miss goes to a worker thread through
+    ``client.generate``, with at most ``max_in_flight`` misses outstanding.
+    Output order always equals corpus order.
+
+    If any record fails (a miss still failing after the client's retries, or
+    a response that cannot be built into a :class:`Prediction`), no further
+    record is started once the failure is seen, outstanding misses drain,
+    and the run aborts with a :class:`RunAbortedError` naming the lowest
+    failed record. Its ``completed_ids`` lists, in corpus order, every record
+    whose prediction was built, cached records after the failed one included.
     """
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
@@ -431,12 +489,12 @@ def run_corpus(
 
     results: list[Prediction | None] = [None] * len(records)
     failure: tuple[int, Exception] | None = None
+    pending: dict[Future, int] = {}
 
-    def fetch(index: int) -> None:
-        request = GenerationRequest(prompt=prompts[index], max_new_tokens=max_new_tokens)
+    def fetch(index: int, request: GenerationRequest) -> Prediction:
         response = client.generate(request)
         try:
-            results[index] = Prediction.build(
+            return Prediction.build(
                 record_id=records[index].id,
                 text=response["text"],
                 token_logprobs=response["token_logprobs"],
@@ -446,37 +504,48 @@ def run_corpus(
         except DataError as exc:
             raise DataError(f"record {records[index].id}: {exc}") from exc
 
+    def fail(index: int, exc: Exception) -> None:
+        nonlocal failure
+        if failure is None or index < failure[0]:
+            failure = (index, exc)
+
+    def collect(done: set[Future]) -> None:
+        for future in done:
+            index = pending.pop(future)
+            try:
+                results[index] = future.result()
+            except Exception as exc:  # any cause aborts the run, recorded by index
+                fail(index, exc)
+
+    # The executor starts its threads on the first submit, so a run whose
+    # every record is cached starts none.
     with ThreadPoolExecutor(max_workers=max_in_flight) as executor:
-        # Keep at most max_in_flight requests outstanding so an abort stops
-        # dispatching immediately; in-flight requests drain and still count
-        # as done.
-        pending: dict = {}
-        next_index = 0
-        while pending or (next_index < len(records) and failure is None):
-            while (
-                failure is None
-                and next_index < len(records)
-                and len(pending) < max_in_flight
-            ):
-                pending[executor.submit(fetch, next_index)] = next_index
-                next_index += 1
-            if not pending:
+        for index in range(len(records)):
+            if failure is not None:
                 break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            failed_here = []
-            for future in done:
-                index = pending.pop(future)
-                exc = future.exception()
-                if exc is not None:
-                    failed_here.append((index, exc))
-            if failed_here and failure is None:
-                failure = min(failed_here, key=lambda pair: pair[0])
+            request = GenerationRequest(prompt=prompts[index], max_new_tokens=max_new_tokens)
+            if client.has_cached(request):
+                # Resolved here, never in the pool. An entry that turns out
+                # unusable is fetched again by this same call.
+                try:
+                    results[index] = fetch(index, request)
+                except Exception as exc:  # same abort path as a pooled miss
+                    fail(index, exc)
+                continue
+            # A failed miss stops the run before another request is sent.
+            collect({future for future in pending if future.done()})
+            while len(pending) >= max_in_flight:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                collect(done)
+            if failure is not None:
+                break
+            pending[executor.submit(fetch, index, request)] = index
+        # Outstanding misses drain and still count as done.
+        collect(wait(pending).done)
 
     if failure is not None:
         index, cause = failure
         completed = [records[i].id for i, r in enumerate(results) if r is not None]
-        if isinstance(cause, requests.RequestException):
-            cause = TransportError(str(cause))
         raise RunAbortedError(records[index].id, cause, completed)
 
     return [pred for pred in results if pred is not None]

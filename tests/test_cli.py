@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import answer_or_search
 from answer_or_search.cli import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
@@ -174,6 +178,70 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
         assert progress["failed"] == "d2"
     finally:
         replacement.close()
+
+
+def _cache_entry(workspace, question: str) -> Path:
+    """The cache file holding the response to ``question``'s prompt."""
+    for path in (workspace["tmp"] / "cache").glob("*.json"):
+        if json.loads(path.read_text())["request"]["prompt"] == question:
+            return path
+    raise AssertionError(f"no cache entry for {question!r}")
+
+
+def test_infer_refetches_corrupt_cache_entries(workspace):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = predictions.read_bytes()
+    truncated = _cache_entry(workspace, DEV_ROWS[0][0])
+    no_logprobs = _cache_entry(workspace, DEV_ROWS[3][0])
+    originals = {path: path.read_bytes() for path in (truncated, no_logprobs)}
+    truncated.write_bytes(originals[truncated][:20])
+    no_logprobs.write_text(json.dumps({"response": {"text": "x"}}))
+    calls = len(workspace["service"].request_log)
+
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert len(workspace["service"].request_log) == calls + 2
+    assert {path: path.read_bytes() for path in originals} == originals
+    assert predictions.read_bytes() == first
+
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert len(workspace["service"].request_log) == calls + 2
+    assert predictions.read_bytes() == first
+
+
+def test_infer_unbuildable_cached_entry_exits_data(workspace, capsys):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    entry = _cache_entry(workspace, DEV_ROWS[1][0])
+    doc = json.loads(entry.read_text())
+    doc["response"]["token_logprobs"] = [0.5]
+    entry.write_text(json.dumps(doc))
+    assert run(workspace, "infer", "--split", "dev") == EXIT_DATA
+    assert "d2" in capsys.readouterr().err
+    progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
+    assert progress["failed"] == "d2"
+
+
+def test_warm_infer_never_loads_the_http_stack(workspace):
+    rewrite_config(workspace, lambda c: c.update(max_in_flight=4))
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    calls = len(workspace["service"].request_log)
+    probe = (
+        "import sys\n"
+        "from answer_or_search.cli import main\n"
+        f"code = main(['infer', '-c', {str(workspace['config'])!r}, '--split', 'dev'])\n"
+        "print(code, 'requests' in sys.modules)\n"
+    )
+    src = str(Path(answer_or_search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert len(workspace["service"].request_log) == calls
 
 
 # ---------------------------------------------------------------------------

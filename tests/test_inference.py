@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,23 @@ def test_cache_round_trip(tmp_path):
     assert cache.get(key)["response"]["text"] == "x"
 
 
+UNUSABLE_ENTRIES = {
+    "truncated": b'{"response": {"text": "Paris", "token_log',
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": b"[1, 2]",
+    "no-logprobs": b'{"response": {"text": "x"}}',
+    "text-not-a-string": b'{"response": {"text": 1, "token_logprobs": [-1.0]}}',
+}
+
+
+@pytest.mark.parametrize("content", UNUSABLE_ENTRIES.values(), ids=UNUSABLE_ENTRIES.keys())
+def test_cache_unusable_entry_is_a_miss(tmp_path, content):
+    cache = ResponseCache(tmp_path)
+    key = ResponseCache.key("m", "p", 32)
+    (tmp_path / f"{key}.json").write_bytes(content)
+    assert cache.get(key) is None
+
+
 # ---------------------------------------------------------------------------
 # client against the mock endpoint
 # ---------------------------------------------------------------------------
@@ -298,6 +316,12 @@ def test_generate_unreachable_endpoint(tmp_path):
         client.generate(GenerationRequest("q?"))
 
 
+def test_generate_invalid_url_is_transport_error():
+    client = GenerationClient("not-a-url", "m", None, max_retries=0)
+    with pytest.raises(TransportError, match="not-a-url"):
+        client.generate(GenerationRequest("q?"))
+
+
 # ---------------------------------------------------------------------------
 # run_corpus
 # ---------------------------------------------------------------------------
@@ -363,3 +387,74 @@ def test_run_corpus_rejects_unknown_style(tmp_path):
     client = GenerationClient("http://127.0.0.1:1", "m", ResponseCache(tmp_path))
     with pytest.raises(ConfigError):
         run_corpus(_three_record_corpus(), "sampling", client)
+
+
+def _warm(tmp_path, corpus) -> ResponseCache:
+    """A cache holding the responses of ``_scripted_service`` for ``corpus``."""
+    cache = ResponseCache(tmp_path)
+    with _scripted_service() as service:
+        run_corpus(corpus, "zeroshot-qa", GenerationClient(service.url, "m", cache, timeout=5))
+    return cache
+
+
+def test_run_corpus_abort_lists_cached_records_after_the_failure(tmp_path):
+    corpus = make_corpus(
+        *_three_record_corpus(), make_record("q4", "fourth question?", ["four"])
+    )
+    # q1 and q3 are cached; q2 is a miss that fails; q4 is a miss after it.
+    cache = _warm(tmp_path, make_corpus(corpus["q1"], corpus["q3"]))
+    script = (
+        Script()
+        .add_question("second question?", "two", (-0.2,), fault="http-error")
+        .add_question("fourth question?", "four", (-0.4,))
+    )
+    with serve(script) as service:
+        client = GenerationClient(service.url, "m", cache, max_retries=0, timeout=5)
+        with pytest.raises(RunAbortedError) as excinfo:
+            run_corpus(corpus, "zeroshot-qa", client, max_in_flight=1)
+        assert service.request_log == ["second question?"]
+    assert excinfo.value.failed_id == "q2"
+    assert isinstance(excinfo.value.cause, TransportError)
+    assert excinfo.value.completed_ids == ["q1", "q3"]
+
+
+def test_run_corpus_unbuildable_cached_entry_aborts_at_that_record(tmp_path):
+    corpus = _three_record_corpus()
+    cache = _warm(tmp_path, corpus)
+    key = ResponseCache.key("m", "second question?", 32)
+    cache.put(key, {"response": {"text": "two", "token_logprobs": [0.5]}})
+    client = GenerationClient("http://127.0.0.1:1", "m", cache, max_retries=0, timeout=0.5)
+    with pytest.raises(RunAbortedError) as excinfo:
+        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+    assert excinfo.value.failed_id == "q2"
+    assert isinstance(excinfo.value.cause, DataError)
+    assert excinfo.value.completed_ids == ["q1"]
+
+
+def test_run_corpus_worker_threads_never_share_a_session(tmp_path, monkeypatch):
+    import requests
+
+    posts = []  # (thread id, session); holding the session keeps its id unique
+    both_in_flight = threading.Barrier(2)
+    original_post = requests.Session.post
+
+    def recording_post(self, *args, **kwargs):
+        posts.append((threading.get_ident(), self))
+        if len(posts) <= 2:
+            # Hold the first request until the second starts, so the pool
+            # must run two workers.
+            both_in_flight.wait(timeout=10)
+        return original_post(self, *args, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", recording_post)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(8)))
+    with serve(Script()) as service:
+        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+    sessions_by_thread: dict[int, set[int]] = {}
+    for thread, session in posts:
+        sessions_by_thread.setdefault(thread, set()).add(id(session))
+    assert len(posts) == 8
+    assert len(sessions_by_thread) == 2
+    assert all(len(sessions) == 1 for sessions in sessions_by_thread.values())
+    assert len(set.union(*sessions_by_thread.values())) == 2
