@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DataError
 from .evaluation import RATE_SUM_TOLERANCE
@@ -81,7 +80,8 @@ class HistogramSpec:
     def __post_init__(self) -> None:
         if len(self.bin_edges) < 2:
             raise DataError("histogram needs at least 2 bin edges")
-        if any(b <= a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
+        # Written as `not b > a` so that a NaN edge is rejected too.
+        if any(not b > a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
             raise DataError("bin edges must be strictly increasing")
         if self.value_transform not in ("log", "identity"):
             raise DataError(f"unknown value transform {self.value_transform!r}")
@@ -99,25 +99,23 @@ class HistogramResult:
 
 
 def histogram(values: Sequence[float], spec: HistogramSpec) -> HistogramResult:
-    """Bin ``values`` under ``spec``; log transform applies ln first."""
-    arr = np.asarray(list(values), dtype=float)
+    """Bin ``values`` under ``spec`` by bisecting the edges; log transform
+    applies ln first."""
     if spec.value_transform == "log":
-        for i, v in enumerate(arr):
+        for i, v in enumerate(values):
             if v <= 0:
                 raise DataError(f"log transform undefined for item {i} with value {v}")
-        arr = np.log(arr)
-    if arr.size == 0:
-        return HistogramResult(
-            spec=spec, counts=tuple([0] * (len(spec.bin_edges) - 1)), out_of_range=0
-        )
-    edges = np.asarray(spec.bin_edges, dtype=float)
-    in_range = (arr >= edges[0]) & (arr <= edges[-1])
-    counts, _ = np.histogram(arr[in_range], bins=edges)
-    return HistogramResult(
-        spec=spec,
-        counts=tuple(int(c) for c in counts),
-        out_of_range=int(arr.size - in_range.sum()),
-    )
+        values = [math.log(v) for v in values]
+    edges = spec.bin_edges
+    last_bin = len(edges) - 2
+    counts = [0] * (last_bin + 1)
+    out_of_range = 0
+    for v in values:
+        if edges[0] <= v <= edges[-1]:
+            counts[min(bisect_right(edges, v) - 1, last_bin)] += 1
+        else:
+            out_of_range += 1
+    return HistogramResult(spec=spec, counts=tuple(counts), out_of_range=out_of_range)
 
 
 def write_tradeoff_table(

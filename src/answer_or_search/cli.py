@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,8 +170,14 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if fewshot_k <= 0 or fewshot_k % 2 != 0:
         raise ConfigError(f"prompt.fewshot_k must be an even positive integer, got {fewshot_k}")
     lam = _number(float, raw, "lambda", 1.0)
-    if lam < 1.0:
+    if not lam >= 1.0:
         raise ConfigError(f"lambda must be >= 1, got {lam}")
+    max_retries = _number(int, endpoint, "max_retries", 3)
+    if max_retries < 0:
+        raise ConfigError(f"endpoint.max_retries must be >= 0, got {max_retries}")
+    timeout = _number(float, endpoint, "timeout", 30.0)
+    if not 0.0 < timeout < math.inf:
+        raise ConfigError(f"endpoint.timeout must be a positive finite number, got {timeout}")
     prompt_style = prompt.get("style", "zeroshot-qa")
     if prompt_style not in PROMPT_STYLES:
         raise ConfigError(f"unknown prompt style {prompt_style!r}")
@@ -178,7 +185,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown ppl calibration strategy {strategy!r}")
     target_rate = ppl.get("target_rate")
-    if strategy == "target-search-rate" and target_rate is None:
+    if target_rate is not None:
+        target_rate = _number(float, ppl, "target_rate", None)
+        if not 0.0 <= target_rate <= 1.0:
+            raise ConfigError(f"ppl.target_rate must lie in [0, 1], got {target_rate}")
+    elif strategy == "target-search-rate":
         raise ConfigError("ppl.target_rate is required for target-search-rate calibration")
 
     blob = json.dumps(raw, sort_keys=True, ensure_ascii=True, default=str)
@@ -189,8 +200,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         endpoint_url=endpoint.get("url", "http://127.0.0.1:8811"),
         model_tag=endpoint.get("model_tag", "unnamed-model"),
         max_new_tokens=_number(int, endpoint, "max_new_tokens", DEFAULT_MAX_NEW_TOKENS),
-        max_retries=_number(int, endpoint, "max_retries", 3),
-        timeout=_number(float, endpoint, "timeout", 30.0),
+        max_retries=max_retries,
+        timeout=timeout,
         max_in_flight=_number(int, raw, "max_in_flight", 4),
         profile=_build_profile(raw.get("normalization", {})),
         token=SearchToken(raw.get("search_token", "<search>")),
@@ -200,7 +211,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         seed=_number(int, prompt, "seed", 13),
         pool_path=prompt.get("pool_path"),
         ppl_strategy=strategy,
-        ppl_target_rate=None if target_rate is None else _number(float, ppl, "target_rate", None),
+        ppl_target_rate=target_rate,
         lam=lam,
         cache_dir=Path(raw.get("cache_dir", "cache")),
         output_dir=Path(raw.get("output_dir", "out")),

@@ -48,12 +48,6 @@ class CalibrationError(DataError):
 class TransportError(AnswerOrSearchError):
     """The generation endpoint could not be reached or kept failing."""
 
-    def __init__(self, message: str, record_id: str | None = None) -> None:
-        self.record_id = record_id
-        if record_id is not None:
-            message = f"{message} (record {record_id})"
-        super().__init__(message)
-
 
 class CapabilityError(AnswerOrSearchError):
     """The endpoint answered but lacks a required capability

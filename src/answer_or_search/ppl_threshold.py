@@ -16,8 +16,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import CalibrationError, ConfigError, DataError
 from .fileio import read_json, write_json
 from .inference import Prediction
@@ -57,25 +55,16 @@ class PplThreshold:
                 raise ConfigError("target-search-rate requires target_rate in [0, 1]")
 
 
-def _scan_candidates(perplexities: Sequence[float]) -> list[tuple[float, int]]:
-    """Candidate thresholds with the number of items answered under each.
-
-    Midpoints between consecutive sorted distinct perplexities cover every
-    achievable answer/search partition; -inf and +inf sentinels add the
-    all-search and all-answer extremes.
-    """
-    distinct = sorted(set(perplexities))
-    counts: dict[float, int] = {}
-    for p in perplexities:
-        counts[p] = counts.get(p, 0) + 1
-
-    candidates: list[tuple[float, int]] = [(-math.inf, 0)]
-    answered = 0
-    for lo, hi in zip(distinct, distinct[1:]):
-        answered += counts[lo]
-        candidates.append(((lo + hi) / 2.0, answered))
-    candidates.append((math.inf, len(perplexities)))
-    return candidates
+def _quantile(ordered: Sequence[float], q: float) -> float:
+    """``q`` quantile of an ascending sequence, bit-identical to numpy's
+    default ``linear`` method (which interpolates from ``b`` when t >= 0.5)."""
+    pos = (len(ordered) - 1) * q
+    lo = math.floor(pos)
+    if lo >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[lo], ordered[lo + 1]
+    t = pos - lo
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def calibrate(
@@ -86,50 +75,47 @@ def calibrate(
 ) -> PplThreshold:
     """Derive a routing threshold from (perplexity, correct) pairs.
 
-    ``max-f1`` scans all candidate thresholds (midpoints plus sentinels)
-    and keeps the one maximizing F1 of the induced answer/search decisions,
-    breaking ties toward the smaller tau. ``target-search-rate`` places tau
-    at the (1 - target_rate) quantile of the observed perplexities.
+    Both strategies read the pairs sorted once by perplexity. ``max-f1``
+    scans -inf, the midpoint after each run of equal perplexities and +inf,
+    keeping the tau maximizing F1 of the induced answer/search decisions
+    (ties toward the smaller tau). ``target-search-rate`` places tau at the
+    (1 - target_rate) quantile of the observed perplexities.
     """
     if not scored:
         raise CalibrationError("cannot calibrate a threshold on an empty set")
-    perplexities = [p for p, _ in scored]
-    if any(math.isnan(p) or math.isinf(p) for p in perplexities):
+    if any(math.isnan(p) or math.isinf(p) for p, _ in scored):
         raise CalibrationError("perplexities must be finite")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown calibration strategy {strategy!r}")
+    ordered = sorted(scored, key=lambda pair: pair[0])
 
     if strategy == "target-search-rate":
         if target_rate is None:
             raise ConfigError("target-search-rate requires target_rate")
         if not 0.0 <= target_rate <= 1.0:
             raise ConfigError("target_rate must lie in [0, 1]")
-        tau = float(np.quantile(np.asarray(perplexities, dtype=float), 1.0 - target_rate))
+        tau = _quantile([p for p, _ in ordered], 1.0 - target_rate)
         return PplThreshold(
             tau=tau, calibration=strategy, fitted_on=fitted_on, target_rate=target_rate
         )
 
     # max-f1: answering the n smallest perplexities yields, per Table-1-style
     # accounting, tp = correct among answered, fp = wrong among answered,
-    # fn = correct among searched.
-    order = sorted(range(len(scored)), key=lambda i: scored[i][0])
-    correct_sorted = [bool(scored[i][1]) for i in order]
-    prefix_correct = [0]
-    for c in correct_sorted:
-        prefix_correct.append(prefix_correct[-1] + int(c))
-    total_correct = prefix_correct[-1]
-
+    # fn = correct among searched, so 2*tp + fp + fn = answered + all correct.
+    # Tau = -inf answers nothing and scores 0; the last run's tau is +inf.
+    total_correct = sum(1 for _, correct in ordered if correct)
     best_tau = -math.inf
-    best_f1 = -1.0
-    for tau, n_answered in _scan_candidates(perplexities):
-        tp = prefix_correct[n_answered]
-        fp = n_answered - tp
-        fn = total_correct - tp
-        denom = 2 * tp + fp + fn
-        f1 = (2 * tp / denom) if denom > 0 else 0.0
+    best_f1 = 0.0
+    tp = 0
+    for n_answered, (ppl, correct) in enumerate(ordered, start=1):
+        tp += bool(correct)
+        following = ordered[n_answered][0] if n_answered < len(ordered) else math.inf
+        if following == ppl:
+            continue
+        f1 = 2 * tp / (n_answered + total_correct)
         if f1 > best_f1:
             best_f1 = f1
-            best_tau = tau
+            best_tau = (ppl + following) / 2.0
     return PplThreshold(tau=best_tau, calibration=strategy, fitted_on=fitted_on)
 
 

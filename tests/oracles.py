@@ -71,3 +71,16 @@ def brute_force_max_f1_threshold(perplexities, correct) -> tuple[float, float]:
 
     best = int(np.argmax(f1))  # first occurrence: smallest tau wins ties
     return float(candidates[best]), float(f1[best])
+
+
+def numpy_histogram(values, edges) -> tuple[tuple[int, ...], int]:
+    """Reference binning: numpy's histogram over the values inside the edges.
+
+    Returns (counts, out_of_range); NaN and values beyond either end edge
+    are out of range.
+    """
+    arr = np.asarray(values, dtype=float)
+    bins = np.asarray(edges, dtype=float)
+    in_range = (arr >= bins[0]) & (arr <= bins[-1])
+    counts, _ = np.histogram(arr[in_range], bins=bins)
+    return tuple(int(c) for c in counts), int(arr.size - in_range.sum())

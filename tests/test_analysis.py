@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from answer_or_search.analysis import (
     write_tradeoff_table,
 )
 from answer_or_search.errors import DataError
+
+from oracles import numpy_histogram
 
 LORA_NQ = dict(c0=21.3, h0=16.6, s=62.0)
 
@@ -156,8 +160,6 @@ def test_histogram_out_of_range_bucket():
 
 
 def test_histogram_log_transform_bins_by_ln():
-    import math
-
     spec = HistogramSpec(bin_edges=(0.0, 1.0, 2.0), value_transform="log")
     result = histogram([math.e ** 0.5, math.e ** 1.5], spec)
     assert result.counts == (1, 1)
@@ -174,6 +176,9 @@ def test_histogram_spec_validates_edges():
         HistogramSpec(bin_edges=(1.0,), value_transform="identity")
     with pytest.raises(DataError):
         HistogramSpec(bin_edges=(1.0, 1.0), value_transform="identity")
+    with pytest.raises(DataError):
+        HistogramSpec(bin_edges=(0.0, math.nan, 2.0), value_transform="identity")
+    HistogramSpec(bin_edges=(-math.inf, 0.0, math.inf), value_transform="identity")
 
 
 @given(
@@ -186,6 +191,24 @@ def test_histogram_conserves_items(values, edges):
     spec = HistogramSpec(bin_edges=tuple(sorted(edges)), value_transform="identity")
     result = histogram(values, spec)
     assert result.total == len(values)
+
+
+@given(
+    st.lists(
+        st.floats(min_value=-20, max_value=20) | st.sampled_from([-math.inf, math.inf]),
+        min_size=2, max_size=8, unique=True,
+    ),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_histogram_matches_numpy(edges, data):
+    edges = tuple(sorted(edges))
+    values = data.draw(
+        st.lists(st.sampled_from(edges) | st.floats(min_value=-30, max_value=30)
+                 | st.sampled_from([math.nan, -math.inf, math.inf]), max_size=60)
+    )
+    result = histogram(values, HistogramSpec(bin_edges=edges, value_transform="identity"))
+    assert (result.counts, result.out_of_range) == numpy_histogram(values, edges)
 
 
 # ---------------------------------------------------------------------------

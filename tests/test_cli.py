@@ -244,6 +244,26 @@ def test_warm_infer_never_loads_the_http_stack(workspace):
     assert len(workspace["service"].request_log) == calls
 
 
+def test_calibrate_and_histogram_never_load_numpy(workspace):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    config = str(workspace["config"])
+    probe = (
+        "import sys\n"
+        "from answer_or_search.cli import main\n"
+        f"codes = [main(['calibrate', '-c', {config!r}, '--split', 'dev']),\n"
+        f"         main(['histogram', '-c', {config!r}, '--split', 'dev', '--edges', '0', '1', '4'])]\n"
+        "print(*codes, 'numpy' in sys.modules)\n"
+    )
+    src = str(Path(answer_or_search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} {EXIT_OK} False"
+
+
 # ---------------------------------------------------------------------------
 # label
 # ---------------------------------------------------------------------------
@@ -478,6 +498,26 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
     assert "fewshot_k" in capsys.readouterr().err
 
 
-def test_config_rejects_lambda_below_one(workspace):
-    rewrite_config(workspace, lambda c: c.update({"lambda": 0.5}))
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "lambda", 0.5),
+        (None, "lambda", float("nan")),
+        ("endpoint", "max_retries", -1),
+        ("endpoint", "timeout", 0),
+        ("endpoint", "timeout", float("inf")),
+        ("ppl", "target_rate", 1.5),
+    ],
+    ids=[
+        "lambda-below-one",
+        "lambda-nan",
+        "max-retries-negative",
+        "timeout-zero",
+        "timeout-infinite",
+        "target-rate-above-one",
+    ],
+)
+def test_config_rejects_out_of_range_values(workspace, capsys, section, key, value):
+    rewrite_config(workspace, lambda c: (c[section] if section else c).update({key: value}))
     assert run(workspace, "ingest") == EXIT_CONFIG
+    assert key in capsys.readouterr().err

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,6 +88,19 @@ def test_target_rate_half_on_four_items_searches_exactly_two():
     assert threshold.tau == pytest.approx(2.5)  # median midpoint
     searched = [p for p, _ in scored if p > threshold.tau]
     assert len(searched) == 2
+
+
+@given(
+    st.lists(
+        st.floats(min_value=1.0, max_value=1e300) | st.sampled_from([1.0, 1.5, 2.0, 1e300]),
+        min_size=1, max_size=40,
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_target_rate_tau_is_numpy_quantile(ppls, rate):
+    threshold = calibrate([(p, True) for p in ppls], "target-search-rate", target_rate=rate)
+    assert threshold.tau == float(np.quantile(ppls, 1.0 - rate))
 
 
 def test_target_rate_requires_the_rate():
