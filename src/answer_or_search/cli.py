@@ -20,6 +20,7 @@ import yaml
 
 from .analysis import tradeoff_curve, write_tradeoff_table, HistogramSpec, histogram, write_histogram_table
 from .corpus import (
+    CORPUS_FORMATS,
     DEFAULT_PROFILE,
     SPLITS,
     Corpus,
@@ -28,21 +29,26 @@ from .corpus import (
     ingest,
     write_canonical,
 )
-from .errors import (
+from .errors import (  # the EXIT_* names are re-exported for callers of main
+    EXIT_CAPABILITY,
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_TRANSPORT,
     AnswerOrSearchError,
-    CapabilityError,
     ConfigError,
     DataError,
     RunAbortedError,
-    TransportError,
 )
 from .evaluation import Judgment, evaluate_pair, judge, render_table, read_report, write_report
 from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
 from .inference import (
     DEFAULT_MAX_NEW_TOKENS,
+    DEFAULT_SEARCH_TOKEN,
     PROMPT_STYLES,
     FewShotPool,
     GenerationClient,
+    Prediction,
     ResponseCache,
     read_predictions,
     run_corpus,
@@ -55,13 +61,6 @@ from .labeling import (
     write_masked_dataset,
 )
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
-
-EXIT_OK = 0
-EXIT_UNEXPECTED = 1
-EXIT_CONFIG = 2
-EXIT_DATA = 3
-EXIT_TRANSPORT = 4
-EXIT_CAPABILITY = 5
 
 
 @dataclass
@@ -106,116 +105,130 @@ class PipelineConfig:
         ]
 
 
-def _build_profile(raw: dict) -> NormalizationProfile:
-    base = DEFAULT_PROFILE
-    return NormalizationProfile(
-        lowercase=raw.get("lowercase", base.lowercase),
-        strip_punctuation=raw.get("strip_punctuation", base.strip_punctuation),
-        stopwords=tuple(raw["stopwords"]) if "stopwords" in raw else base.stopwords,
-        collapse_whitespace=raw.get("collapse_whitespace", base.collapse_whitespace),
-        unicode_fold=raw.get("unicode_fold", base.unicode_fold),
-    )
+#: YAML types accepted for each kind of config value, and how the error names
+#: the kind. A bool is never a number, and a string is never converted.
+_KINDS = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    list: (list, "a list"),
+    dict: (dict, "a mapping"),
+}
 
 
-def _number(kind: type, section: dict, key: str, default: object):
-    """``kind(section[key])`` or the default; a bad value is a configuration error."""
-    value = section.get(key, default)
+def _get(raw: dict, key: str, kind: type, default=None, valid=None, must: str = ""):
+    """The value at dotted ``key`` as ``kind``, or ``default`` when it is absent.
+
+    Every section on the way must be a mapping. A null value stands for the
+    default only where the default is None. ``valid`` is a tuple of choices,
+    or a predicate the value must pass, described by ``must``. Every error is
+    a :class:`ConfigError` naming the key.
+    """
+    *parents, leaf = key.split(".")
+    section = raw
+    for depth, part in enumerate(parents, start=1):
+        section = section.get(part, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{'.'.join(parents[:depth])} must be a mapping, got {section!r}")
+    value = section.get(leaf, default)
+    if value is None and default is None:
+        return None
+    accepted, name = _KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+        value = kind(value)
+    except OverflowError:  # an integer beyond the range of a float
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
+    if isinstance(valid, tuple):
+        valid, must = valid.__contains__, f"one of {', '.join(valid)}"
+    if valid is not None and not valid(value):
+        raise ConfigError(f"{key} must be {must}, got {value!r}")
+    return value
+
+
+def _build_profile(raw: dict) -> NormalizationProfile:
+    def flag(name: str) -> bool:
+        return _get(raw, f"normalization.{name}", bool, getattr(DEFAULT_PROFILE, name))
+
+    words = _get(raw, "normalization.stopwords", list, list(DEFAULT_PROFILE.stopwords))
+    if not all(isinstance(word, str) for word in words):
+        raise ConfigError(f"normalization.stopwords must be a list of strings, got {words!r}")
+    return NormalizationProfile(
+        lowercase=flag("lowercase"),
+        strip_punctuation=flag("strip_punctuation"),
+        stopwords=tuple(words),
+        collapse_whitespace=flag("collapse_whitespace"),
+        unicode_fold=flag("unicode_fold"),
+    )
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
     """Read, override, validate, and hash a YAML pipeline configuration."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with Path(path).open("r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+    except (OSError, ValueError, yaml.YAMLError) as exc:  # missing, not UTF-8, not YAML
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
 
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        section = raw
-        parts = key.split(".")
-        for part in parts[:-1]:
-            section = section.setdefault(part, {})
-        section[parts[-1]] = value
+        if value is not None:
+            parent, _, leaf = key.rpartition(".")
+            section = raw
+            if parent:
+                section = raw[parent] = _get(raw, parent, dict, {})
+            section[leaf] = value
 
-    corpus_cfg = raw.get("corpus", {})
-    if not isinstance(corpus_cfg, dict) or not corpus_cfg:
-        raise ConfigError("config must declare at least one corpus split under 'corpus'")
     corpus: dict[str, dict] = {}
-    for split, meta in corpus_cfg.items():
+    exists = lambda p: p and Path(p).exists()  # "" would name the current directory
+    for split in _get(raw, "corpus", dict, {}, bool, "a mapping of at least one split"):
         if split not in SPLITS:
             raise ConfigError(f"unknown corpus split {split!r}")
-        if not isinstance(meta, dict) or "path" not in meta:
-            raise ConfigError(f"corpus split {split!r} needs a 'path'")
-        split_path = Path(meta["path"])
-        if not split_path.exists():
-            raise ConfigError(f"corpus file for split {split!r} does not exist: {split_path}")
-        corpus[split] = {"path": str(split_path), "format": meta.get("format", "canonical-jsonl")}
+        split_path = _get(raw, f"corpus.{split}.path", str, "", exists, "an existing file")
+        fmt = _get(raw, f"corpus.{split}.format", str, "canonical-jsonl", CORPUS_FORMATS)
+        corpus[split] = {"path": str(Path(split_path)), "format": fmt}
 
-    endpoint = raw.get("endpoint", {})
-    prompt = raw.get("prompt", {})
-    ppl = raw.get("ppl", {})
-
-    fewshot_k = _number(int, prompt, "fewshot_k", 16)
-    if fewshot_k <= 0 or fewshot_k % 2 != 0:
-        raise ConfigError(f"prompt.fewshot_k must be an even positive integer, got {fewshot_k}")
-    lam = _number(float, raw, "lambda", 1.0)
-    if not lam >= 1.0:
-        raise ConfigError(f"lambda must be >= 1, got {lam}")
-    max_retries = _number(int, endpoint, "max_retries", 3)
-    if max_retries < 0:
-        raise ConfigError(f"endpoint.max_retries must be >= 0, got {max_retries}")
-    timeout = _number(float, endpoint, "timeout", 30.0)
-    if not 0.0 < timeout < math.inf:
-        raise ConfigError(f"endpoint.timeout must be a positive finite number, got {timeout}")
-    prompt_style = prompt.get("style", "zeroshot-qa")
-    if prompt_style not in PROMPT_STYLES:
-        raise ConfigError(f"unknown prompt style {prompt_style!r}")
-    strategy = ppl.get("strategy", "max-f1")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown ppl calibration strategy {strategy!r}")
-    target_rate = ppl.get("target_rate")
-    if target_rate is not None:
-        target_rate = _number(float, ppl, "target_rate", None)
-        if not 0.0 <= target_rate <= 1.0:
-            raise ConfigError(f"ppl.target_rate must lie in [0, 1], got {target_rate}")
-    elif strategy == "target-search-rate":
+    strategy = _get(raw, "ppl.strategy", str, "max-f1", STRATEGIES)
+    target_rate = _get(raw, "ppl.target_rate", float, None, lambda r: 0 <= r <= 1, "in [0, 1]")
+    if target_rate is None and strategy == "target-search-rate":
         raise ConfigError("ppl.target_rate is required for target-search-rate calibration")
 
-    blob = json.dumps(raw, sort_keys=True, ensure_ascii=True, default=str)
-    config_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    try:
+        blob = json.dumps(raw, sort_keys=True, ensure_ascii=True, default=str)
+    except (TypeError, ValueError) as exc:  # keys of mixed types, a recursive alias
+        raise ConfigError(f"config cannot be hashed: {exc}") from exc
+    positive = (lambda n: n >= 1), ">= 1"
 
     return PipelineConfig(
         corpus=corpus,
-        endpoint_url=endpoint.get("url", "http://127.0.0.1:8811"),
-        model_tag=endpoint.get("model_tag", "unnamed-model"),
-        max_new_tokens=_number(int, endpoint, "max_new_tokens", DEFAULT_MAX_NEW_TOKENS),
-        max_retries=max_retries,
-        timeout=timeout,
-        max_in_flight=_number(int, raw, "max_in_flight", 4),
-        profile=_build_profile(raw.get("normalization", {})),
-        token=SearchToken(raw.get("search_token", "<search>")),
-        prompt_style=prompt_style,
-        template=prompt.get("template", "{q}"),
-        fewshot_k=fewshot_k,
-        seed=_number(int, prompt, "seed", 13),
-        pool_path=prompt.get("pool_path"),
+        endpoint_url=_get(raw, "endpoint.url", str, "http://127.0.0.1:8811"),
+        model_tag=_get(raw, "endpoint.model_tag", str, "unnamed-model"),
+        max_new_tokens=_get(raw, "endpoint.max_new_tokens", int, DEFAULT_MAX_NEW_TOKENS, *positive),
+        max_retries=_get(raw, "endpoint.max_retries", int, 3, lambda n: n >= 0, ">= 0"),
+        timeout=_get(
+            raw, "endpoint.timeout", float, 30.0, lambda t: 0 < t < math.inf, "positive and finite"
+        ),
+        max_in_flight=_get(raw, "max_in_flight", int, 4, *positive),
+        profile=_build_profile(raw),
+        token=SearchToken(
+            _get(raw, "search_token", str, DEFAULT_SEARCH_TOKEN, str.strip, "non-empty")
+        ),
+        prompt_style=_get(raw, "prompt.style", str, "zeroshot-qa", PROMPT_STYLES),
+        template=_get(raw, "prompt.template", str, "{q}"),
+        fewshot_k=_get(
+            raw, "prompt.fewshot_k", int, 16, lambda k: k > 0 and k % 2 == 0, "even and positive"
+        ),
+        seed=_get(raw, "prompt.seed", int, 13),
+        pool_path=_get(raw, "prompt.pool_path", str),
         ppl_strategy=strategy,
         ppl_target_rate=target_rate,
-        lam=lam,
-        cache_dir=Path(raw.get("cache_dir", "cache")),
-        output_dir=Path(raw.get("output_dir", "out")),
-        config_hash=config_hash,
+        lam=_get(raw, "lambda", float, 1.0, lambda x: x >= 1, ">= 1"),
+        cache_dir=Path(_get(raw, "cache_dir", str, "cache")),
+        output_dir=Path(_get(raw, "output_dir", str, "out")),
+        config_hash=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
     )
 
 
@@ -241,12 +254,20 @@ def _load_split(config: PipelineConfig, split: str) -> Corpus:
     return corpus
 
 
+def _load_split_and_predictions(
+    config: PipelineConfig, args: argparse.Namespace
+) -> tuple[Corpus, list[Prediction]]:
+    """The ``--split`` corpus and the ``--predictions`` file (default: infer's output)."""
+    corpus = _load_split(config, args.split)
+    return corpus, read_predictions(args.predictions or predictions_path(config, args.split))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_ingest(config: PipelineConfig) -> int:
+def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
     seen: dict[str, str] = {}
     corpora: dict[str, Corpus] = {}
     for split, meta in config.corpus.items():
@@ -278,8 +299,8 @@ def _fewshot_pool(config: PipelineConfig) -> FewShotPool | None:
     )
 
 
-def cmd_infer(config: PipelineConfig, split: str) -> int:
-    corpus = _load_split(config, split)
+def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
+    corpus = _load_split(config, args.split)
     client = GenerationClient(
         config.endpoint_url,
         config.model_tag,
@@ -300,49 +321,47 @@ def cmd_infer(config: PipelineConfig, split: str) -> int:
         )
     except RunAbortedError as exc:
         progress = write_json(
-            config.output_dir / f"progress.{split}.json",
+            config.output_dir / f"progress.{args.split}.json",
             {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance},
         )
         print(f"infer: aborted at record {exc.failed_id}; progress -> {progress}", file=sys.stderr)
         raise
 
-    out = write_predictions(predictions, predictions_path(config, split))
+    out = write_predictions(predictions, predictions_path(config, args.split))
     write_manifest(
         out,
         len(predictions),
-        split=split,
+        split=args.split,
         model_tag=config.model_tag,
         prompt_style=config.prompt_style,
         **config.provenance,
     )
-    print(f"infer: split={split} predictions={len(predictions)} -> {out}")
+    print(f"infer: split={args.split} predictions={len(predictions)} -> {out}")
     return EXIT_OK
 
 
-def cmd_label(config: PipelineConfig, split: str, predictions_file: str | None) -> int:
-    corpus = _load_split(config, split)
-    preds = read_predictions(predictions_file or predictions_path(config, split))
+def cmd_label(config: PipelineConfig, args: argparse.Namespace) -> int:
+    corpus, preds = _load_split_and_predictions(config, args)
     if not preds:
         print("label: warning: no predictions; emitting an empty dataset", file=sys.stderr)
     dataset = build_masked_dataset(preds, corpus, config.profile, config.token)
     out = write_masked_dataset(
         dataset,
-        config.output_dir / f"masked.{split}.jsonl",
+        config.output_dir / f"masked.{args.split}.jsonl",
         corpus=corpus,
-        extra_manifest={"split": split, **config.provenance},
+        extra_manifest={"split": args.split, **config.provenance},
     )
     stats = dataset.stats()
     rate = (stats["n_masked"] / stats["n_total"] * 100) if stats["n_total"] else 0.0
     print(
-        f"label: split={split} total={stats['n_total']} answer={stats['n_answer']} "
+        f"label: split={args.split} total={stats['n_total']} answer={stats['n_answer']} "
         f"masked={stats['n_masked']} mask_rate={rate:.1f}% -> {out}"
     )
     return EXIT_OK
 
 
-def cmd_calibrate(config: PipelineConfig, split: str, predictions_file: str | None) -> int:
-    corpus = _load_split(config, split)
-    preds = read_predictions(predictions_file or predictions_path(config, split))
+def cmd_calibrate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    corpus, preds = _load_split_and_predictions(config, args)
     scored = [
         (p.perplexity, exact_match(p.text, corpus[p.record_id].gold_answers, config.profile))
         for p in preds
@@ -351,7 +370,7 @@ def cmd_calibrate(config: PipelineConfig, split: str, predictions_file: str | No
         scored,
         strategy=config.ppl_strategy,
         target_rate=config.ppl_target_rate,
-        fitted_on=f"model={config.model_tag} corpus={corpus.name} split={split}",
+        fitted_on=f"model={config.model_tag} corpus={corpus.name} split={args.split}",
     )
     out = save_threshold(threshold, config.output_dir / "threshold.json", extra=config.provenance)
     print(
@@ -361,28 +380,21 @@ def cmd_calibrate(config: PipelineConfig, split: str, predictions_file: str | No
     return EXIT_OK
 
 
-def cmd_evaluate(
-    config: PipelineConfig,
-    split: str,
-    base_file: str | None,
-    adapted_file: str | None,
-    threshold_file: str | None,
-) -> int:
-    if (adapted_file is None) == (threshold_file is None):
+def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    if (args.adapted is None) == (args.threshold is None):
         raise ConfigError("evaluate needs exactly one of --adapted or --threshold")
-    corpus = _load_split(config, split)
-    base_preds = read_predictions(base_file or predictions_path(config, split))
+    corpus, base_preds = _load_split_and_predictions(config, args)
     base_ids = [p.record_id for p in base_preds]
     base_judgments = [
         judge(p.text, corpus[p.record_id], config.profile, config.token) for p in base_preds
     ]
 
-    if threshold_file is not None:
-        threshold = load_threshold(threshold_file)
+    if args.threshold is not None:
+        threshold = load_threshold(args.threshold)
         adapted = list(zip(base_ids, apply_threshold(base_preds, threshold, config.token)))
     else:
         adapted = read_jsonl(
-            adapted_file, lambda raw: (str(raw["id"]), raw["output"]), "adapted outputs file"
+            args.adapted, lambda raw: (str(raw["id"]), raw["output"]), "adapted outputs file"
         )
     adapted_judgments = [
         judge(out, corpus[rid], config.profile, config.token) for rid, out in adapted
@@ -396,7 +408,7 @@ def cmd_evaluate(
         adapted_ids=[rid for rid, _ in adapted],
     )
     json_path = write_report(report, config.output_dir / "eval_report.json", extra=config.provenance)
-    table = render_table(report, title=f"split={split} lambda={config.lam:g}")
+    table = render_table(report, title=f"split={args.split} lambda={config.lam:g}")
     with atomic_write(config.output_dir / "eval_report.txt") as fh:
         for comment in config.comments():
             fh.write(f"# {comment}\n")
@@ -406,13 +418,13 @@ def cmd_evaluate(
     return EXIT_OK
 
 
-def cmd_tradeoff(config: PipelineConfig, report_file: str, ratios: list[float]) -> int:
-    report = read_report(report_file)
-    points = tradeoff_curve(report.c * 100, report.h * 100, report.s * 100, ratios)
+def cmd_tradeoff(config: PipelineConfig, args: argparse.Namespace) -> int:
+    report = read_report(args.report)
+    points = tradeoff_curve(report.c * 100, report.h * 100, report.s * 100, args.ratios)
     out = write_tradeoff_table(
         points,
         config.output_dir / "tradeoff.csv",
-        comments=config.comments() + [f"source={report_file}"],
+        comments=config.comments() + [f"source={args.report}"],
     )
     for pt in points:
         print(f"tradeoff: ratio={pt.ratio:.2f} c={pt.c:.1f} h={pt.h:.1f}")
@@ -420,21 +432,9 @@ def cmd_tradeoff(config: PipelineConfig, report_file: str, ratios: list[float]) 
     return EXIT_OK
 
 
-def cmd_histogram(
-    config: PipelineConfig,
-    split: str,
-    predictions_file: str | None,
-    edges: list[float],
-    transform: str,
-    classes: list[str],
-) -> int:
-    valid = {j.value for j in Judgment}
-    for cls in classes:
-        if cls not in valid:
-            raise ConfigError(f"unknown judgment class {cls!r}; expected one of {sorted(valid)}")
-    corpus = _load_split(config, split)
-    preds = read_predictions(predictions_file or predictions_path(config, split))
-    grouped: dict[str, list[float]] = {cls: [] for cls in classes}
+def cmd_histogram(config: PipelineConfig, args: argparse.Namespace) -> int:
+    corpus, preds = _load_split_and_predictions(config, args)
+    grouped: dict[str, list[float]] = {cls: [] for cls in args.classes}
     for pred in preds:
         verdict = judge(pred.text, corpus[pred.record_id], config.profile, config.token)
         if verdict.value in grouped:
@@ -442,7 +442,7 @@ def cmd_histogram(
     results = {
         cls: histogram(
             values,
-            HistogramSpec(bin_edges=tuple(edges), value_transform=transform),
+            HistogramSpec(bin_edges=tuple(args.edges), value_transform=args.transform),
         )
         for cls, values in grouped.items()
     }
@@ -460,14 +460,25 @@ def cmd_histogram(
 # ---------------------------------------------------------------------------
 
 
+#: Flags that each override one config key: (flag, dotted key as dest, type).
+_OVERRIDE_FLAGS = (
+    ("--output-dir", "output_dir", str),
+    ("--cache-dir", "cache_dir", str),
+    ("--endpoint-url", "endpoint.url", str),
+    ("--model-tag", "endpoint.model_tag", str),
+    ("--lambda", "lambda", float),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", required=True, help="pipeline config file (YAML)")
-    common.add_argument("--output-dir", help="override output_dir")
-    common.add_argument("--cache-dir", help="override cache_dir")
-    common.add_argument("--endpoint-url", help="override endpoint.url")
-    common.add_argument("--model-tag", help="override endpoint.model_tag")
-    common.add_argument("--lambda", dest="lam", type=float, help="override lambda")
+    for flag, key, kind in _OVERRIDE_FLAGS:
+        common.add_argument(flag, dest=key, type=kind, help=f"override {key}")
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--split", default="dev")
+    predictions = argparse.ArgumentParser(add_help=False)
+    predictions.add_argument("--predictions", help="predictions file (default: infer output)")
 
     parser = argparse.ArgumentParser(
         prog="answer-or-search",
@@ -475,26 +486,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("ingest", parents=[common], help="read corpora into canonical files")
+    def stage(name: str, run, summary: str, *parents: argparse.ArgumentParser):
+        stage_parser = sub.add_parser(name, parents=[common, *parents], help=summary)
+        stage_parser.set_defaults(run=run)
+        return stage_parser
 
-    p_infer = sub.add_parser("infer", parents=[common], help="collect predictions")
-    p_infer.add_argument("--split", default="dev")
+    stage("ingest", cmd_ingest, "read corpora into canonical files")
+    stage("infer", cmd_infer, "collect predictions", split)
+    stage("label", cmd_label, "emit masked training data", split, predictions)
+    stage("calibrate", cmd_calibrate, "fit the perplexity threshold", split, predictions)
 
-    p_label = sub.add_parser("label", parents=[common], help="emit masked training data")
-    p_label.add_argument("--split", default="dev")
-    p_label.add_argument("--predictions", help="predictions file (default: infer output)")
-
-    p_cal = sub.add_parser("calibrate", parents=[common], help="fit the perplexity threshold")
-    p_cal.add_argument("--split", default="dev")
-    p_cal.add_argument("--predictions", help="predictions file (default: infer output)")
-
-    p_eval = sub.add_parser("evaluate", parents=[common], help="score a (base, adapted) pair")
-    p_eval.add_argument("--split", default="dev")
-    p_eval.add_argument("--base", help="base predictions file (default: infer output)")
+    p_eval = stage("evaluate", cmd_evaluate, "score a (base, adapted) pair", split)
+    p_eval.add_argument(
+        "--base",
+        dest="predictions",
+        metavar="BASE",
+        help="base predictions file (default: infer output)",
+    )
     p_eval.add_argument("--adapted", help="adapted outputs file ({id, output} lines)")
     p_eval.add_argument("--threshold", help="threshold manifest to route base predictions")
 
-    p_trade = sub.add_parser("tradeoff", parents=[common], help="search-quality trade-off table")
+    p_trade = stage("tradeoff", cmd_tradeoff, "search-quality trade-off table")
     p_trade.add_argument("--report", required=True, help="evaluation report JSON")
     p_trade.add_argument(
         "--ratios",
@@ -504,73 +516,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="search success ratios (default 0.0..1.0 step 0.1)",
     )
 
-    p_hist = sub.add_parser("histogram", parents=[common], help="perplexity histograms per class")
-    p_hist.add_argument("--split", default="dev")
-    p_hist.add_argument("--predictions", help="predictions file (default: infer output)")
+    p_hist = stage(
+        "histogram", cmd_histogram, "perplexity histograms per class", split, predictions
+    )
     p_hist.add_argument("--edges", nargs="+", type=float, required=True)
     p_hist.add_argument("--transform", choices=["log", "identity"], default="log")
-    p_hist.add_argument("--classes", nargs="+", default=["C", "H"])
+    p_hist.add_argument(
+        "--classes", nargs="+", choices=[j.value for j in Judgment], default=["C", "H"]
+    )
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "output_dir": args.output_dir,
-        "cache_dir": args.cache_dir,
-        "endpoint.url": args.endpoint_url,
-        "endpoint.model_tag": args.model_tag,
-        "lambda": args.lam,
-    }
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    config = load_config(args.config, _overrides(args))
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    if args.command == "ingest":
-        return cmd_ingest(config)
-    if args.command == "infer":
-        return cmd_infer(config, args.split)
-    if args.command == "label":
-        return cmd_label(config, args.split, args.predictions)
-    if args.command == "calibrate":
-        return cmd_calibrate(config, args.split, args.predictions)
-    if args.command == "evaluate":
-        return cmd_evaluate(config, args.split, args.base, args.adapted, args.threshold)
-    if args.command == "tradeoff":
-        return cmd_tradeoff(config, args.report, args.ratios)
-    if args.command == "histogram":
-        return cmd_histogram(
-            config, args.split, args.predictions, args.edges, args.transform, args.classes
-        )
-    raise ConfigError(f"unknown command {args.command!r}")
-
-
-def exit_code_for(exc: AnswerOrSearchError) -> int:
-    if isinstance(exc, RunAbortedError):
-        cause = exc.cause
-        if isinstance(cause, CapabilityError):
-            return EXIT_CAPABILITY
-        if isinstance(cause, TransportError):
-            return EXIT_TRANSPORT
-        return EXIT_DATA
-    if isinstance(exc, CapabilityError):
-        return EXIT_CAPABILITY
-    if isinstance(exc, TransportError):
-        return EXIT_TRANSPORT
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, DataError):
-        return EXIT_DATA
-    return EXIT_UNEXPECTED
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        overrides = {key: getattr(args, key) for _, key, _ in _OVERRIDE_FLAGS}
+        config = load_config(args.config, overrides)
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir {config.output_dir} cannot be created: {exc}") from exc
+        return args.run(config, args)
     except AnswerOrSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ from .errors import DataError
 from .fileio import read_lines, write_jsonl
 
 SPLITS = ("train", "dev", "test")
+CORPUS_FORMATS = ("canonical-jsonl", "tsv-pairs")
 
 _ASCII_PUNCT = frozenset(string.punctuation)
 
@@ -161,10 +162,6 @@ class Corpus:
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._by_id
 
-    def for_split(self, split: str) -> "Corpus":
-        kept = tuple(r for r in self.records if r.split == split)
-        return Corpus(name=self.name, records=kept, profile=self.profile)
-
 
 def _parse_canonical_line(line: str, line_no: int, default_split: str) -> QaRecord:
     raw = json.loads(line)
@@ -209,7 +206,7 @@ def ingest(
     """
     if split not in SPLITS:
         raise DataError(f"unknown split {split!r}")
-    if fmt not in ("canonical-jsonl", "tsv-pairs"):
+    if fmt not in CORPUS_FORMATS:
         raise DataError(f"unknown corpus format {fmt!r}")
     parse = _parse_canonical_line if fmt == "canonical-jsonl" else _parse_tsv_line
     records = read_lines(path, lambda line, line_no: parse(line, line_no, split), "corpus file")

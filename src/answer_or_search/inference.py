@@ -61,6 +61,9 @@ AUTH_TOKEN_ENV = "GENERATION_API_TOKEN"
 
 DEFAULT_MAX_NEW_TOKENS = 32
 
+#: The output that signals a call to the search tool, unless configured otherwise.
+DEFAULT_SEARCH_TOKEN = "<search>"
+
 
 def perplexity(token_logprobs: Sequence[float]) -> float:
     """Sequence perplexity: exp of the negative mean token log-probability.
@@ -195,7 +198,7 @@ class FewShotPool:
 
     examples: tuple[tuple[str, str], ...]
     seed: int
-    search_token: str = "<search>"
+    search_token: str = DEFAULT_SEARCH_TOKEN
 
     @property
     def answered(self) -> list[tuple[str, str]]:

@@ -22,9 +22,7 @@ from .fileio import (
     write_jsonl,
     write_manifest,
 )
-from .inference import Prediction
-
-DEFAULT_SEARCH_TOKEN = "<search>"
+from .inference import DEFAULT_SEARCH_TOKEN, Prediction
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import answer_or_search
 from answer_or_search.cli import (
@@ -16,8 +18,11 @@ from answer_or_search.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_TRANSPORT,
+    PipelineConfig,
+    load_config,
     main,
 )
+from answer_or_search.errors import ConfigError, RunAbortedError
 from answer_or_search.evaluation import read_report
 from answer_or_search.mock_service import Script, serve
 
@@ -78,6 +83,14 @@ def rewrite_config(workspace, mutate) -> None:
     config = workspace["config_dict"]
     mutate(config)
     workspace["config"].write_text(yaml.safe_dump(config))
+
+
+def set_key(config: dict, key: str, value) -> None:
+    """Set a dotted config key, making the sections on the way."""
+    *parents, leaf = key.split(".")
+    for part in parents:
+        config = config.setdefault(part, {})
+    config[leaf] = value
 
 
 # ---------------------------------------------------------------------------
@@ -499,14 +512,32 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
+    "key, value",
     [
-        (None, "lambda", 0.5),
-        (None, "lambda", float("nan")),
-        ("endpoint", "max_retries", -1),
-        ("endpoint", "timeout", 0),
-        ("endpoint", "timeout", float("inf")),
-        ("ppl", "target_rate", 1.5),
+        ("lambda", 0.5),
+        ("lambda", float("nan")),
+        ("endpoint.max_retries", -1),
+        ("endpoint.timeout", 0),
+        ("endpoint.timeout", float("inf")),
+        ("ppl.target_rate", 1.5),
+        ("search_token", 5),
+        ("normalization.stopwords", 5),
+        ("normalization", 5),
+        ("endpoint", 5),
+        ("prompt", "x"),
+        ("cache_dir", 5),
+        ("output_dir", [1]),
+        ("search_token", ""),
+        ("corpus.dev.format", "xml"),
+        ("max_in_flight", 0),
+        ("max_in_flight", True),
+        ("normalization.lowercase", "no"),
+        ("prompt.fewshot_k", 2.5),
+        ("prompt.template", 5),
+        ("endpoint.max_new_tokens", 0),
+        ("prompt.pool_path", 5),
+        ("endpoint.timeout", "30"),
+        ("lambda", 10**400),
     ],
     ids=[
         "lambda-below-one",
@@ -515,9 +546,119 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
         "timeout-zero",
         "timeout-infinite",
         "target-rate-above-one",
+        "search-token-number",
+        "stopwords-number",
+        "normalization-number",
+        "endpoint-number",
+        "prompt-string",
+        "cache-dir-number",
+        "output-dir-list",
+        "search-token-empty",
+        "corpus-format-unknown",
+        "max-in-flight-zero",
+        "max-in-flight-bool",
+        "lowercase-quoted",
+        "fewshot-k-float",
+        "template-number",
+        "max-new-tokens-zero",
+        "pool-path-number",
+        "timeout-quoted-number",
+        "lambda-beyond-float-range",
     ],
 )
-def test_config_rejects_out_of_range_values(workspace, capsys, section, key, value):
-    rewrite_config(workspace, lambda c: (c[section] if section else c).update({key: value}))
+def test_config_rejects_out_of_range_values(workspace, capsys, key, value):
+    """Every bad value stops ``ingest`` with exit 2 and names its dotted key."""
+    rewrite_config(workspace, lambda c: set_key(c, key, value))
     assert run(workspace, "ingest") == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+def test_config_output_dir_that_cannot_be_created_exits_config(workspace, capsys):
+    blocker = workspace["tmp"] / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    rewrite_config(workspace, lambda c: c.update(output_dir=str(blocker / "out")))
+    assert run(workspace, "ingest") == EXIT_CONFIG
+    assert "output_dir" in capsys.readouterr().err
+
+
+def test_run_aborted_by_an_error_outside_the_taxonomy_exits_data():
+    assert RunAbortedError("d1", OSError("disk full"), ["d0"]).exit_code == EXIT_DATA
+
+
+#: Every key ``load_config`` reads; the corpus path itself stays valid.
+CONFIG_KEYS = (
+    "lambda",
+    "max_in_flight",
+    "search_token",
+    "cache_dir",
+    "output_dir",
+    "endpoint",
+    "endpoint.url",
+    "endpoint.model_tag",
+    "endpoint.max_new_tokens",
+    "endpoint.max_retries",
+    "endpoint.timeout",
+    "prompt",
+    "prompt.style",
+    "prompt.template",
+    "prompt.fewshot_k",
+    "prompt.seed",
+    "prompt.pool_path",
+    "ppl",
+    "ppl.strategy",
+    "ppl.target_rate",
+    "normalization",
+    "normalization.lowercase",
+    "normalization.strip_punctuation",
+    "normalization.stopwords",
+    "normalization.collapse_whitespace",
+    "normalization.unicode_fold",
+    "corpus.dev",
+    "corpus.dev.format",
+)
+
+YAML_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["zeroshot-qa", "target-search-rate", "tsv-pairs", "{q}", " ", "30", 10**400])
+)
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | st.integers(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.dictionaries(st.sampled_from(CONFIG_KEYS), YAML_VALUES, max_size=4))
+def test_load_config_gives_a_config_or_a_config_error(tmp_path, values):
+    dev_file = tmp_path / "dev.jsonl"
+    if not dev_file.exists():
+        dev_file.write_text('{"id": "d1", "question": "q?", "answers": ["a"]}\n')
+    config = {"corpus": {"dev": {"path": str(dev_file)}}}
+    # Reverse order sets a section before a key inside it can replace it.
+    for key in sorted(values, reverse=True):
+        set_key(config, key, values[key])
+    # A fresh file per example: truncating an existing file is slow on some
+    # file systems.
+    path = tmp_path / f"config-{len(list(tmp_path.iterdir()))}.yaml"
+    path.write_text(yaml.safe_dump(config, sort_keys=False))
+    try:
+        loaded = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(loaded, PipelineConfig)
+    # type(), not isinstance(): a bool field would pass isinstance(value, int).
+    assert type(loaded.max_in_flight) is int and loaded.max_in_flight >= 1
+    assert type(loaded.max_new_tokens) is int and loaded.max_new_tokens >= 1
+    assert type(loaded.fewshot_k) is int and type(loaded.seed) is int
+    assert type(loaded.lam) is float and type(loaded.timeout) is float
+    assert type(loaded.profile.lowercase) is bool and type(loaded.profile.unicode_fold) is bool
+    assert all(type(word) is str for word in loaded.profile.stopwords)
+    assert isinstance(loaded.template, str) and loaded.token.literal.strip()
