@@ -78,7 +78,6 @@ from .analysis import (
     HistogramSpec,
     TradeoffPoint,
     histogram,
-    lambda_sweep,
     tradeoff_curve,
 )
 

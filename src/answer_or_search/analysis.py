@@ -1,4 +1,4 @@
-"""Post-hoc analyses: search-quality trade-off, budget sweeps, histograms.
+"""Post-hoc analyses: search-quality trade-off and perplexity histograms.
 
 The trade-off curve answers "what does the user see if a fraction r of
 searches come back correct": every searched item resolves to either a
@@ -48,22 +48,6 @@ def tradeoff_curve(
             raise DataError(f"search success ratio must lie in [0, 1], got {r}")
         points.append(TradeoffPoint(ratio=r, c=c0 + r * s, h=h0 + (1.0 - r) * s))
     return points
-
-
-def lambda_sweep(
-    s_rate: float, h_rate: float, lambdas: Sequence[float]
-) -> list[tuple[float, float]]:
-    """Budget cost s + lambda*h for each lambda, sorted by lambda.
-
-    Rates are fractions in [0, 1]; every lambda must be >= 1.
-    """
-    for name, value in (("s_rate", s_rate), ("h_rate", h_rate)):
-        if not 0.0 <= value <= 1.0:
-            raise DataError(f"{name} must lie in [0, 1], got {value}")
-    for lam in lambdas:
-        if not lam >= 1.0:
-            raise DataError(f"lambda must be >= 1, got {lam}")
-    return [(lam, s_rate + lam * h_rate) for lam in sorted(lambdas)]
 
 
 @dataclass(frozen=True)

@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, key, kind in _OVERRIDE_FLAGS:
         common.add_argument(flag, dest=key, type=kind, help=f"override {key}")
     split = argparse.ArgumentParser(add_help=False)
-    split.add_argument("--split", default="dev")
+    split.add_argument("--split", choices=SPLITS, default="dev")
     predictions = argparse.ArgumentParser(add_help=False)
     predictions.add_argument("--predictions", help="predictions file (default: infer output)")
 

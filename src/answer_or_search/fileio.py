@@ -22,9 +22,11 @@ from .errors import DataError
 T = TypeVar("T")
 
 #: What a bad input raises while being decoded or turned into an object:
-#: JSONDecodeError and UnicodeDecodeError are ValueErrors; a missing field is
-#: a KeyError; a value of the wrong JSON type is usually a TypeError.
-_PARSE_ERRORS = (ValueError, KeyError, TypeError)
+#: JSONDecodeError and UnicodeDecodeError are ValueErrors; a document nested
+#: too deep is a RecursionError; a missing field is a KeyError; a value of the
+#: wrong JSON type is usually a TypeError; a value the object's own checks
+#: refuse is a DataError.
+_PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, DataError)
 
 
 @contextmanager

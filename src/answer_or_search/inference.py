@@ -1,19 +1,17 @@
 """Prediction collection: prompts, perplexity, and a caching endpoint client.
 
-Generation is delegated to an HTTP completion-style service that must return
-the generated text together with one log-probability per generated token.
-Every response is cached on disk keyed by a content hash of the request, so
-re-running a corpus with a warm cache touches the network zero times and is
-byte-for-byte deterministic.
+Generation is delegated to an HTTP completion-style service. Each response
+must meet :func:`check_response` (the text and one finite log-probability
+<= 0 per generated token) before it is cached on disk, keyed by a content
+hash of the request, and again when read back. So a warm cache reruns a
+corpus with zero network calls, byte for byte, and no cached entry can abort
+a run: one that breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it resolves every cached record in the
 calling thread and hands only misses to a thread pool, at most
 ``max_in_flight`` at a time. The HTTP stack (``requests``) is imported, and
 each worker thread's session built, on the first miss only, so a fully
-cached run starts no worker thread and never loads it. A cache entry that
-cannot be decoded or lacks its response fields counts as a miss: the
-calling thread, which found the entry, fetches the record again and the
-entry is rewritten.
+cached run starts no worker thread and never loads it.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 if TYPE_CHECKING:
     import requests
@@ -68,17 +66,33 @@ DEFAULT_SEARCH_TOKEN = "<search>"
 def perplexity(token_logprobs: Sequence[float]) -> float:
     """Sequence perplexity: exp of the negative mean token log-probability.
 
-    Always >= 1 for valid inputs (every log-probability <= 0); equals 1 iff
-    every log-probability is exactly 0. Invariant under permutation.
+    ``token_logprobs`` must be a non-empty list or tuple of finite numbers
+    <= 0 (a bool is not a number), or :class:`DataError` is raised. The
+    result is >= 1, equals 1 iff every log-probability is 0, is invariant
+    under permutation, and saturates to +inf.
     """
-    if len(token_logprobs) == 0:
-        raise DataError("perplexity is undefined for an empty log-probability list")
-    if any(math.isnan(lp) or lp > 0.0 for lp in token_logprobs):
-        raise DataError("token log-probabilities must be <= 0")
+    if not isinstance(token_logprobs, (list, tuple)) or not token_logprobs:
+        raise DataError("token log-probabilities must be a non-empty list")
+    for lp in token_logprobs:
+        if not (isinstance(lp, float) or type(lp) is int) or not -math.inf < lp <= 0:
+            raise DataError(f"token log-probabilities must be finite numbers <= 0, got {lp!r}")
     try:
         return math.exp(-sum(token_logprobs) / len(token_logprobs))
     except OverflowError:
         return math.inf
+
+
+def check_response(response: object) -> float:
+    """The response contract; returns the perplexity of a response that meets it.
+
+    A response is a JSON object with a string ``text`` and ``token_logprobs``
+    as :func:`perplexity` takes them. A breach raises :class:`DataError`.
+    """
+    if not isinstance(response, dict):
+        raise DataError("response is not a JSON object")
+    if not isinstance(response.get("text"), str):
+        raise DataError("response 'text' is missing or not a string")
+    return perplexity(response.get("token_logprobs"))
 
 
 @dataclass(frozen=True)
@@ -93,9 +107,13 @@ class GenerationRequest:
             raise ConfigError("max_new_tokens must be a positive integer")
 
 
+_DERIVED: Any = object()  # the perplexity Prediction.build passes; no file holds it
+
+
 @dataclass(frozen=True)
 class Prediction:
-    """A model's answer for one record, with token log-probabilities."""
+    """A model's answer, checked by :func:`check_response`; ``perplexity``
+    must match its log-probabilities, and :meth:`build` derives it."""
 
     record_id: str
     text: str
@@ -109,15 +127,17 @@ class Prediction:
             raise DataError(
                 f"record {self.record_id}: unknown prompt style {self.prompt_style!r}"
             )
-        if any(math.isnan(lp) or lp > 0.0 for lp in self.token_logprobs):
-            raise DataError(f"record {self.record_id}: log-probabilities must be <= 0")
-        if self.token_logprobs:
-            expected = perplexity(self.token_logprobs)
-            if not math.isclose(self.perplexity, expected, rel_tol=1e-9):
-                raise DataError(
-                    f"record {self.record_id}: perplexity {self.perplexity} does not "
-                    f"match its log-probabilities (expected {expected})"
-                )
+        try:
+            expected = check_response({"text": self.text, "token_logprobs": self.token_logprobs})
+        except DataError as exc:
+            raise DataError(f"record {self.record_id}: {exc}") from exc
+        if self.perplexity is _DERIVED:
+            object.__setattr__(self, "perplexity", expected)
+        elif not math.isclose(self.perplexity, expected, rel_tol=1e-9):
+            raise DataError(
+                f"record {self.record_id}: perplexity {self.perplexity} does not "
+                f"match its log-probabilities (expected {expected})"
+            )
 
     @classmethod
     def build(
@@ -132,7 +152,7 @@ class Prediction:
             record_id=record_id,
             text=text,
             token_logprobs=tuple(token_logprobs),
-            perplexity=perplexity(token_logprobs),
+            perplexity=_DERIVED,
             model_tag=model_tag,
             prompt_style=prompt_style,
         )
@@ -301,21 +321,16 @@ class ResponseCache:
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when it is missing or unusable.
 
-        An entry that is not JSON, or whose ``response`` lacks a string
-        ``text`` or a list ``token_logprobs`` (a truncated or hand-edited
-        file), is a miss, so the caller fetches again and ``put`` replaces it.
+        An entry that is not JSON, or whose ``response`` breaks the response
+        contract (a truncated or hand-edited file, or one an earlier version
+        wrote), is a miss, so the caller fetches again and ``put`` replaces
+        it. Every entry returned therefore builds a :class:`Prediction`.
         """
         try:
             with self._path(key).open("r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except (FileNotFoundError, ValueError):  # never written, or not JSON
-            return None
-        response = entry.get("response") if isinstance(entry, dict) else None
-        if (
-            not isinstance(response, dict)
-            or not isinstance(response.get("text"), str)
-            or not isinstance(response.get("token_logprobs"), list)
-        ):
+            check_response(entry["response"])
+        except (FileNotFoundError, ValueError, KeyError, TypeError, RecursionError, DataError):
             return None
         return entry
 
@@ -335,10 +350,10 @@ class GenerationClient:
     """Client for a completion-style HTTP endpoint with retry and caching.
 
     The endpoint receives ``{"prompt", "max_new_tokens", "greedy": true,
-    "logprobs": true}`` and must answer ``{"text": str, "token_logprobs":
-    [float, ...]}``. A response without log-probabilities raises
-    :class:`CapabilityError` telling the operator to enable them. Every
-    failure to reach the endpoint is a :class:`TransportError`.
+    "logprobs": true}`` and must answer as :func:`check_response` requires.
+    Missing or null log-probabilities raise :class:`CapabilityError` telling
+    the operator to enable them. Any other breach, and every failure to
+    reach the endpoint, is a :class:`TransportError`; a breach is not retried.
 
     Each thread that fetches gets its own ``requests.Session``, built on its
     first fetch, because requests does not promise that one session is safe
@@ -441,17 +456,19 @@ class GenerationClient:
     def _parse(resp: requests.Response) -> dict:
         try:
             payload = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
             raise TransportError(f"endpoint returned non-JSON body: {exc}") from exc
-        if "text" not in payload:
-            raise TransportError("endpoint response is missing 'text'")
-        logprobs = payload.get("token_logprobs")
-        if logprobs is None:
+        has_text = isinstance(payload, dict) and "text" in payload
+        if has_text and payload.get("token_logprobs") is None:
             raise CapabilityError(
                 "endpoint returned no token log-probabilities; enable per-token "
                 "logprobs on the generation service (required for perplexity)"
             )
-        return {"text": payload["text"], "token_logprobs": list(logprobs)}
+        try:
+            check_response(payload)
+        except DataError as exc:
+            raise TransportError(f"endpoint response breaks the contract: {exc}") from exc
+        return {"text": payload["text"], "token_logprobs": payload["token_logprobs"]}
 
 
 def run_corpus(
@@ -472,9 +489,9 @@ def run_corpus(
     ``client.generate``, with at most ``max_in_flight`` misses outstanding.
     Output order always equals corpus order.
 
-    If any record fails (a miss still failing after the client's retries, or
-    a response that cannot be built into a :class:`Prediction`), no further
-    record is started once the failure is seen, outstanding misses drain,
+    If any miss fails (still failing after the client's retries, or answered
+    with a response that breaks the contract), no further record is started
+    once the failure is seen, outstanding misses drain,
     and the run aborts with a :class:`RunAbortedError` naming the lowest
     failed record. Its ``completed_ids`` lists, in corpus order, every record
     whose prediction was built, cached records after the failed one included.
@@ -496,16 +513,13 @@ def run_corpus(
 
     def fetch(index: int, request: GenerationRequest) -> Prediction:
         response = client.generate(request)
-        try:
-            return Prediction.build(
-                record_id=records[index].id,
-                text=response["text"],
-                token_logprobs=response["token_logprobs"],
-                model_tag=client.model_tag,
-                prompt_style=prompt_style,
-            )
-        except DataError as exc:
-            raise DataError(f"record {records[index].id}: {exc}") from exc
+        return Prediction.build(
+            record_id=records[index].id,
+            text=response["text"],
+            token_logprobs=response["token_logprobs"],
+            model_tag=client.model_tag,
+            prompt_style=prompt_style,
+        )
 
     def fail(index: int, exc: Exception) -> None:
         nonlocal failure

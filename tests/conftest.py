@@ -24,6 +24,26 @@ def make_prediction(
     return Prediction.build(rec_id, text, logprobs, model_tag, prompt_style)
 
 
+def stub_post(monkeypatch, status: int, body: bytes) -> list[str]:
+    """Make every ``requests.Session.post`` answer ``status`` with ``body``.
+
+    Returns the list that each post appends its URL to.
+    """
+    import requests
+
+    posts = []
+
+    def post(self, url, *args, **kwargs):
+        posts.append(url)
+        resp = requests.Response()
+        resp.status_code = status
+        resp._content = body
+        return resp
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    return posts
+
+
 @pytest.fixture
 def small_corpus() -> Corpus:
     return make_corpus(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from answer_or_search.analysis import (
     HistogramSpec,
     histogram,
-    lambda_sweep,
     read_table,
     tradeoff_curve,
     write_histogram_table,
@@ -93,34 +92,6 @@ def test_tradeoff_is_affine_with_slope_s():
     p0, p5, p10 = tradeoff_curve(**LORA_NQ, ratios=[0.0, 0.5, 1.0])
     assert p5.c - p0.c == pytest.approx(p10.c - p5.c)
     assert p10.c - p0.c == pytest.approx(LORA_NQ["s"])
-
-
-# ---------------------------------------------------------------------------
-# lambda sweep
-# ---------------------------------------------------------------------------
-
-
-def test_lambda_sweep_published_rates():
-    assert lambda_sweep(0.62, 0.166, [1.0]) == [(1.0, pytest.approx(0.786))]
-
-
-def test_lambda_sweep_zero_rates():
-    assert lambda_sweep(0.0, 0.0, [1, 2, 5]) == [(1, 0.0), (2, 0.0), (5, 0.0)]
-
-
-def test_lambda_sweep_always_search_is_flat():
-    costs = [cost for _, cost in lambda_sweep(1.0, 0.0, [1.0, 3.0, 10.0])]
-    assert costs == [1.0, 1.0, 1.0]
-
-
-def test_lambda_sweep_sorts_by_lambda():
-    lams = [lam for lam, _ in lambda_sweep(0.1, 0.1, [5.0, 1.0, 2.0])]
-    assert lams == [1.0, 2.0, 5.0]
-
-
-def test_lambda_sweep_rejects_lambda_below_one():
-    with pytest.raises(DataError):
-        lambda_sweep(0.1, 0.1, [0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from answer_or_search.errors import ConfigError, RunAbortedError
 from answer_or_search.evaluation import read_report
 from answer_or_search.mock_service import Script, serve
 
+from conftest import stub_post
+
 # (question, gold, model answer, logprob): 3 correct with low perplexity,
 # 3 wrong with high perplexity, so PPL-t separates them cleanly.
 DEV_ROWS = [
@@ -223,17 +225,53 @@ def test_infer_refetches_corrupt_cache_entries(workspace):
     assert predictions.read_bytes() == first
 
 
-def test_infer_unbuildable_cached_entry_exits_data(workspace, capsys):
+def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     run(workspace, "ingest")
     run(workspace, "infer", "--split", "dev")
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = predictions.read_bytes()
     entry = _cache_entry(workspace, DEV_ROWS[1][0])
-    doc = json.loads(entry.read_text())
-    doc["response"]["token_logprobs"] = [0.5]
-    entry.write_text(json.dumps(doc))
-    assert run(workspace, "infer", "--split", "dev") == EXIT_DATA
-    assert "d2" in capsys.readouterr().err
+    original = entry.read_bytes()
+    poisoned = json.loads(original)
+    poisoned["response"]["token_logprobs"] = [0.5]
+    entry.write_text(json.dumps(poisoned))
+    calls = len(workspace["service"].request_log)
+
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert workspace["service"].request_log[calls:] == [DEV_ROWS[1][0]]
+    assert entry.read_bytes() == original
+    assert predictions.read_bytes() == first
+
+    # With the endpoint down, the entry is a miss that cannot be fetched.
+    entry.write_text(json.dumps(poisoned))
+    workspace["service"].close()
+    assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
     progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
     assert progress["failed"] == "d2"
+
+
+def test_infer_response_that_breaks_the_contract_exits_transport_and_caches_nothing(
+    workspace, monkeypatch
+):
+    run(workspace, "ingest")
+    stub_post(monkeypatch, 200, b'{"text": 5, "token_logprobs": [-0.1]}')
+    assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
+    assert list((workspace["tmp"] / "cache").iterdir()) == []
+    assert not (workspace["out"] / "predictions.dev.jsonl").exists()
+
+
+def test_split_outside_the_known_splits_is_a_usage_error(workspace, capsys):
+    run(workspace, "ingest")
+    with pytest.raises(SystemExit) as excinfo:
+        run(workspace, "label", "--split", "foo")
+    assert excinfo.value.code == EXIT_CONFIG
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
+def test_infer_on_a_split_that_was_not_ingested_exits_data(workspace, capsys):
+    run(workspace, "ingest")
+    assert run(workspace, "infer", "--split", "train") == EXIT_DATA
+    assert "run 'ingest'" in capsys.readouterr().err
 
 
 def test_warm_infer_never_loads_the_http_stack(workspace):
@@ -481,6 +519,33 @@ def test_malformed_input_exits_data(workspace, capsys, command, flag, content):
     capsys.readouterr()
     assert run(workspace, *argv) == EXIT_DATA
     assert str(path) in capsys.readouterr().err
+
+
+# A second predictions row that breaks the response contract.
+CONTRACT_BREAKING_ROWS = {
+    "text-not-a-string": {"text": 5},
+    "no-tokens": {"token_logprobs": [], "perplexity": 1.0},
+    "bool-logprob": {"token_logprobs": [False], "perplexity": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "change", CONTRACT_BREAKING_ROWS.values(), ids=CONTRACT_BREAKING_ROWS.keys()
+)
+def test_label_predictions_row_that_breaks_the_contract_names_file_and_line(
+    workspace, capsys, change
+):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    rows = (workspace["out"] / "predictions.dev.jsonl").read_text().splitlines()
+    rows[1] = json.dumps({**json.loads(rows[1]), **change})
+    path = workspace["tmp"] / "hand.jsonl"
+    path.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert run(workspace, "label", "--predictions", str(path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "line 2" in err
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,26 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
 
 @pytest.mark.parametrize(
     "line",
-    ["{not json", "[1, 2]", '{"other": 1}'],
-    ids=["not-json", "wrong-type", "missing-field"],
+    ["{not json", "[1, 2]", '{"other": 1}', "[" * 100_000 + "]" * 100_000],
+    ids=["not-json", "wrong-type", "missing-field", "nested-too-deep"],
 )
 def test_read_jsonl_names_file_and_line(tmp_path, line):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": 1}\n' + line + "\n")
     with pytest.raises(DataError, match=r"rows\.jsonl at line 2"):
         read_jsonl(path, lambda raw: raw["id"], "rows")
+
+
+def test_read_jsonl_names_file_and_line_of_a_row_the_parser_refuses(tmp_path):
+    def parse(raw):
+        if raw["id"] < 0:
+            raise DataError("id must not be negative")
+        return raw["id"]
+
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": 1}\n{"id": -1}\n')
+    with pytest.raises(DataError, match=r"rows\.jsonl at line 2: id must not be negative"):
+        read_jsonl(path, parse, "rows")
 
 
 def test_readers_reject_missing_file(tmp_path):

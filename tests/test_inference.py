@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from answer_or_search.inference import (
     build_fewshot_balanced_prompt,
     build_instruct_prompt,
     build_zeroshot_prompt,
+    check_response,
     perplexity,
     read_predictions,
     run_corpus,
@@ -33,7 +37,7 @@ from answer_or_search.inference import (
 )
 from answer_or_search.mock_service import Script, serve
 
-from conftest import make_corpus, make_prediction, make_record
+from conftest import make_corpus, make_prediction, make_record, stub_post
 
 logprob_lists = st.lists(
     st.floats(min_value=-20.0, max_value=0.0, allow_nan=False), min_size=1, max_size=12
@@ -72,6 +76,14 @@ def test_perplexity_rejects_nan_logprobs():
         perplexity([-0.5, math.nan])
 
 
+@pytest.mark.parametrize(
+    "logprobs", [[True], [False], [-math.inf], ["-1"], "-1", None, {"a": -1.0}], ids=repr
+)
+def test_perplexity_rejects_what_is_not_a_list_of_finite_numbers(logprobs):
+    with pytest.raises(DataError):
+        perplexity(logprobs)
+
+
 def test_perplexity_saturates_to_inf_instead_of_overflowing():
     assert perplexity([-800.0]) == math.inf
 
@@ -102,6 +114,19 @@ def test_prediction_rejects_inconsistent_perplexity():
             text="Paris",
             token_logprobs=(-0.1,),
             perplexity=3.0,
+            model_tag="m",
+            prompt_style="zeroshot-qa",
+        )
+
+
+@pytest.mark.parametrize("text, logprobs", [(5, (0.0,)), ("x", ()), ("x", (False,))])
+def test_prediction_checks_the_response_contract(text, logprobs):
+    with pytest.raises(DataError, match="record q1"):
+        Prediction(
+            record_id="q1",
+            text=text,
+            token_logprobs=logprobs,
+            perplexity=1.0,
             model_tag="m",
             prompt_style="zeroshot-qa",
         )
@@ -237,6 +262,14 @@ UNUSABLE_ENTRIES = {
     "not-an-object": b"[1, 2]",
     "no-logprobs": b'{"response": {"text": "x"}}',
     "text-not-a-string": b'{"response": {"text": 1, "token_logprobs": [-1.0]}}',
+    "positive-logprob": b'{"response": {"text": "x", "token_logprobs": [0.5]}}',
+    "nan-logprob": b'{"response": {"text": "x", "token_logprobs": [NaN]}}',
+    "minus-infinity-logprob": b'{"response": {"text": "x", "token_logprobs": [-Infinity]}}',
+    # How an earlier version cached a "-1" string of log-probabilities.
+    "string-split-into-characters": b'{"response": {"text": "x", "token_logprobs": ["-", "1"]}}',
+    "bool-logprob": b'{"response": {"text": "x", "token_logprobs": [true]}}',
+    "no-tokens": b'{"response": {"text": "x", "token_logprobs": []}}',
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -320,6 +353,113 @@ def test_generate_invalid_url_is_transport_error():
     client = GenerationClient("not-a-url", "m", None, max_retries=0)
     with pytest.raises(TransportError, match="not-a-url"):
         client.generate(GenerationRequest("q?"))
+
+
+# ---------------------------------------------------------------------------
+# client against a stub session: the response contract
+# ---------------------------------------------------------------------------
+
+
+BREACHES = {
+    "text-not-a-string": (b'{"text": 5, "token_logprobs": [-0.1]}', TransportError),
+    "logprobs-a-string": (b'{"text": "x", "token_logprobs": "-1"}', TransportError),
+    "nan-logprob": (b'{"text": "x", "token_logprobs": [NaN]}', TransportError),
+    "minus-infinity-logprob": (b'{"text": "x", "token_logprobs": [-Infinity]}', TransportError),
+    "positive-logprob": (b'{"text": "x", "token_logprobs": [0.5]}', TransportError),
+    "bool-logprob": (b'{"text": "x", "token_logprobs": [true]}', TransportError),
+    "no-tokens": (b'{"text": "x", "token_logprobs": []}', TransportError),
+    "not-an-object": (b"5", TransportError),
+    "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, TransportError),
+    "no-text": (b'{"token_logprobs": [-0.1]}', TransportError),
+    "no-logprobs": (b'{"text": "x"}', CapabilityError),
+    "null-logprobs": (b'{"text": "x", "token_logprobs": null}', CapabilityError),
+}
+
+
+@pytest.mark.parametrize("body, error", BREACHES.values(), ids=BREACHES.keys())
+def test_generate_rejects_a_breach_of_the_contract_before_caching(
+    tmp_path, monkeypatch, body, error
+):
+    posts = stub_post(monkeypatch, 200, body)
+    client = GenerationClient("http://stub", "m", ResponseCache(tmp_path), max_retries=2)
+    with pytest.raises(error):
+        client.generate(GenerationRequest("q?"))
+    assert posts == ["http://stub"]  # not retried
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
+    stub_post(monkeypatch, 200, b'{"text": "x", "token_logprobs": [-0.5, 0], "extra": 1}')
+    client = GenerationClient("http://stub", "m", ResponseCache(tmp_path))
+    assert client.generate(GenerationRequest("q?")) == {"text": "x", "token_logprobs": [-0.5, 0]}
+    (entry,) = tmp_path.iterdir()
+    assert json.loads(entry.read_bytes())["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+NUMBERS = st.floats() | st.integers() | st.booleans()
+RESPONSE_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "text": st.text(max_size=5) | JSON_VALUES,
+        "token_logprobs": st.lists(NUMBERS, max_size=4) | JSON_VALUES,
+    },
+)
+BODIES = (RESPONSE_LIKE | JSON_VALUES).map(lambda doc: json.dumps(doc).encode()) | st.binary(
+    max_size=20
+)
+
+
+@given(status=st.just(200) | st.integers(100, 599), body=BODIES)
+@settings(max_examples=300, deadline=None)
+def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(status, body):
+    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as cache_dir:
+        stub_post(monkeypatch, status, body)
+        client = GenerationClient("http://stub", "m", ResponseCache(cache_dir), max_retries=0)
+        try:
+            response = client.generate(GenerationRequest("q?"))
+        except (TransportError, CapabilityError):
+            assert list(Path(cache_dir).iterdir()) == []
+        else:
+            check_response(response)
+            assert len(list(Path(cache_dir).iterdir())) == 1
+
+
+@st.composite
+def prediction_lines(draw) -> str:
+    """A valid predictions row with some fields deleted or replaced."""
+    logprobs = draw(st.lists(st.floats(min_value=-20.0, max_value=0.0), min_size=1, max_size=4))
+    row = make_prediction("q1", draw(st.text(max_size=5)), tuple(logprobs)).to_dict()
+    for key in draw(st.lists(st.sampled_from(sorted(row)), unique=True)):
+        if draw(st.booleans()):
+            del row[key]
+        else:
+            row[key] = draw(JSON_VALUES)
+    return json.dumps(row)
+
+
+ANY_LINE = st.text(st.characters(blacklist_categories=("Cs",)))  # no lone surrogates
+
+
+@given(st.lists(prediction_lines() | ANY_LINE, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_read_predictions_gives_predictions_or_a_data_error(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "predictions.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            predictions = read_predictions(path)
+        except DataError:
+            return
+    for pred in predictions:
+        expected = check_response({"text": pred.text, "token_logprobs": pred.token_logprobs})
+        assert math.isclose(pred.perplexity, expected, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +558,27 @@ def test_run_corpus_abort_lists_cached_records_after_the_failure(tmp_path):
     assert excinfo.value.completed_ids == ["q1", "q3"]
 
 
-def test_run_corpus_unbuildable_cached_entry_aborts_at_that_record(tmp_path):
+def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     corpus = _three_record_corpus()
     cache = _warm(tmp_path, corpus)
-    key = ResponseCache.key("m", "second question?", 32)
-    cache.put(key, {"response": {"text": "two", "token_logprobs": [0.5]}})
+    entry = tmp_path / f"{ResponseCache.key('m', 'second question?', 32)}.json"
+    original = entry.read_bytes()
+    poisoned = json.loads(original)
+    poisoned["response"]["token_logprobs"] = [0.5]
+    with _scripted_service() as service:
+        client = GenerationClient(service.url, "m", cache, timeout=5)
+        first = run_corpus(corpus, "zeroshot-qa", client)
+        entry.write_text(json.dumps(poisoned))
+        assert run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2) == first
+        assert service.request_log == ["second question?"]
+    assert entry.read_bytes() == original
+
+    entry.write_text(json.dumps(poisoned))
     client = GenerationClient("http://127.0.0.1:1", "m", cache, max_retries=0, timeout=0.5)
     with pytest.raises(RunAbortedError) as excinfo:
         run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
     assert excinfo.value.failed_id == "q2"
-    assert isinstance(excinfo.value.cause, DataError)
+    assert isinstance(excinfo.value.cause, TransportError)
     assert excinfo.value.completed_ids == ["q1"]
 
 
