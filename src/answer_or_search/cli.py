@@ -18,33 +18,30 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import tradeoff_curve, write_tradeoff_table, HistogramSpec, histogram, write_histogram_table
+from .analysis import (
+    HistogramSpec,
+    histogram,
+    tradeoff_curve,
+    write_histogram_table,
+    write_tradeoff_table,
+)
 from .corpus import (
     CORPUS_FORMATS,
     DEFAULT_PROFILE,
+    DEFAULT_SEARCH_TOKEN,
     SPLITS,
     Corpus,
     NormalizationProfile,
+    SearchToken,
     exact_match,
     ingest,
     write_canonical,
 )
-from .errors import (  # the EXIT_* names are re-exported for callers of main
-    EXIT_CAPABILITY,
-    EXIT_CONFIG,
-    EXIT_DATA,
-    EXIT_OK,
-    EXIT_TRANSPORT,
-    AnswerOrSearchError,
-    ConfigError,
-    DataError,
-    RunAbortedError,
-)
-from .evaluation import Judgment, evaluate_pair, judge, render_table, read_report, write_report
+from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbortedError
+from .evaluation import Judgment, evaluate_pair, judge, read_report, render_table, write_report
 from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
 from .inference import (
     DEFAULT_MAX_NEW_TOKENS,
-    DEFAULT_SEARCH_TOKEN,
     PROMPT_STYLES,
     FewShotPool,
     GenerationClient,
@@ -54,12 +51,7 @@ from .inference import (
     run_corpus,
     write_predictions,
 )
-from .labeling import (
-    SearchToken,
-    build_masked_dataset,
-    read_masked_dataset,
-    write_masked_dataset,
-)
+from .labeling import build_masked_dataset, read_masked_dataset, write_masked_dataset
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 
 
@@ -380,6 +372,12 @@ def cmd_calibrate(config: PipelineConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_adapted(raw: dict) -> tuple[str, str]:
+    if not isinstance(raw["output"], str):
+        raise DataError(f"output of record {raw['id']} is not a string")
+    return str(raw["id"]), raw["output"]
+
+
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     if (args.adapted is None) == (args.threshold is None):
         raise ConfigError("evaluate needs exactly one of --adapted or --threshold")
@@ -393,9 +391,7 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
         threshold = load_threshold(args.threshold)
         adapted = list(zip(base_ids, apply_threshold(base_preds, threshold, config.token)))
     else:
-        adapted = read_jsonl(
-            args.adapted, lambda raw: (str(raw["id"]), raw["output"]), "adapted outputs file"
-        )
+        adapted = read_jsonl(args.adapted, _parse_adapted, "adapted outputs file")
     adapted_judgments = [
         judge(out, corpus[rid], config.profile, config.token) for rid, out in adapted
     ]

@@ -4,7 +4,8 @@ A corpus is an ordered, immutable collection of question/gold-answer records.
 Normalization follows the usual generative-QA convention: lowercase, strip
 punctuation, drop stopwords, collapse whitespace. Both the prediction and the
 gold answers are normalized before comparison, so "Napoleon I" matches a gold
-answer of "Napoleon".
+answer of "Napoleon". The search token, the output that stands for a call to
+the search tool, lives here too, next to the matching that judges outputs.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ def exact_match(
     return any(pred == normalize(g, profile) for g in gold_answers)
 
 
+#: The output that signals a call to the search tool, unless configured otherwise.
+DEFAULT_SEARCH_TOKEN = "<search>"
+
+
+@dataclass(frozen=True)
+class SearchToken:
+    """The output sequence that signals a call to an external tool."""
+
+    literal: str = DEFAULT_SEARCH_TOKEN
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.literal, str) or not self.literal.strip():
+            raise DataError(f"search token must be a non-empty string, got {self.literal!r}")
+
+
 @dataclass(frozen=True)
 class QaRecord:
     """One question with its admissible gold answers and split tag."""
@@ -170,10 +186,12 @@ def _parse_canonical_line(line: str, line_no: int, default_split: str) -> QaReco
     rec_id = str(raw.get("id", f"q{line_no:06d}"))
     if not isinstance(answers, list) or not answers:
         raise DataError(f"record {rec_id}: gold answer list is empty or not a list")
+    if not all(isinstance(text, str) for text in (question, *answers)):
+        raise DataError(f"record {rec_id}: question and gold answers must be strings")
     return QaRecord(
         id=rec_id,
-        question=str(question),
-        gold_answers=tuple(str(a) for a in answers),
+        question=question,
+        gold_answers=tuple(answers),
         split=str(raw.get("split", default_split)),
     )
 

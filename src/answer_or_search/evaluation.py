@@ -13,20 +13,23 @@ avoids hallucinating (lambda >= 1 weights hallucinations).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import DEFAULT_PROFILE, NormalizationProfile, QaRecord, exact_match
+from .corpus import DEFAULT_PROFILE, NormalizationProfile, QaRecord, SearchToken, exact_match
 from .errors import DataError, PairingError
-from .fileio import read_json, write_json
-from .labeling import SearchToken
-from .ppl_threshold import Decision
+from .fileio import is_number, read_json, write_json
 
 #: Published rates come with one decimal of rounding, so paired percentages
 #: may miss 100 by a small residue.
 RATE_SUM_TOLERANCE = 0.2
+
+
+def _finite(value: object) -> bool:
+    return is_number(value) and math.isfinite(value)
 
 
 class Judgment(Enum):
@@ -43,16 +46,12 @@ class Cell(Enum):
 
 
 def judge(
-    output: str | Decision,
+    output: str,
     record: QaRecord,
     profile: NormalizationProfile = DEFAULT_PROFILE,
     token: SearchToken = SearchToken(),
 ) -> Judgment:
-    """Classify one output: the search token (or decision) wins, then exact match."""
-    if isinstance(output, Decision):
-        if output is Decision.SEARCH:
-            return Judgment.SEARCH
-        raise DataError("an 'answer' decision carries no text; judge the prediction text")
+    """Classify one output: the search token wins, then exact match."""
     if output == token.literal:
         return Judgment.SEARCH
     if exact_match(output, record.gold_answers, profile):
@@ -83,7 +82,7 @@ class ConfusionCounts:
 
     def __post_init__(self) -> None:
         for name in ("tp", "fp", "tn", "fn"):
-            if not getattr(self, name) >= 0:
+            if not _finite(getattr(self, name)) or getattr(self, name) < 0:
                 raise DataError(f"confusion count {name} must be non-negative")
 
     @property
@@ -126,6 +125,13 @@ class EvalReport:
     n_items: int | None = None
 
     def __post_init__(self) -> None:
+        optional = ("retention_c", "retention_h", "f1")
+        for name in ("base_c", "base_h", "c", "h", "s", "budget_cost", "lam", *optional):
+            value = getattr(self, name)
+            if not _finite(value) and not (value is None and name in optional):
+                raise DataError(f"{name} must be a finite number, got {value!r}")
+        if self.n_items is not None and (type(self.n_items) is not int or self.n_items < 1):
+            raise DataError(f"n_items must be a positive integer or null, got {self.n_items!r}")
         # Per-item evaluations are exact; reports rebuilt from published
         # percentages inherit up to RATE_SUM_TOLERANCE points of rounding.
         tolerance = 1e-9 if self.n_items is not None else RATE_SUM_TOLERANCE / 100 + 1e-9

@@ -24,9 +24,14 @@ T = TypeVar("T")
 #: What a bad input raises while being decoded or turned into an object:
 #: JSONDecodeError and UnicodeDecodeError are ValueErrors; a document nested
 #: too deep is a RecursionError; a missing field is a KeyError; a value of the
-#: wrong JSON type is usually a TypeError; a value the object's own checks
-#: refuse is a DataError.
-_PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, DataError)
+#: wrong JSON type is usually a TypeError; an integer too large for a float is
+#: an OverflowError; a value the object's own checks refuse is a DataError.
+_PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError, DataError)
+
+
+def is_number(value: object) -> bool:
+    """Whether JSON decoded ``value`` as a number; a bool is not one."""
+    return isinstance(value, float) or type(value) is int
 
 
 @contextmanager

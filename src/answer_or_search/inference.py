@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 if TYPE_CHECKING:
     import requests
 
-from .corpus import Corpus, QaRecord
+from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, QaRecord
 from .errors import (
     BalanceError,
     CapabilityError,
@@ -41,7 +41,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
-from .fileio import atomic_write, check_manifest, read_jsonl, write_jsonl
+from .fileio import atomic_write, check_manifest, is_number, read_jsonl, write_jsonl
 
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
 
@@ -59,9 +59,6 @@ AUTH_TOKEN_ENV = "GENERATION_API_TOKEN"
 
 DEFAULT_MAX_NEW_TOKENS = 32
 
-#: The output that signals a call to the search tool, unless configured otherwise.
-DEFAULT_SEARCH_TOKEN = "<search>"
-
 
 def perplexity(token_logprobs: Sequence[float]) -> float:
     """Sequence perplexity: exp of the negative mean token log-probability.
@@ -74,7 +71,7 @@ def perplexity(token_logprobs: Sequence[float]) -> float:
     if not isinstance(token_logprobs, (list, tuple)) or not token_logprobs:
         raise DataError("token log-probabilities must be a non-empty list")
     for lp in token_logprobs:
-        if not (isinstance(lp, float) or type(lp) is int) or not -math.inf < lp <= 0:
+        if not is_number(lp) or not -math.inf < lp <= 0:
             raise DataError(f"token log-probabilities must be finite numbers <= 0, got {lp!r}")
     try:
         return math.exp(-sum(token_logprobs) / len(token_logprobs))
@@ -127,16 +124,20 @@ class Prediction:
             raise DataError(
                 f"record {self.record_id}: unknown prompt style {self.prompt_style!r}"
             )
+        if not isinstance(self.model_tag, str):
+            raise DataError(f"record {self.record_id}: model_tag {self.model_tag!r} is not a string")
         try:
             expected = check_response({"text": self.text, "token_logprobs": self.token_logprobs})
         except DataError as exc:
             raise DataError(f"record {self.record_id}: {exc}") from exc
         if self.perplexity is _DERIVED:
             object.__setattr__(self, "perplexity", expected)
-        elif not math.isclose(self.perplexity, expected, rel_tol=1e-9):
+        elif not is_number(self.perplexity) or not math.isclose(
+            self.perplexity, expected, rel_tol=1e-9
+        ):
             raise DataError(
-                f"record {self.record_id}: perplexity {self.perplexity} does not "
-                f"match its log-probabilities (expected {expected})"
+                f"record {self.record_id}: perplexity {self.perplexity!r} is not the number "
+                f"its log-probabilities give ({expected})"
             )
 
     @classmethod
@@ -296,20 +297,24 @@ class ResponseCache:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
+    def entry(model_tag: str, prompt: str, max_new_tokens: int) -> tuple[str, dict]:
+        """The key of a request and the request fields its entry stores.
+
+        The key hashes those same fields. "decoding" stays among them so that
+        caches written when it was a parameter keep their keys.
+        """
+        request = {
+            "model_tag": model_tag,
+            "prompt": prompt,
+            "max_new_tokens": max_new_tokens,
+            "decoding": "greedy",
+        }
+        blob = json.dumps(request, sort_keys=True, ensure_ascii=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest(), request
+
+    @staticmethod
     def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
-        # "decoding" stays in the hashed blob so caches written when it was a
-        # parameter keep their keys.
-        blob = json.dumps(
-            {
-                "model_tag": model_tag,
-                "prompt": prompt,
-                "max_new_tokens": max_new_tokens,
-                "decoding": "greedy",
-            },
-            sort_keys=True,
-            ensure_ascii=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return ResponseCache.entry(model_tag, prompt, max_new_tokens)[0]
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -364,7 +369,7 @@ class GenerationClient:
         self,
         endpoint: str,
         model_tag: str,
-        cache: ResponseCache | None = None,
+        cache: ResponseCache,
         *,
         max_retries: int = 3,
         backoff_seconds: float = 0.2,
@@ -380,37 +385,20 @@ class GenerationClient:
         token = os.environ.get(AUTH_TOKEN_ENV)
         self._headers = {"Authorization": f"Bearer {token}"} if token else {}
 
-    def has_cached(self, request: GenerationRequest) -> bool:
-        """Whether the cache holds an entry for ``request``, usable or not."""
-        return (
-            self.cache is not None
-            and ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
-            in self.cache
+    def generate(self, request: GenerationRequest, entry: tuple[str, dict] | None = None) -> dict:
+        """Return ``{"text", "token_logprobs"}``, from cache when possible.
+
+        ``entry`` is the :meth:`ResponseCache.entry` of ``request``, passed by a
+        caller that already has it so that the prompt is hashed once.
+        """
+        key, stored_request = entry or ResponseCache.entry(
+            self.model_tag, request.prompt, request.max_new_tokens
         )
-
-    def generate(self, request: GenerationRequest) -> dict:
-        """Return ``{"text", "token_logprobs"}``, from cache when possible."""
-        key = None
-        if self.cache is not None:
-            key = ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached["response"]
-
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached["response"]
         response = self._fetch(request)
-        if self.cache is not None and key is not None:
-            self.cache.put(
-                key,
-                {
-                    "request": {
-                        "model_tag": self.model_tag,
-                        "prompt": request.prompt,
-                        "max_new_tokens": request.max_new_tokens,
-                        "decoding": "greedy",
-                    },
-                    "response": response,
-                },
-            )
+        self.cache.put(key, {"request": stored_request, "response": response})
         return response
 
     def _fetch(self, request: GenerationRequest) -> dict:
@@ -511,8 +499,8 @@ def run_corpus(
     failure: tuple[int, Exception] | None = None
     pending: dict[Future, int] = {}
 
-    def fetch(index: int, request: GenerationRequest) -> Prediction:
-        response = client.generate(request)
+    def fetch(index: int, request: GenerationRequest, entry: tuple[str, dict]) -> Prediction:
+        response = client.generate(request, entry)
         return Prediction.build(
             record_id=records[index].id,
             text=response["text"],
@@ -541,11 +529,12 @@ def run_corpus(
             if failure is not None:
                 break
             request = GenerationRequest(prompt=prompts[index], max_new_tokens=max_new_tokens)
-            if client.has_cached(request):
+            entry = ResponseCache.entry(client.model_tag, request.prompt, max_new_tokens)
+            if entry[0] in client.cache:
                 # Resolved here, never in the pool. An entry that turns out
                 # unusable is fetched again by this same call.
                 try:
-                    results[index] = fetch(index, request)
+                    results[index] = fetch(index, request, entry)
                 except Exception as exc:  # same abort path as a pooled miss
                     fail(index, exc)
                 continue
@@ -556,7 +545,7 @@ def run_corpus(
                 collect(done)
             if failure is not None:
                 break
-            pending[executor.submit(fetch, index, request)] = index
+            pending[executor.submit(fetch, index, request, entry)] = index
         # Outstanding misses drain and still count as done.
         collect(wait(pending).done)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, NormalizationProfile, QaRecord, exact_match, normalize
+from .corpus import Corpus, NormalizationProfile, QaRecord, SearchToken, exact_match, normalize
 from .errors import DataError, PairingError
 from .fileio import (
     check_manifest,
@@ -22,18 +22,7 @@ from .fileio import (
     write_jsonl,
     write_manifest,
 )
-from .inference import DEFAULT_SEARCH_TOKEN, Prediction
-
-
-@dataclass(frozen=True)
-class SearchToken:
-    """The output sequence that signals a call to an external tool."""
-
-    literal: str = DEFAULT_SEARCH_TOKEN
-
-    def __post_init__(self) -> None:
-        if not self.literal.strip():
-            raise DataError("search token literal must be non-empty")
+from .inference import Prediction
 
 
 @dataclass(frozen=True)
@@ -179,12 +168,17 @@ def write_masked_dataset(
 
 
 def _parse_example(raw: dict) -> MaskedExample:
-    return MaskedExample(
+    example = MaskedExample(
         record_id=str(raw["id"]),
         question=raw["question"],
         target=raw["target"],
         was_masked=raw["was_masked"],
     )
+    if not (isinstance(example.question, str) and isinstance(example.target, str)):
+        raise DataError(f"record {example.record_id}: question and target must be strings")
+    if not isinstance(example.was_masked, bool):
+        raise DataError(f"record {example.record_id}: was_masked must be true or false")
+    return example
 
 
 def read_masked_dataset(path: str | Path) -> MaskedDataset:
@@ -193,6 +187,8 @@ def read_masked_dataset(path: str | Path) -> MaskedDataset:
 
     def parse_manifest(manifest: dict) -> tuple[MaskedDataset, dict]:
         provenance = manifest["provenance"]
+        if not isinstance(provenance["model_tag"], str) or not isinstance(provenance["corpus"], str):
+            raise DataError("provenance model_tag and corpus must be strings")
         dataset = MaskedDataset(
             examples=examples,
             model_tag=provenance["model_tag"],

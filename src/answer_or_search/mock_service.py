@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import AnswerOrSearchError, ConfigError, DataError
 from .fileio import read_jsonl, write_jsonl
 
 FAULTS = ("timeout", "http-error", "no-logprobs")
+
+#: How often the serving thread checks for shutdown; ``close`` waits up to this long.
+_SHUTDOWN_POLL_SECONDS = 0.01
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,10 @@ class Script:
 def _parse_entry_row(raw: dict) -> tuple[str, str, ScriptEntry]:
     if raw["match"] not in ("exact", "question"):
         raise ValueError(f"match={raw['match']!r}")
+    if not isinstance(raw["key"], str) or not isinstance(raw["text"], str):
+        raise ValueError("key and text must be strings")
+    if not isinstance(raw["token_logprobs"], list):
+        raise ValueError("token_logprobs must be a list")
     entry = ScriptEntry(
         text=raw["text"],
         token_logprobs=tuple(raw["token_logprobs"]),
@@ -207,7 +215,9 @@ def serve(script: Script, port: int = 0) -> MockService:
         server = _MockHTTPServer(("127.0.0.1", port), script)
     except OSError as exc:
         raise ConfigError(f"cannot start mock service on port {port}: {exc}") from exc
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, args=(_SHUTDOWN_POLL_SECONDS,), daemon=True
+    )
     thread.start()
     return MockService(server, thread)
 
@@ -217,7 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("script", help="line-delimited script file")
     parser.add_argument("--port", type=int, default=8811)
     args = parser.parse_args(argv)
-    service = serve(Script.from_file(args.script), port=args.port)
+    try:
+        service = serve(Script.from_file(args.script), port=args.port)
+    except AnswerOrSearchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     print(f"mock generation service listening on {service.url}")
     try:
         while True:

@@ -16,10 +16,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
+from .corpus import SearchToken
 from .errors import CalibrationError, ConfigError, DataError
-from .fileio import read_json, write_json
+from .fileio import is_number, read_json, write_json
 from .inference import Prediction
-from .labeling import SearchToken
 
 STRATEGIES = ("max-f1", "target-search-rate")
 
@@ -44,15 +44,17 @@ class PplThreshold:
     target_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if math.isnan(self.tau):
-            raise DataError("threshold tau must not be NaN")
+        if not is_number(self.tau) or math.isnan(self.tau):
+            raise DataError(f"threshold tau must be a number, got {self.tau!r}")
         if self.calibration not in STRATEGIES:
-            raise ConfigError(f"unknown calibration strategy {self.calibration!r}")
-        if not self.fitted_on:
-            raise DataError("threshold provenance (fitted_on) must be non-empty")
-        if self.calibration == "target-search-rate":
-            if self.target_rate is None or not 0.0 <= self.target_rate <= 1.0:
-                raise ConfigError("target-search-rate requires target_rate in [0, 1]")
+            raise DataError(f"unknown calibration strategy {self.calibration!r}")
+        if not isinstance(self.fitted_on, str) or not self.fitted_on:
+            raise DataError("threshold provenance (fitted_on) must be a non-empty string")
+        if self.target_rate is None:
+            if self.calibration == "target-search-rate":
+                raise DataError("target-search-rate requires a target_rate")
+        elif not is_number(self.target_rate) or not 0.0 <= self.target_rate <= 1.0:
+            raise DataError(f"target_rate must lie in [0, 1], got {self.target_rate!r}")
 
 
 def _quantile(ordered: Sequence[float], q: float) -> float:
@@ -150,11 +152,12 @@ def _encode_tau(tau: float) -> float | str:
 
 
 def _decode_tau(raw: float | str) -> float:
+    # Anything but a number or an infinity sentinel is refused by PplThreshold.
     if raw == "+inf":
         return math.inf
     if raw == "-inf":
         return -math.inf
-    return float(raw)
+    return raw
 
 
 def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None = None) -> Path:

@@ -1,9 +1,53 @@
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import strategies as st
 
 from answer_or_search.corpus import Corpus, QaRecord
+from answer_or_search.errors import DataError
 from answer_or_search.inference import Prediction
+
+#: Any JSON value, a little nested.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+#: Any line of text, without lone surrogates (which cannot be written as UTF-8).
+ANY_LINE = st.text(st.characters(blacklist_categories=("Cs",)))
+
+
+@st.composite
+def damaged(draw, doc: dict) -> dict:
+    """``doc`` with some fields, at any depth, deleted or replaced by any JSON value."""
+    doc = dict(doc)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True)):
+        if isinstance(doc[key], dict) and draw(st.booleans()):
+            doc[key] = draw(damaged(doc[key]))
+        elif draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(JSON_VALUES)
+    return doc
+
+
+def read_or_data_error(read, files: dict[str, str]):
+    """``read`` of the first of ``files`` (name -> text) written to a fresh
+    directory, or None if it raises :class:`DataError`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in files]
+        for path, text in zip(paths, files.values()):
+            path.write_text(text, encoding="utf-8")
+        try:
+            return read(paths[0])
+        except DataError:
+            return None
 
 
 def make_record(rec_id: str, question: str, answers: list[str], split: str = "dev") -> QaRecord:

@@ -19,8 +19,9 @@ import pytest
 import yaml
 
 from answer_or_search.analysis import tradeoff_curve
-from answer_or_search.cli import EXIT_OK, main
-from answer_or_search.corpus import DEFAULT_PROFILE
+from answer_or_search.cli import main
+from answer_or_search.corpus import DEFAULT_PROFILE, SearchToken
+from answer_or_search.errors import EXIT_OK
 from answer_or_search.evaluation import (
     Judgment,
     confusion_from_rates,
@@ -29,7 +30,7 @@ from answer_or_search.evaluation import (
     judge,
     report_from_rates,
 )
-from answer_or_search.labeling import SearchToken, mask_prediction
+from answer_or_search.labeling import mask_prediction
 from answer_or_search.mock_service import Script, serve
 from answer_or_search.ppl_threshold import apply_threshold, calibrate
 

@@ -12,17 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import answer_or_search
-from answer_or_search.cli import (
+from answer_or_search.cli import PipelineConfig, load_config, main
+from answer_or_search.errors import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
     EXIT_TRANSPORT,
-    PipelineConfig,
-    load_config,
-    main,
+    ConfigError,
+    RunAbortedError,
 )
-from answer_or_search.errors import ConfigError, RunAbortedError
 from answer_or_search.evaluation import read_report
 from answer_or_search.mock_service import Script, serve
 
@@ -498,6 +497,10 @@ MALFORMED_INPUTS = {
     "label-predictions-wrong-type": ("label", "--predictions", "[1,2]\n"),
     "evaluate-threshold-missing-fields": ("evaluate", "--threshold", '{"tau": 1.0}\n'),
     "evaluate-adapted-wrong-type": ("evaluate", "--adapted", '["a"]\n'),
+    "evaluate-adapted-output-not-a-string": ("evaluate", "--adapted", '{"id": "d1", "output": 5}\n'),
+    "evaluate-threshold-bool-tau": (
+        "evaluate", "--threshold", '{"tau": true, "strategy": "max-f1", "fitted_on": "t"}\n'
+    ),
     "label-predictions-truncated": ("label", None, None),
 }
 
@@ -521,11 +524,13 @@ def test_malformed_input_exits_data(workspace, capsys, command, flag, content):
     assert str(path) in capsys.readouterr().err
 
 
-# A second predictions row that breaks the response contract.
+# A second predictions row that breaks the response contract or a field's type.
 CONTRACT_BREAKING_ROWS = {
     "text-not-a-string": {"text": 5},
     "no-tokens": {"token_logprobs": [], "perplexity": 1.0},
     "bool-logprob": {"token_logprobs": [False], "perplexity": 1.0},
+    "bool-perplexity": {"token_logprobs": [0.0], "perplexity": True},
+    "model-tag-not-a-string": {"model_tag": [1]},
 }
 
 

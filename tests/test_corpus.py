@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from answer_or_search.corpus import (
+    CORPUS_FORMATS,
     DEFAULT_PROFILE,
     NormalizationProfile,
     QaRecord,
@@ -17,7 +18,7 @@ from answer_or_search.corpus import (
 )
 from answer_or_search.errors import DataError
 
-from conftest import make_corpus, make_record
+from conftest import ANY_LINE, damaged, make_corpus, make_record, read_or_data_error
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +205,38 @@ def test_ingest_record_split_field_wins_over_default(tmp_path):
     )
     corpus = ingest(path, "canonical-jsonl", "dev")
     assert corpus["q1"].split == "test"
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"question": None}, {"question": 5}, {"answers": [1]}, {"answers": ["a", None]}],
+    ids=["null-question", "number-question", "number-answer", "null-answer"],
+)
+def test_ingest_canonical_fields_must_be_strings(tmp_path, change):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "q1", "question": "q?", "answers": ["a"], **change}) + "\n")
+    with pytest.raises(DataError, match="line 1"):
+        ingest(path)
+
+
+CANONICAL_ROW = {"id": "q1", "question": "q?", "answers": ["a", "b"], "split": "dev"}
+
+
+@given(
+    st.sampled_from(CORPUS_FORMATS),
+    st.lists(
+        damaged(CANONICAL_ROW).map(json.dumps) | st.tuples(ANY_LINE, ANY_LINE).map("\t".join)
+        | ANY_LINE,
+        max_size=3,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_ingest_gives_a_corpus_or_a_data_error(fmt, lines):
+    text = "".join(line + "\n" for line in lines)
+    corpus = read_or_data_error(lambda path: ingest(path, fmt, "dev"), {"corpus": text})
+    for rec in corpus or ():
+        assert isinstance(rec.question, str)
+        assert all(isinstance(answer, str) for answer in rec.gold_answers)
 
 
 def test_canonical_round_trip(tmp_path, small_corpus):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answer_or_search.corpus import SearchToken
 from answer_or_search.errors import DataError, PairingError
+from answer_or_search.fileio import is_number
 from answer_or_search.evaluation import (
     Cell,
     ConfusionCounts,
@@ -19,9 +24,8 @@ from answer_or_search.evaluation import (
     report_from_rates,
     write_report,
 )
-from answer_or_search.labeling import SearchToken
 
-from conftest import make_record
+from conftest import ANY_LINE, JSON_VALUES, damaged, make_record, read_or_data_error
 
 C, H, S = Judgment.CORRECT, Judgment.HALLUCINATED, Judgment.SEARCH
 
@@ -275,3 +279,35 @@ def test_render_table_marks_undefined():
     report = evaluate_pair([H, H], [S, S])
     table = render_table(report)
     assert "undef" in table
+
+
+REPORT = evaluate_pair([C, C, H, H], [C, S, S, H]).to_dict()
+
+
+REFUSED_REPORT_FIELDS = {
+    "bool-rates": {"rates": {"c": True, "h": False, "s": False}},
+    "nan-rate": {"rates": {"c": math.nan, "h": 0.5, "s": 0.5}},
+    "rate-beyond-float": {"rates": {"c": 10**400, "h": 0.0, "s": 0.0}},
+    "bool-count": {"confusion": {"tp": True, "fp": 1, "tn": 1, "fn": 1}},
+    "string-f1": {"f1": "0.5"},
+    "fractional-n-items": {"n_items": 2.5},
+}
+
+
+@pytest.mark.parametrize("change", REFUSED_REPORT_FIELDS.values(), ids=REFUSED_REPORT_FIELDS.keys())
+def test_read_report_refuses_a_field_that_is_not_a_finite_number(tmp_path, change):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**REPORT, **change}))
+    with pytest.raises(DataError, match="evaluation report"):
+        read_report(path)
+
+
+@given(damaged(REPORT).map(json.dumps) | JSON_VALUES.map(json.dumps) | ANY_LINE)
+@settings(max_examples=300, deadline=None)
+def test_read_report_gives_a_report_or_a_data_error(text):
+    report = read_or_data_error(read_report, {"report.json": text})
+    if report is None:
+        return
+    for value in (report.base_c, report.base_h, report.c, report.h, report.s, report.lam):
+        assert is_number(value) and math.isfinite(value)
+    assert all(is_number(v) for v in report.confusion.to_dict().values())

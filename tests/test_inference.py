@@ -35,9 +35,18 @@ from answer_or_search.inference import (
     run_corpus,
     write_predictions,
 )
+from answer_or_search.fileio import is_number
 from answer_or_search.mock_service import Script, serve
 
-from conftest import make_corpus, make_prediction, make_record, stub_post
+from conftest import (
+    ANY_LINE,
+    JSON_VALUES,
+    damaged,
+    make_corpus,
+    make_prediction,
+    make_record,
+    stub_post,
+)
 
 logprob_lists = st.lists(
     st.floats(min_value=-20.0, max_value=0.0, allow_nan=False), min_size=1, max_size=12
@@ -349,8 +358,8 @@ def test_generate_unreachable_endpoint(tmp_path):
         client.generate(GenerationRequest("q?"))
 
 
-def test_generate_invalid_url_is_transport_error():
-    client = GenerationClient("not-a-url", "m", None, max_retries=0)
+def test_generate_invalid_url_is_transport_error(tmp_path):
+    client = GenerationClient("not-a-url", "m", ResponseCache(tmp_path), max_retries=0)
     with pytest.raises(TransportError, match="not-a-url"):
         client.generate(GenerationRequest("q?"))
 
@@ -396,13 +405,18 @@ def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
     assert json.loads(entry.read_bytes())["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
 
 
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: (
-        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3)
-    ),
-    max_leaves=6,
-)
+def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_path, monkeypatch):
+    stub_post(monkeypatch, 200, b'{"text": "Caf\\u00e9", "token_logprobs": [-0.5, 0]}')
+    client = GenerationClient("http://stub", "m", ResponseCache(tmp_path))
+    client.generate(GenerationRequest("q \u00e9?"))
+    (entry,) = tmp_path.iterdir()
+    assert entry.name == "310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993.json"
+    assert entry.read_bytes() == (
+        b'{"request": {"model_tag": "m", "prompt": "q \xc3\xa9?", "max_new_tokens": 32, '
+        b'"decoding": "greedy"}, "response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
+    )
+
+
 NUMBERS = st.floats() | st.integers() | st.booleans()
 RESPONSE_LIKE = st.fixed_dictionaries(
     {},
@@ -436,15 +450,7 @@ def prediction_lines(draw) -> str:
     """A valid predictions row with some fields deleted or replaced."""
     logprobs = draw(st.lists(st.floats(min_value=-20.0, max_value=0.0), min_size=1, max_size=4))
     row = make_prediction("q1", draw(st.text(max_size=5)), tuple(logprobs)).to_dict()
-    for key in draw(st.lists(st.sampled_from(sorted(row)), unique=True)):
-        if draw(st.booleans()):
-            del row[key]
-        else:
-            row[key] = draw(JSON_VALUES)
-    return json.dumps(row)
-
-
-ANY_LINE = st.text(st.characters(blacklist_categories=("Cs",)))  # no lone surrogates
+    return json.dumps(draw(damaged(row)))
 
 
 @given(st.lists(prediction_lines() | ANY_LINE, max_size=3))
@@ -459,7 +465,9 @@ def test_read_predictions_gives_predictions_or_a_data_error(lines):
             return
     for pred in predictions:
         expected = check_response({"text": pred.text, "token_logprobs": pred.token_logprobs})
+        assert is_number(pred.perplexity)
         assert math.isclose(pred.perplexity, expected, rel_tol=1e-9)
+        assert isinstance(pred.model_tag, str)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +529,24 @@ def test_run_corpus_aborts_with_partial_progress_manifest(tmp_path):
             run_corpus(_three_record_corpus(), "zeroshot-qa", client, max_in_flight=1)
     assert excinfo.value.failed_id == "q2"
     assert excinfo.value.completed_ids == ["q1"]
+
+
+def test_run_corpus_hashes_each_prompt_once(tmp_path, monkeypatch):
+    corpus = _three_record_corpus()
+    _warm(tmp_path, make_corpus(*list(corpus)[:2]))
+    hashed = []
+    entry = ResponseCache.entry
+
+    def counted_entry(model_tag, prompt, max_new_tokens):
+        hashed.append(prompt)
+        return entry(model_tag, prompt, max_new_tokens)
+
+    monkeypatch.setattr(ResponseCache, "entry", staticmethod(counted_entry))
+    with _scripted_service() as service:
+        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        assert len(service.request_log) == 1
+    assert sorted(hashed) == ["first question?", "second question?", "third question?"]
 
 
 def test_run_corpus_rejects_unknown_style(tmp_path):

@@ -1,23 +1,31 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from answer_or_search.corpus import DEFAULT_PROFILE
+from answer_or_search.corpus import DEFAULT_PROFILE, SearchToken
 from answer_or_search.errors import DataError, PairingError
+from answer_or_search.fileio import manifest_path_for
 from answer_or_search.labeling import (
-    SearchToken,
     build_masked_dataset,
-    manifest_path_for,
     mask_prediction,
     read_masked_dataset,
     write_masked_dataset,
 )
 
-from conftest import make_corpus, make_prediction, make_record
+from conftest import (
+    ANY_LINE,
+    damaged,
+    make_corpus,
+    make_prediction,
+    make_record,
+    read_or_data_error,
+)
 from oracles import brute_force_match
 
 TOKEN = SearchToken()
@@ -170,3 +178,46 @@ def test_emit_without_corpus_skips_collision_check(tmp_path):
     dataset = build_masked_dataset(preds, corpus)
     path = write_masked_dataset(dataset, tmp_path / "masked.jsonl")
     assert path.exists()
+
+
+# ---------------------------------------------------------------------------
+# reading a dataset back
+# ---------------------------------------------------------------------------
+
+
+def _written_dataset() -> tuple[list[dict], dict]:
+    """The rows and the manifest of a two-example dataset as it is emitted."""
+    corpus, preds = _corpus_and_preds(1, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_masked_dataset(build_masked_dataset(preds, corpus), Path(tmp) / "m.jsonl")
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        return rows, json.loads(manifest_path_for(path).read_text())
+
+
+ROWS, MANIFEST = _written_dataset()
+
+
+def test_read_masked_dataset_rejects_a_search_token_that_is_not_a_string(tmp_path):
+    manifest = {**MANIFEST, "provenance": {**MANIFEST["provenance"], "search_token": 5}}
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in ROWS))
+    manifest_path_for(path).write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="search token"):
+        read_masked_dataset(path)
+
+
+@given(
+    st.lists(st.sampled_from(ROWS).flatmap(damaged).map(json.dumps) | ANY_LINE, max_size=3),
+    damaged(MANIFEST).map(json.dumps) | ANY_LINE,
+)
+@settings(max_examples=300, deadline=None)
+def test_read_masked_dataset_gives_a_dataset_or_a_data_error(lines, manifest):
+    files = {"m.jsonl": "".join(line + "\n" for line in lines), "m.jsonl.manifest.json": manifest}
+    dataset = read_or_data_error(read_masked_dataset, files)
+    if dataset is None:
+        return
+    assert isinstance(dataset.token.literal, str)
+    assert isinstance(dataset.model_tag, str) and isinstance(dataset.corpus_name, str)
+    for ex in dataset.examples:
+        assert isinstance(ex.question, str) and isinstance(ex.target, str)
+        assert isinstance(ex.was_masked, bool)

@@ -1,13 +1,24 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from answer_or_search.errors import CapabilityError, ConfigError, TransportError
+from answer_or_search.errors import (
+    EXIT_DATA,
+    CapabilityError,
+    ConfigError,
+    DataError,
+    TransportError,
+)
 from answer_or_search.inference import GenerationClient, GenerationRequest, ResponseCache, perplexity
-from answer_or_search.mock_service import DEFAULT_ENTRY, Script, ScriptEntry, serve
+from answer_or_search.mock_service import DEFAULT_ENTRY, Script, ScriptEntry, main, serve
+
+from conftest import ANY_LINE, damaged, read_or_data_error
 
 
 def test_scripted_prompt_round_trip(tmp_path):
@@ -87,3 +98,34 @@ def test_script_file_round_trip(tmp_path):
     again = Script.from_file(path)
     assert again.exact == script.exact
     assert again.by_question == script.by_question
+
+
+SCRIPT_ROW = {"match": "exact", "key": "q?", "text": "a", "token_logprobs": [-0.5], "fault": "timeout"}
+
+
+@pytest.mark.parametrize(
+    "change", [{"key": [1]}, {"text": None}, {"token_logprobs": "-1"}], ids=["key", "text", "logprobs"]
+)
+def test_script_from_file_refuses_a_row_of_the_wrong_types(tmp_path, change):
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps({**SCRIPT_ROW, **change}) + "\n")
+    with pytest.raises(DataError, match="line 1"):
+        Script.from_file(path)
+
+
+@given(st.lists(damaged(SCRIPT_ROW).map(json.dumps) | ANY_LINE, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_script_from_file_gives_a_script_or_a_data_error(lines):
+    text = "".join(line + "\n" for line in lines)
+    script = read_or_data_error(Script.from_file, {"script.jsonl": text})
+    if script is None:
+        return
+    for key, entry in [*script.exact.items(), *script.by_question]:
+        assert isinstance(key, str) and isinstance(entry.text, str)
+
+
+def test_main_exits_data_on_a_script_it_cannot_read(tmp_path, capsys):
+    path = tmp_path / "script.jsonl"
+    path.write_text(json.dumps({**SCRIPT_ROW, "key": None}) + "\n")
+    assert main([str(path), "--port", "0"]) == EXIT_DATA
+    assert str(path) in capsys.readouterr().err

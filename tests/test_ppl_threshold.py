@@ -1,17 +1,21 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answer_or_search.corpus import SearchToken
 from answer_or_search.errors import CalibrationError, ConfigError, DataError
-from answer_or_search.labeling import SearchToken
+from answer_or_search.fileio import is_number
 from answer_or_search.ppl_threshold import (
     Decision,
+    STRATEGIES,
     PplThreshold,
     apply_threshold,
     calibrate,
@@ -20,7 +24,7 @@ from answer_or_search.ppl_threshold import (
     save_threshold,
 )
 
-from conftest import make_prediction
+from conftest import ANY_LINE, JSON_VALUES, damaged, make_prediction, read_or_data_error
 from oracles import brute_force_max_f1_threshold
 
 
@@ -182,3 +186,39 @@ def test_threshold_manifest_round_trips_infinities(tmp_path):
 def test_threshold_rejects_nan():
     with pytest.raises(DataError):
         PplThreshold(tau=math.nan, calibration="max-f1", fitted_on="t")
+
+
+THRESHOLD = {"tau": 2.5, "strategy": "target-search-rate", "target_rate": 0.3, "fitted_on": "t"}
+
+
+REFUSED_THRESHOLD_FIELDS = {
+    "unknown-strategy": {"strategy": "nope"},
+    "bool-tau": {"tau": True},
+    "string-tau": {"tau": "1.5"},
+    "tau-beyond-float": {"tau": 10**400},
+    "bool-target-rate": {"target_rate": True},
+    "no-target-rate": {"target_rate": None},
+    "fitted-on-not-a-string": {"fitted_on": ["t"]},
+}
+
+
+@pytest.mark.parametrize(
+    "change", REFUSED_THRESHOLD_FIELDS.values(), ids=REFUSED_THRESHOLD_FIELDS.keys()
+)
+def test_load_threshold_names_the_file_of_a_field_it_refuses(tmp_path, change):
+    path = tmp_path / "threshold.json"
+    path.write_text(json.dumps({**THRESHOLD, **change}))
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        load_threshold(path)
+
+
+@given(damaged(THRESHOLD).map(json.dumps) | JSON_VALUES.map(json.dumps) | ANY_LINE)
+@settings(max_examples=300, deadline=None)
+def test_load_threshold_gives_a_threshold_or_a_data_error(text):
+    threshold = read_or_data_error(load_threshold, {"threshold.json": text})
+    if threshold is None:
+        return
+    assert is_number(threshold.tau) and not math.isnan(threshold.tau)
+    assert threshold.calibration in STRATEGIES
+    assert isinstance(threshold.fitted_on, str)
+    assert threshold.target_rate is None or is_number(threshold.target_rate)
