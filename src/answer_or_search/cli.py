@@ -35,6 +35,7 @@ from .corpus import (
     SearchToken,
     exact_match,
     ingest,
+    parse_record_id,
     write_canonical,
 )
 from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbortedError
@@ -293,31 +294,35 @@ def _fewshot_pool(config: PipelineConfig) -> FewShotPool | None:
 
 def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
     corpus = _load_split(config, args.split)
-    client = GenerationClient(
-        config.endpoint_url,
-        config.model_tag,
-        ResponseCache(config.cache_dir),
-        max_retries=config.max_retries,
-        timeout=config.timeout,
-    )
-    try:
-        predictions = run_corpus(
-            corpus,
-            config.prompt_style,
-            client,
-            template=config.template,
-            pool=_fewshot_pool(config),
-            fewshot_k=config.fewshot_k,
-            max_new_tokens=config.max_new_tokens,
-            max_in_flight=config.max_in_flight,
+    pool = _fewshot_pool(config)
+    with ResponseCache(config.cache_dir) as cache:
+        client = GenerationClient(
+            config.endpoint_url,
+            config.model_tag,
+            cache,
+            max_retries=config.max_retries,
+            timeout=config.timeout,
         )
-    except RunAbortedError as exc:
-        progress = write_json(
-            config.output_dir / f"progress.{args.split}.json",
-            {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance},
-        )
-        print(f"infer: aborted at record {exc.failed_id}; progress -> {progress}", file=sys.stderr)
-        raise
+        try:
+            predictions = run_corpus(
+                corpus,
+                config.prompt_style,
+                client,
+                template=config.template,
+                pool=pool,
+                fewshot_k=config.fewshot_k,
+                max_new_tokens=config.max_new_tokens,
+                max_in_flight=config.max_in_flight,
+            )
+        except RunAbortedError as exc:
+            progress = write_json(
+                config.output_dir / f"progress.{args.split}.json",
+                {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance},
+            )
+            print(
+                f"infer: aborted at record {exc.failed_id}; progress -> {progress}", file=sys.stderr
+            )
+            raise
 
     out = write_predictions(predictions, predictions_path(config, args.split))
     write_manifest(
@@ -373,9 +378,10 @@ def cmd_calibrate(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _parse_adapted(raw: dict) -> tuple[str, str]:
+    record_id = parse_record_id(raw["id"])
     if not isinstance(raw["output"], str):
-        raise DataError(f"output of record {raw['id']} is not a string")
-    return str(raw["id"]), raw["output"]
+        raise DataError(f"output of record {record_id} is not a string")
+    return record_id, raw["output"]
 
 
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:

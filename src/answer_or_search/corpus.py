@@ -55,13 +55,21 @@ class NormalizationProfile:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "NormalizationProfile":
+        """The profile :meth:`to_dict` wrote; a value of the wrong type is a :class:`DataError`."""
+        flags = ("lowercase", "strip_punctuation", "collapse_whitespace", "unicode_fold")
+        for name in flags:
+            if not isinstance(raw[name], bool):
+                raise DataError(f"normalization {name} must be true or false, got {raw[name]!r}")
+        stopwords = raw["stopwords"]
+        if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
+            raise DataError(f"normalization stopwords must be a list of strings, got {stopwords!r}")
+        version = raw.get("stopwords_version", STOPWORDS_VERSION)
+        if not isinstance(version, str):
+            raise DataError(f"normalization stopwords_version must be a string, got {version!r}")
         return cls(
-            lowercase=raw["lowercase"],
-            strip_punctuation=raw["strip_punctuation"],
-            stopwords=tuple(raw["stopwords"]),
-            collapse_whitespace=raw["collapse_whitespace"],
-            unicode_fold=raw["unicode_fold"],
-            stopwords_version=raw.get("stopwords_version", STOPWORDS_VERSION),
+            stopwords=tuple(stopwords),
+            stopwords_version=version,
+            **{name: raw[name] for name in flags},
         )
 
     def fingerprint(self) -> str:
@@ -124,6 +132,14 @@ class SearchToken:
             raise DataError(f"search token must be a non-empty string, got {self.literal!r}")
 
 
+def parse_record_id(value: object) -> str:
+    """A record id as a JSON file holds it: a string, or an integer (not a
+    bool) taken as its digits. Anything else is a :class:`DataError`."""
+    if isinstance(value, str) or type(value) is int:
+        return str(value)
+    raise DataError(f"record id must be a string or an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QaRecord:
     """One question with its admissible gold answers and split tag."""
@@ -183,7 +199,7 @@ def _parse_canonical_line(line: str, line_no: int, default_split: str) -> QaReco
     raw = json.loads(line)
     question = raw["question"]
     answers = raw["answers"]
-    rec_id = str(raw.get("id", f"q{line_no:06d}"))
+    rec_id = parse_record_id(raw.get("id", f"q{line_no:06d}"))
     if not isinstance(answers, list) or not answers:
         raise DataError(f"record {rec_id}: gold answer list is empty or not a list")
     if not all(isinstance(text, str) for text in (question, *answers)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
@@ -39,13 +38,14 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     """Text handle whose contents replace ``path`` only if the block succeeds.
 
     The parent directory is created. The tmp file is named
-    ``<name>.<pid>.<thread-id>.tmp`` so concurrent writers never share one,
-    and it is removed if the write fails. Newlines are written untranslated,
-    so the bytes are the same on every platform. There is no fsync.
+    ``<name>.<pid>.tmp``, so writers in different processes never share one;
+    two threads of one process must not write the same path at once. It is
+    removed if the write fails. Newlines are written untranslated, so the
+    bytes are the same on every platform. There is no fsync.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh

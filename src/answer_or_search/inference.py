@@ -21,17 +21,19 @@ import json
 import math
 import os
 import random
+import re
+import sqlite3
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 if TYPE_CHECKING:
     import requests
 
-from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, QaRecord
+from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, QaRecord, parse_record_id
 from .errors import (
     BalanceError,
     CapabilityError,
@@ -41,7 +43,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
-from .fileio import atomic_write, check_manifest, is_number, read_jsonl, write_jsonl
+from .fileio import check_manifest, is_number, read_jsonl, write_jsonl
 
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
 
@@ -171,7 +173,7 @@ class Prediction:
     @classmethod
     def from_dict(cls, raw: dict) -> "Prediction":
         return cls(
-            record_id=str(raw["id"]),
+            record_id=parse_record_id(raw["id"]),
             text=raw["text"],
             token_logprobs=tuple(raw["token_logprobs"]),
             perplexity=raw["perplexity"],
@@ -283,18 +285,113 @@ def build_prompt(
 # ---------------------------------------------------------------------------
 
 
+#: The response cache's database file inside ``cache_dir``.
+CACHE_FILE = "responses.sqlite3"
+
+#: Name of a response file in the one-file-per-response layout of earlier versions.
+_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
+
+#: How long a statement waits for another connection's lock before it fails.
+_BUSY_SECONDS = 5.0
+
+
 class ResponseCache:
-    """Content-addressed on-disk cache, one JSON file per response.
+    """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
 
     Keys cover everything that can change a greedy completion: model tag,
-    prompt, and decoding parameters. Writes are atomic (tmp + rename), so
-    concurrent writers to distinct keys never interfere, and a reader sees
-    a whole entry or none.
+    prompt, and decoding parameters. Each entry is one row of JSON text. The
+    file is in WAL mode, so several processes may share a ``cache_dir``, and
+    one connection serves every thread of this process, its statements taken
+    in turn under a lock. Response files of the earlier one-file-per-response
+    layout are imported on open and then deleted. Any SQLite failure is a
+    :class:`DataError` naming the file. Use it as a context manager, or call
+    :meth:`close`: the last connection to close folds the write-ahead log
+    back into the file and removes it.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self.path = self.directory / CACHE_FILE
+        self._lock = threading.Lock()
+        self._db: sqlite3.Connection | None = None
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._db = sqlite3.connect(
+                self.path, timeout=_BUSY_SECONDS, isolation_level=None, check_same_thread=False
+            )
+            # Switching a new, empty file to WAL needs no fsync: it holds nothing to lose.
+            self._db.execute("PRAGMA synchronous=OFF")
+            self._switch_to_wal()
+            # WAL lets processes share the file; NORMAL syncs at checkpoints, not at
+            # each commit; a fixed 256 KiB page cache bounds memory.
+            self._db.execute("PRAGMA synchronous=NORMAL")
+            self._db.execute("PRAGMA cache_size=-256")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
+            )
+            self._import_legacy()
+        except (OSError, sqlite3.Error) as exc:
+            self.close()
+            raise DataError(f"response cache {self.path} cannot be opened: {exc}") from exc
+
+    def _switch_to_wal(self) -> None:
+        """Put the file in WAL mode, which persists in the file.
+
+        While another process creates the same file, SQLite refuses the switch
+        at once ("database is locked") instead of waiting out the busy timeout,
+        so it is retried for that long.
+        """
+        deadline = time.monotonic() + _BUSY_SECONDS
+        while True:
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
+
+    def _import_legacy(self) -> None:
+        """Move ``<key>.json`` files into the table in one transaction.
+
+        A row already stored wins. A file that another process imported and
+        deleted meanwhile is skipped. Unusable files are imported as they
+        are: :meth:`get` treats them as misses, like any unusable row.
+        """
+        paths = [p for p in self.directory.iterdir() if _LEGACY_ENTRY.fullmatch(p.name)]
+        if not paths:
+            return
+
+        def rows() -> Iterator[tuple[str, str]]:
+            for path in paths:
+                try:
+                    yield path.stem, path.read_text("utf-8", "replace")
+                except FileNotFoundError:
+                    continue
+
+        self._db.execute("BEGIN IMMEDIATE")
+        with self._db:
+            self._db.executemany("INSERT OR IGNORE INTO entries VALUES (?, ?)", rows())
+        for path in paths:
+            path.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        if self._db is not None:
+            db, self._db = self._db, None
+            db.close()
+
+    def __enter__(self) -> "ResponseCache":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _query(self, sql: str, params: tuple = ()) -> list[tuple]:
+        with self._lock:
+            try:
+                return self._db.execute(sql, params).fetchall()
+            except sqlite3.Error as exc:
+                raise DataError(f"response cache {self.path}: {exc}") from exc
 
     @staticmethod
     def entry(model_tag: str, prompt: str, max_new_tokens: int) -> tuple[str, dict]:
@@ -316,32 +413,33 @@ class ResponseCache:
     def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
         return ResponseCache.entry(model_tag, prompt, max_new_tokens)[0]
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
     def __contains__(self, key: str) -> bool:
         """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
-        return os.path.exists(self._path(key))
+        return bool(self._query("SELECT 1 FROM entries WHERE key = ?", (key,)))
 
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when it is missing or unusable.
 
         An entry that is not JSON, or whose ``response`` breaks the response
-        contract (a truncated or hand-edited file, or one an earlier version
+        contract (a truncated or hand-edited one, or one an earlier version
         wrote), is a miss, so the caller fetches again and ``put`` replaces
         it. Every entry returned therefore builds a :class:`Prediction`.
         """
+        rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
+        if not rows:
+            return None
         try:
-            with self._path(key).open("r", encoding="utf-8") as fh:
-                entry = json.load(fh)
+            entry = json.loads(rows[0][0])
             check_response(entry["response"])
-        except (FileNotFoundError, ValueError, KeyError, TypeError, RecursionError, DataError):
+        except (ValueError, KeyError, TypeError, RecursionError, DataError):
             return None
         return entry
 
     def put(self, key: str, payload: dict) -> None:
-        with atomic_write(self._path(key)) as fh:
-            json.dump(payload, fh, ensure_ascii=False)
+        self._query(
+            "INSERT OR REPLACE INTO entries VALUES (?, ?)",
+            (key, json.dumps(payload, ensure_ascii=False)),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Corpus, NormalizationProfile, QaRecord, SearchToken, exact_match, normalize
+from .corpus import (
+    Corpus,
+    NormalizationProfile,
+    QaRecord,
+    SearchToken,
+    exact_match,
+    normalize,
+    parse_record_id,
+)
 from .errors import DataError, PairingError
 from .fileio import (
     check_manifest,
@@ -169,7 +177,7 @@ def write_masked_dataset(
 
 def _parse_example(raw: dict) -> MaskedExample:
     example = MaskedExample(
-        record_id=str(raw["id"]),
+        record_id=parse_record_id(raw["id"]),
         question=raw["question"],
         target=raw["target"],
         was_masked=raw["was_masked"],

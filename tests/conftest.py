@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import sqlite3
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from answer_or_search.corpus import Corpus, QaRecord
 from answer_or_search.errors import DataError
-from answer_or_search.inference import Prediction
+from answer_or_search.inference import CACHE_FILE, Prediction
 
 #: Any JSON value, a little nested.
 JSON_VALUES = st.recursive(
@@ -95,3 +97,15 @@ def small_corpus() -> Corpus:
         make_record("q2", "first emperor of France?", ["Napoleon"]),
         make_record("q3", "capital of Italy?", ["Rome", "Roma"]),
     )
+
+
+def cache_rows(cache_dir: str | Path) -> dict[str, str | bytes]:
+    """Every row of the response cache in ``cache_dir``: key -> stored entry."""
+    with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        return dict(db.execute("SELECT key, entry FROM entries"))
+
+
+def write_cache_row(cache_dir: str | Path, key: str, entry: str | bytes) -> None:
+    """Store ``entry`` under ``key`` as it is, bypassing :class:`ResponseCache`."""
+    with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db, db:
+        db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, entry))

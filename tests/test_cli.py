@@ -23,9 +23,10 @@ from answer_or_search.errors import (
     RunAbortedError,
 )
 from answer_or_search.evaluation import read_report
+from answer_or_search.inference import CACHE_FILE, ResponseCache
 from answer_or_search.mock_service import Script, serve
 
-from conftest import stub_post
+from conftest import cache_rows, stub_post, write_cache_row
 
 # (question, gold, model answer, logprob): 3 correct with low perplexity,
 # 3 wrong with high perplexity, so PPL-t separates them cleanly.
@@ -190,15 +191,17 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
         progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
         assert progress["done"] == ["d1"]
         assert progress["failed"] == "d2"
+        # The aborted run closed the cache: no write-ahead log is left behind.
+        assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
     finally:
         replacement.close()
 
 
-def _cache_entry(workspace, question: str) -> Path:
-    """The cache file holding the response to ``question``'s prompt."""
-    for path in (workspace["tmp"] / "cache").glob("*.json"):
-        if json.loads(path.read_text())["request"]["prompt"] == question:
-            return path
+def _cache_key(workspace, question: str) -> str:
+    """The key of the cached response to ``question``'s prompt."""
+    for key, entry in cache_rows(workspace["tmp"] / "cache").items():
+        if json.loads(entry)["request"]["prompt"] == question:
+            return key
     raise AssertionError(f"no cache entry for {question!r}")
 
 
@@ -207,16 +210,17 @@ def test_infer_refetches_corrupt_cache_entries(workspace):
     run(workspace, "infer", "--split", "dev")
     predictions = workspace["out"] / "predictions.dev.jsonl"
     first = predictions.read_bytes()
-    truncated = _cache_entry(workspace, DEV_ROWS[0][0])
-    no_logprobs = _cache_entry(workspace, DEV_ROWS[3][0])
-    originals = {path: path.read_bytes() for path in (truncated, no_logprobs)}
-    truncated.write_bytes(originals[truncated][:20])
-    no_logprobs.write_text(json.dumps({"response": {"text": "x"}}))
+    cache = workspace["tmp"] / "cache"
+    truncated = _cache_key(workspace, DEV_ROWS[0][0])
+    no_logprobs = _cache_key(workspace, DEV_ROWS[3][0])
+    originals = {key: cache_rows(cache)[key] for key in (truncated, no_logprobs)}
+    write_cache_row(cache, truncated, originals[truncated][:20])
+    write_cache_row(cache, no_logprobs, json.dumps({"response": {"text": "x"}}))
     calls = len(workspace["service"].request_log)
 
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
     assert len(workspace["service"].request_log) == calls + 2
-    assert {path: path.read_bytes() for path in originals} == originals
+    assert {key: cache_rows(cache)[key] for key in originals} == originals
     assert predictions.read_bytes() == first
 
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
@@ -229,24 +233,92 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     run(workspace, "infer", "--split", "dev")
     predictions = workspace["out"] / "predictions.dev.jsonl"
     first = predictions.read_bytes()
-    entry = _cache_entry(workspace, DEV_ROWS[1][0])
-    original = entry.read_bytes()
+    cache = workspace["tmp"] / "cache"
+    key = _cache_key(workspace, DEV_ROWS[1][0])
+    original = cache_rows(cache)[key]
     poisoned = json.loads(original)
     poisoned["response"]["token_logprobs"] = [0.5]
-    entry.write_text(json.dumps(poisoned))
+    write_cache_row(cache, key, json.dumps(poisoned))
     calls = len(workspace["service"].request_log)
 
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
     assert workspace["service"].request_log[calls:] == [DEV_ROWS[1][0]]
-    assert entry.read_bytes() == original
+    assert cache_rows(cache)[key] == original
     assert predictions.read_bytes() == first
 
     # With the endpoint down, the entry is a miss that cannot be fetched.
-    entry.write_text(json.dumps(poisoned))
+    write_cache_row(cache, key, json.dumps(poisoned))
     workspace["service"].close()
     assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
     progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
     assert progress["failed"] == "d2"
+
+
+def test_infer_reuses_a_cache_in_the_old_one_file_per_response_layout(workspace):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = predictions.read_bytes()
+    cache = workspace["tmp"] / "cache"
+    # What earlier versions left: one <key>.json per response, holding the row's text.
+    for key, entry in cache_rows(cache).items():
+        (cache / f"{key}.json").write_bytes(entry.encode("utf-8"))
+    (cache / CACHE_FILE).unlink()
+    predictions.unlink()
+    calls = len(workspace["service"].request_log)
+
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert len(workspace["service"].request_log) == calls
+    assert predictions.read_bytes() == first
+    assert os.listdir(cache) == [CACHE_FILE]
+    assert len(cache_rows(cache)) == len(DEV_ROWS)
+
+
+def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, capsys):
+    run(workspace, "ingest")
+    path = workspace["tmp"] / "cache" / CACHE_FILE
+    path.parent.mkdir()
+    path.write_bytes(b"garbage" * 1000)
+    assert run(workspace, "infer", "--split", "dev") == EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+    assert workspace["service"].request_log == []
+
+
+def test_two_infer_processes_can_share_one_cache_dir(workspace):
+    # Two splits of 100 questions each, which the mock answers "UNKNOWN".
+    for split in ("dev", "test"):
+        path = workspace["tmp"] / "data" / f"{split}.jsonl"
+        with path.open("w") as fh:
+            for i in range(100):
+                row = {"id": f"{split}{i}", "question": f"{split} question {i}?", "answers": ["a"]}
+                fh.write(json.dumps(row) + "\n")
+        rewrite_config(
+            workspace,
+            lambda c: c["corpus"].update({split: {"path": str(path), "format": "canonical-jsonl"}}),
+        )
+    assert run(workspace, "ingest") == EXIT_OK
+    src = str(Path(answer_or_search.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "answer_or_search.cli", "infer",
+             "-c", str(workspace["config"]), "--split", split],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for split in ("dev", "test")
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == EXIT_OK, err
+    for split in ("dev", "test"):
+        lines = (workspace["out"] / f"predictions.{split}.jsonl").read_text().splitlines()
+        assert len(lines) == 100
+    assert len(cache_rows(workspace["tmp"] / "cache")) == 200
+    assert len(workspace["service"].request_log) == 200
+    # Two connections closing at the same instant can each see the other and
+    # leave the write-ahead log in place; the next process to close removes it.
+    ResponseCache(workspace["tmp"] / "cache").close()
+    assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
 
 
 def test_infer_response_that_breaks_the_contract_exits_transport_and_caches_nothing(
@@ -255,7 +327,8 @@ def test_infer_response_that_breaks_the_contract_exits_transport_and_caches_noth
     run(workspace, "ingest")
     stub_post(monkeypatch, 200, b'{"text": 5, "token_logprobs": [-0.1]}')
     assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
-    assert list((workspace["tmp"] / "cache").iterdir()) == []
+    assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
+    assert cache_rows(workspace["tmp"] / "cache") == {}
     assert not (workspace["out"] / "predictions.dev.jsonl").exists()
 
 
@@ -369,6 +442,15 @@ def test_evaluate_identity_policy(workspace):
     assert report.retention_c == 1.0
     assert report.retention_h == 1.0
     assert report.budget_cost == pytest.approx(report.base_h)
+
+
+def test_evaluate_adapted_null_id_names_file_and_line(workspace, capsys):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    adapted = workspace["tmp"] / "adapted.jsonl"
+    adapted.write_text(json.dumps({"id": None, "output": "<search>"}) + "\n")
+    assert run(workspace, "evaluate", "--split", "dev", "--adapted", str(adapted)) == EXIT_DATA
+    assert f"{adapted} at line 1: record id must be" in capsys.readouterr().err
 
 
 def test_evaluate_always_search_policy(workspace):

@@ -14,6 +14,7 @@ from answer_or_search.corpus import (
     exact_match,
     ingest,
     normalize,
+    parse_record_id,
     write_canonical,
 )
 from answer_or_search.errors import DataError
@@ -219,6 +220,28 @@ def test_ingest_canonical_fields_must_be_strings(tmp_path, change):
         ingest(path)
 
 
+def test_ingest_null_id_names_file_and_line_and_is_not_the_string_none(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    rows = [
+        {"id": "None", "question": "first?", "answers": ["a"]},
+        {"id": None, "question": "q?", "answers": ["a"]},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(DataError, match=f"{path} at line 2: record id must be"):
+        ingest(path, "canonical-jsonl", "dev")
+
+
+@pytest.mark.parametrize("value", [None, True, 1.0, [1], {"id": 1}], ids=repr)
+def test_record_id_must_be_a_string_or_an_integer(value):
+    with pytest.raises(DataError, match="record id must be a string or an integer"):
+        parse_record_id(value)
+
+
+def test_record_id_of_an_integer_is_its_digits():
+    assert parse_record_id(7) == "7"
+    assert parse_record_id("q7") == "q7"
+
+
 CANONICAL_ROW = {"id": "q1", "question": "q?", "answers": ["a", "b"], "split": "dev"}
 
 
@@ -263,6 +286,24 @@ def test_canonical_round_trip_preserves_unicode(tmp_path):
 def test_profile_round_trips_through_dict():
     profile = NormalizationProfile(stopwords=("a", "the"))
     assert NormalizationProfile.from_dict(profile.to_dict()) == profile
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"lowercase": "no"},
+        {"strip_punctuation": 1},
+        {"collapse_whitespace": None},
+        {"unicode_fold": []},
+        {"stopwords": "abc"},
+        {"stopwords": ["a", 5]},
+        {"stopwords_version": 7},
+    ],
+    ids=lambda change: f"{next(iter(change))}={next(iter(change.values()))!r}",
+)
+def test_profile_from_dict_checks_each_type(change):
+    with pytest.raises(DataError, match=f"normalization {next(iter(change))} must be"):
+        NormalizationProfile.from_dict({**DEFAULT_PROFILE.to_dict(), **change})
 
 
 def test_profile_fingerprint_tracks_content():

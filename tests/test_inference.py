@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 import tempfile
 import threading
+import uuid
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from answer_or_search.errors import (
     TransportError,
 )
 from answer_or_search.inference import (
+    CACHE_FILE,
     FewShotPool,
     GenerationClient,
     GenerationRequest,
@@ -41,11 +45,13 @@ from answer_or_search.mock_service import Script, serve
 from conftest import (
     ANY_LINE,
     JSON_VALUES,
+    cache_rows,
     damaged,
     make_corpus,
     make_prediction,
     make_record,
     stub_post,
+    write_cache_row,
 )
 
 logprob_lists = st.lists(
@@ -145,6 +151,17 @@ def test_predictions_file_round_trip(tmp_path):
     preds = [make_prediction("q1", "Paris", (-0.1, -0.2)), make_prediction("q2", "Lyon")]
     path = write_predictions(preds, tmp_path / "preds.jsonl")
     assert read_predictions(path) == preds
+
+
+def test_read_predictions_null_id_names_file_and_line(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    rows = [
+        make_prediction("None", "Paris").to_dict(),
+        {**make_prediction("q2", "x").to_dict(), "id": None},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(DataError, match=f"{path} at line 2: record id must be"):
+        read_predictions(path)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +301,124 @@ UNUSABLE_ENTRIES = {
 
 @pytest.mark.parametrize("content", UNUSABLE_ENTRIES.values(), ids=UNUSABLE_ENTRIES.keys())
 def test_cache_unusable_entry_is_a_miss(tmp_path, content):
-    cache = ResponseCache(tmp_path)
+    # Written as a file of the earlier one-file-per-response layout, imported on open.
     key = ResponseCache.key("m", "p", 32)
     (tmp_path / f"{key}.json").write_bytes(content)
-    assert cache.get(key) is None
+    with ResponseCache(tmp_path) as cache:
+        assert key in cache
+        assert cache.get(key) is None
+    assert os.listdir(tmp_path) == [CACHE_FILE]
+
+
+@pytest.mark.parametrize("content", UNUSABLE_ENTRIES.values(), ids=UNUSABLE_ENTRIES.keys())
+def test_cache_unusable_row_is_a_miss(tmp_path, content):
+    key = ResponseCache.key("m", "p", 32)
+    with ResponseCache(tmp_path) as cache:
+        write_cache_row(tmp_path, key, content)
+        assert key in cache
+        assert cache.get(key) is None
+        cache.put(key, {"response": {"text": "x", "token_logprobs": [-1.0]}})
+        assert cache.get(key)["response"]["text"] == "x"
+
+
+def test_cache_imports_legacy_files_once_and_deletes_them(tmp_path):
+    stored, legacy_only = ResponseCache.key("m", "p", 32), ResponseCache.key("m", "q", 32)
+    with ResponseCache(tmp_path) as cache:
+        cache.put(stored, {"response": {"text": "row", "token_logprobs": [-1.0]}})
+    file_text = '{"response": {"text": "file", "token_logprobs": [-1.0]}}'
+    (tmp_path / f"{stored}.json").write_text(file_text)
+    legacy_text = '{"response": {"text": "caf\u00e9", "token_logprobs": [-2.0]}}'
+    (tmp_path / f"{legacy_only}.json").write_text(legacy_text, encoding="utf-8")
+    # Only <64 hex digits>.json is a legacy entry; nothing else is touched.
+    keep = ["notes.json", f"{legacy_only}.json.123.tmp", f"{legacy_only.upper()}.json"]
+    for name in keep:
+        (tmp_path / name).write_text("{}")
+
+    with ResponseCache(tmp_path) as cache:
+        assert cache.get(stored)["response"]["text"] == "row"  # a stored row wins
+        assert cache.get(legacy_only)["response"]["text"] == "caf\u00e9"
+    assert sorted(os.listdir(tmp_path)) == sorted([CACHE_FILE, *keep])
+    assert cache_rows(tmp_path)[legacy_only] == legacy_text
+    assert len(cache_rows(tmp_path)) == 2
+
+
+def test_cache_close_leaves_only_the_database_file(tmp_path):
+    cache = ResponseCache(tmp_path)
+    cache.put("k", {"response": {"text": "x", "token_logprobs": [-1.0]}})
+    assert sorted(os.listdir(tmp_path)) == [CACHE_FILE, f"{CACHE_FILE}-shm", f"{CACHE_FILE}-wal"]
+    cache.close()
+    assert os.listdir(tmp_path) == [CACHE_FILE]
+    with ResponseCache(tmp_path) as reopened:
+        assert reopened.get("k")["response"]["text"] == "x"
+
+
+def test_cache_file_that_is_not_a_database_is_a_data_error_naming_it(tmp_path):
+    (tmp_path / CACHE_FILE).write_bytes(b"not a database" * 100)
+    with pytest.raises(DataError, match=str(tmp_path / CACHE_FILE)):
+        ResponseCache(tmp_path)
+
+
+def test_cache_directory_that_cannot_be_made_is_a_data_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(DataError, match="cannot be opened"):
+        ResponseCache(tmp_path / "file" / "cache")
+
+
+def test_caches_opened_at_once_on_a_new_file_all_open(tmp_path):
+    # SQLite refuses a second connection's switch to WAL at once, without the
+    # busy timeout, while the first is creating the file; open must wait.
+    for round_ in range(20):
+        directory = tmp_path / str(round_)
+        start = threading.Barrier(4)
+        errors = []
+
+        def open_and_close() -> None:
+            start.wait(timeout=10)
+            try:
+                ResponseCache(directory).close()
+            except DataError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=open_and_close) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+
+def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
+    def entry(i: int) -> dict:
+        return {"response": {"text": f"t{i}", "token_logprobs": [-float(i)]}}
+
+    errors = []
+
+    def worker(start: int) -> None:
+        try:
+            for i in range(start, 400, 8):
+                key = str(i)
+                if cache.get(key) is None:
+                    cache.put(key, entry(i))
+                assert key in cache
+        except Exception as exc:  # reported by the test thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ResponseCache(tmp_path) as cache:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert all(cache.get(str(i)) == entry(i) for i in range(400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(cache_rows(tmp_path)) == 400
 
 
 # ---------------------------------------------------------------------------
@@ -394,24 +525,25 @@ def test_generate_rejects_a_breach_of_the_contract_before_caching(
     with pytest.raises(error):
         client.generate(GenerationRequest("q?"))
     assert posts == ["http://stub"]  # not retried
-    assert list(tmp_path.iterdir()) == []
+    assert cache_rows(tmp_path) == {}
 
 
 def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
     stub_post(monkeypatch, 200, b'{"text": "x", "token_logprobs": [-0.5, 0], "extra": 1}')
     client = GenerationClient("http://stub", "m", ResponseCache(tmp_path))
     assert client.generate(GenerationRequest("q?")) == {"text": "x", "token_logprobs": [-0.5, 0]}
-    (entry,) = tmp_path.iterdir()
-    assert json.loads(entry.read_bytes())["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
+    (entry,) = cache_rows(tmp_path).values()
+    assert json.loads(entry)["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
 
 
 def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_path, monkeypatch):
     stub_post(monkeypatch, 200, b'{"text": "Caf\\u00e9", "token_logprobs": [-0.5, 0]}')
     client = GenerationClient("http://stub", "m", ResponseCache(tmp_path))
     client.generate(GenerationRequest("q \u00e9?"))
-    (entry,) = tmp_path.iterdir()
-    assert entry.name == "310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993.json"
-    assert entry.read_bytes() == (
+    ((key, entry),) = cache_rows(tmp_path).items()
+    assert key == "310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993"
+    # The text of the file an earlier version wrote for this request, non-ASCII kept.
+    assert entry.encode("utf-8") == (
         b'{"request": {"model_tag": "m", "prompt": "q \xc3\xa9?", "max_new_tokens": 32, '
         b'"decoding": "greedy"}, "response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
     )
@@ -430,19 +562,34 @@ BODIES = (RESPONSE_LIKE | JSON_VALUES).map(lambda doc: json.dumps(doc).encode())
 )
 
 
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One cache for every example of a property test: opening one costs fsyncs."""
+    with ResponseCache(tmp_path_factory.mktemp("shared_cache")) as cache:
+        yield cache
+
+
 @given(status=st.just(200) | st.integers(100, 599), body=BODIES)
 @settings(max_examples=300, deadline=None)
-def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(status, body):
-    with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as cache_dir:
+def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(
+    shared_cache, status, body
+):
+    # A prompt no earlier example used, so this example's request is a miss.
+    request = GenerationRequest(f"{uuid.uuid4()}?")
+    key, stored_request = ResponseCache.entry("m", request.prompt, request.max_new_tokens)
+    rows_before = len(cache_rows(shared_cache.directory))
+    with pytest.MonkeyPatch.context() as monkeypatch:
         stub_post(monkeypatch, status, body)
-        client = GenerationClient("http://stub", "m", ResponseCache(cache_dir), max_retries=0)
+        client = GenerationClient("http://stub", "m", shared_cache, max_retries=0)
         try:
-            response = client.generate(GenerationRequest("q?"))
+            response = client.generate(request)
         except (TransportError, CapabilityError):
-            assert list(Path(cache_dir).iterdir()) == []
+            assert len(cache_rows(shared_cache.directory)) == rows_before
         else:
             check_response(response)
-            assert len(list(Path(cache_dir).iterdir())) == 1
+            rows = cache_rows(shared_cache.directory)
+            assert len(rows) == rows_before + 1
+            assert json.loads(rows[key]) == {"request": stored_request, "response": response}
 
 
 @st.composite
@@ -587,19 +734,19 @@ def test_run_corpus_abort_lists_cached_records_after_the_failure(tmp_path):
 def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     corpus = _three_record_corpus()
     cache = _warm(tmp_path, corpus)
-    entry = tmp_path / f"{ResponseCache.key('m', 'second question?', 32)}.json"
-    original = entry.read_bytes()
+    key = ResponseCache.key("m", "second question?", 32)
+    original = cache_rows(tmp_path)[key]
     poisoned = json.loads(original)
     poisoned["response"]["token_logprobs"] = [0.5]
     with _scripted_service() as service:
         client = GenerationClient(service.url, "m", cache, timeout=5)
         first = run_corpus(corpus, "zeroshot-qa", client)
-        entry.write_text(json.dumps(poisoned))
+        write_cache_row(tmp_path, key, json.dumps(poisoned))
         assert run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2) == first
         assert service.request_log == ["second question?"]
-    assert entry.read_bytes() == original
+    assert cache_rows(tmp_path)[key] == original
 
-    entry.write_text(json.dumps(poisoned))
+    write_cache_row(tmp_path, key, json.dumps(poisoned))
     client = GenerationClient("http://127.0.0.1:1", "m", cache, max_retries=0, timeout=0.5)
     with pytest.raises(RunAbortedError) as excinfo:
         run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)

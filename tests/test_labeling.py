@@ -206,6 +206,40 @@ def test_read_masked_dataset_rejects_a_search_token_that_is_not_a_string(tmp_pat
         read_masked_dataset(path)
 
 
+def test_read_masked_dataset_rejects_a_profile_of_the_wrong_types(tmp_path):
+    profile = {
+        "lowercase": "no",
+        "strip_punctuation": 1,
+        "stopwords": "abc",
+        "collapse_whitespace": None,
+        "unicode_fold": [],
+        "stopwords_version": 7,
+    }
+    manifest = {
+        **MANIFEST, "provenance": {**MANIFEST["provenance"], "normalization_profile": profile}
+    }
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in ROWS))
+    manifest_path_for(path).write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match="normalization lowercase must be true or false"):
+        read_masked_dataset(path)
+    manifest["provenance"]["normalization_profile"] = {
+        **DEFAULT_PROFILE.to_dict(), "stopwords": "abc"
+    }
+    manifest_path_for(path).write_text(json.dumps(manifest))
+    with pytest.raises(DataError, match=f"{manifest_path_for(path)}: normalization stopwords"):
+        read_masked_dataset(path)
+
+
+def test_read_masked_dataset_null_id_names_file_and_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    rows = [ROWS[0], {**ROWS[1], "id": None}]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    manifest_path_for(path).write_text(json.dumps(MANIFEST))
+    with pytest.raises(DataError, match=f"{path} at line 2: record id must be"):
+        read_masked_dataset(path)
+
+
 @given(
     st.lists(st.sampled_from(ROWS).flatmap(damaged).map(json.dumps) | ANY_LINE, max_size=3),
     damaged(MANIFEST).map(json.dumps) | ANY_LINE,
