@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,14 +296,15 @@ def _fewshot_pool(config: PipelineConfig) -> FewShotPool | None:
 def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
     corpus = _load_split(config, args.split)
     pool = _fewshot_pool(config)
-    with ResponseCache(config.cache_dir) as cache:
-        client = GenerationClient(
+    with ResponseCache(config.cache_dir) as cache, closing(
+        GenerationClient(
             config.endpoint_url,
             config.model_tag,
             cache,
             max_retries=config.max_retries,
             timeout=config.timeout,
         )
+    ) as client:
         try:
             predictions = run_corpus(
                 corpus,

@@ -9,13 +9,14 @@ a run: one that breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it resolves every cached record in the
 calling thread and hands only misses to a thread pool, at most
-``max_in_flight`` at a time. The HTTP stack (``requests``) is imported, and
-each worker thread's session built, on the first miss only, so a fully
-cached run starts no worker thread and never loads it.
+``max_in_flight`` at a time. The HTTP stack (``http.client``) is imported,
+and each worker thread's keep-alive connection opened, on the first miss
+only, so a fully cached run starts no worker thread and never loads it.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
@@ -28,10 +29,11 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
 
 from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, QaRecord, parse_record_id
 from .errors import (
@@ -294,6 +296,9 @@ _LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 #: How long a statement waits for another connection's lock before it fails.
 _BUSY_SECONDS = 5.0
 
+#: Rows :meth:`ResponseCache.put` buffers before it commits them in one transaction.
+_COMMIT_ROWS = 64
+
 
 class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
@@ -302,17 +307,22 @@ class ResponseCache:
     prompt, and decoding parameters. Each entry is one row of JSON text. The
     file is in WAL mode, so several processes may share a ``cache_dir``, and
     one connection serves every thread of this process, its statements taken
-    in turn under a lock. Response files of the earlier one-file-per-response
-    layout are imported on open and then deleted. Any SQLite failure is a
-    :class:`DataError` naming the file. Use it as a context manager, or call
-    :meth:`close`: the last connection to close folds the write-ahead log
-    back into the file and removes it.
+    in turn under a lock. :meth:`put` buffers rows in memory, where
+    :meth:`get` and ``in`` see them at once, and commits them
+    :data:`_COMMIT_ROWS` at a time and on :meth:`close`: a short write
+    transaction per group, never one held across a request. Response files
+    of the earlier one-file-per-response layout are imported on open and
+    then deleted. Any SQLite failure is a :class:`DataError` naming the
+    file. Use it as a context manager, or call :meth:`close`: the last
+    connection to close folds the write-ahead log back into the file and
+    removes it.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILE
         self._lock = threading.Lock()
+        self._pending: dict[str, str] = {}  # key -> entry text, not yet committed
         self._db: sqlite3.Connection | None = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -376,7 +386,13 @@ class ResponseCache:
             path.unlink(missing_ok=True)
 
     def close(self) -> None:
-        if self._db is not None:
+        """Commit the buffered rows, then close the connection."""
+        if self._db is None:
+            return
+        try:
+            with self._lock:
+                self._commit_pending()
+        finally:
             db, self._db = self._db, None
             db.close()
 
@@ -387,11 +403,25 @@ class ResponseCache:
         self.close()
 
     def _query(self, sql: str, params: tuple = ()) -> list[tuple]:
-        with self._lock:
-            try:
-                return self._db.execute(sql, params).fetchall()
-            except sqlite3.Error as exc:
-                raise DataError(f"response cache {self.path}: {exc}") from exc
+        """Run one statement; the caller holds the lock."""
+        try:
+            return self._db.execute(sql, params).fetchall()
+        except sqlite3.Error as exc:
+            raise DataError(f"response cache {self.path}: {exc}") from exc
+
+    def _commit_pending(self) -> None:
+        """Write the buffered rows in one transaction; the caller holds the lock."""
+        if not self._pending:
+            return
+        try:
+            self._db.execute("BEGIN IMMEDIATE")
+            with self._db:
+                self._db.executemany(
+                    "INSERT OR REPLACE INTO entries VALUES (?, ?)", self._pending.items()
+                )
+        except sqlite3.Error as exc:
+            raise DataError(f"response cache {self.path}: {exc}") from exc
+        self._pending.clear()
 
     @staticmethod
     def entry(model_tag: str, prompt: str, max_new_tokens: int) -> tuple[str, dict]:
@@ -415,7 +445,19 @@ class ResponseCache:
 
     def __contains__(self, key: str) -> bool:
         """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
-        return bool(self._query("SELECT 1 FROM entries WHERE key = ?", (key,)))
+        with self._lock:
+            return key in self._pending or bool(
+                self._query("SELECT 1 FROM entries WHERE key = ?", (key,))
+            )
+
+    def __len__(self) -> int:
+        """The number of entries, committed or buffered."""
+        with self._lock:
+            (committed,) = self._query("SELECT COUNT(*) FROM entries")[0]
+            return committed + sum(
+                not self._query("SELECT 1 FROM entries WHERE key = ?", (key,))
+                for key in self._pending
+            )
 
     def get(self, key: str) -> dict | None:
         """The stored entry, or None when it is missing or unusable.
@@ -425,21 +467,26 @@ class ResponseCache:
         wrote), is a miss, so the caller fetches again and ``put`` replaces
         it. Every entry returned therefore builds a :class:`Prediction`.
         """
-        rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
-        if not rows:
-            return None
+        with self._lock:
+            text = self._pending.get(key)
+            if text is None:
+                rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
+                if not rows:
+                    return None
+                text = rows[0][0]
         try:
-            entry = json.loads(rows[0][0])
+            entry = json.loads(text)
             check_response(entry["response"])
         except (ValueError, KeyError, TypeError, RecursionError, DataError):
             return None
         return entry
 
     def put(self, key: str, payload: dict) -> None:
-        self._query(
-            "INSERT OR REPLACE INTO entries VALUES (?, ?)",
-            (key, json.dumps(payload, ensure_ascii=False)),
-        )
+        text = json.dumps(payload, ensure_ascii=False)
+        with self._lock:
+            self._pending[key] = text
+            if len(self._pending) >= _COMMIT_ROWS:
+                self._commit_pending()
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +494,36 @@ class ResponseCache:
 # ---------------------------------------------------------------------------
 
 _RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+
+#: Retryable statuses whose ``Retry-After`` header is honoured.
+_RETRY_AFTER_STATUS = frozenset({429, 503})
+
+
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """The wait a ``Retry-After`` value in delta-seconds asks for, at most ``cap``.
+
+    None when there is no value, or it is an HTTP-date or anything else that
+    is not a run of ASCII digits.
+    """
+    if value is None:
+        return None
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(int(value), cap)
+
+
+def _exchange(
+    conn: http.client.HTTPConnection, target: str, body: bytes, headers: dict[str, str]
+) -> tuple[int, Mapping[str, str], bytes]:
+    """One POST and its whole response; a failure leaves ``conn`` closed."""
+    try:
+        conn.request("POST", target, body, headers)
+        resp = conn.getresponse()
+        return resp.status, resp.headers, resp.read()
+    except BaseException:
+        conn.close()
+        raise
 
 
 class GenerationClient:
@@ -458,9 +535,13 @@ class GenerationClient:
     the operator to enable them. Any other breach, and every failure to
     reach the endpoint, is a :class:`TransportError`; a breach is not retried.
 
-    Each thread that fetches gets its own ``requests.Session``, built on its
-    first fetch, because requests does not promise that one session is safe
-    to share between threads.
+    Each thread that fetches keeps one keep-alive ``http.client`` connection,
+    opened on its first fetch, since a connection carries one request at a
+    time. ``http_proxy``, ``https_proxy`` and ``no_proxy`` are read from the
+    environment. A connection failure, a timeout or a status in
+    ``_RETRYABLE_STATUS`` is retried with exponential backoff; on a 429 or
+    503, a ``Retry-After`` in seconds, capped at ``timeout``, replaces that
+    attempt's backoff. A redirect is not followed.
     """
 
     def __init__(
@@ -480,8 +561,16 @@ class GenerationClient:
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
         self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        self._headers = {"Content-Type": "application/json"}
         token = os.environ.get(AUTH_TOKEN_ENV)
-        self._headers = {"Authorization": f"Bearer {token}"} if token else {}
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
+
+    def close(self) -> None:
+        """Close every connection this client opened; a later fetch reopens it."""
+        for conn in self._opened:
+            conn.close()
 
     def generate(self, request: GenerationRequest, entry: tuple[str, dict] | None = None) -> dict:
         """Return ``{"text", "token_logprobs"}``, from cache when possible.
@@ -502,46 +591,120 @@ class GenerationClient:
     def _fetch(self, request: GenerationRequest) -> dict:
         # Imported here, not at module level: a run whose every record is
         # cached never pays for loading the HTTP stack.
-        import requests
+        import http.client
 
-        body = {
-            "prompt": request.prompt,
-            "max_new_tokens": request.max_new_tokens,
-            "greedy": True,
-            "logprobs": True,
-        }
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
+        body = json.dumps(
+            {
+                "prompt": request.prompt,
+                "max_new_tokens": request.max_new_tokens,
+                "greedy": True,
+                "logprobs": True,
+            }
+        ).encode("utf-8")
         last_error: Exception | None = None
+        delay = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                time.sleep(self.backoff_seconds * (2 ** (attempt - 1)))
+                time.sleep(delay)
+            delay = self.backoff_seconds * (2**attempt)
             try:
-                resp = session.post(
-                    self.endpoint, json=body, headers=self._headers, timeout=self.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                status, headers, payload = self._post(body)
+            except (ValueError, http.client.InvalidURL) as exc:  # a URL or header it refuses
+                raise TransportError(f"request to {self.endpoint!r} failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            except requests.RequestException as exc:
-                raise TransportError(f"request to {self.endpoint!r} failed: {exc}") from exc
-            if resp.status_code in _RETRYABLE_STATUS:
-                last_error = TransportError(
-                    f"endpoint returned HTTP {resp.status_code}"
-                )
+            if status in _RETRYABLE_STATUS:
+                last_error = TransportError(f"endpoint returned HTTP {status}")
+                if status in _RETRY_AFTER_STATUS:
+                    asked = _retry_after(headers.get("Retry-After"), self.timeout)
+                    delay = delay if asked is None else asked
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"endpoint returned HTTP {resp.status_code}")
-            return self._parse(resp)
+            if 300 <= status < 400:
+                raise TransportError(
+                    f"endpoint returned HTTP {status} redirecting to "
+                    f"{headers.get('Location')!r}; redirects are not followed"
+                )
+            if status != 200:
+                raise TransportError(f"endpoint returned HTTP {status}")
+            return self._parse(payload)
         raise TransportError(
             f"endpoint failed after {self.max_retries + 1} attempts: {last_error}"
         )
 
-    @staticmethod
-    def _parse(resp: requests.Response) -> dict:
+    def _post(self, body: bytes) -> tuple[int, Mapping[str, str], bytes]:
+        """POST ``body`` on this thread's connection: (status, headers, body).
+
+        A server may close a kept-alive connection while it sits idle, which
+        shows only when the connection is used again. So a request that meets
+        a connection error on a reused connection is sent once more, at once,
+        on a fresh one; that costs no attempt and no backoff.
+        """
+        route = getattr(self._local, "route", None)
+        if route is None:
+            route = self._local.route = self._route()
+        conn, target, headers = route
+        if conn.sock is not None:
+            try:
+                return _exchange(conn, target, body, headers)
+            except ConnectionError:
+                pass  # conn is closed now, so the exchange below reconnects
+        return _exchange(conn, target, body, headers)
+
+    def _route(self) -> tuple[http.client.HTTPConnection, str, dict[str, str]]:
+        """A new connection, the request target and the headers to send.
+
+        The connection goes to the endpoint, or to the proxy that the
+        environment names for its scheme. A plain-HTTP endpoint is asked of
+        the proxy by absolute URL; an HTTPS one is reached through a CONNECT
+        tunnel, with the default verified TLS context either way.
+        """
+        import http.client
+        import urllib.request
+
         try:
-            payload = resp.json()
+            url = urlsplit(self.endpoint)
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ValueError("not an http:// or https:// URL")
+            port = url.port or (443 if url.scheme == "https" else 80)
+            proxy = None
+            if not urllib.request.proxy_bypass(url.hostname):
+                proxy = urllib.request.getproxies().get(url.scheme)
+            if proxy is not None:
+                proxy_url = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                if proxy_url.scheme != "http" or not proxy_url.hostname:
+                    raise ValueError(f"proxy {proxy!r} is not an http:// URL")
+                proxy_port = proxy_url.port or 80
+        except ValueError as exc:
+            raise TransportError(f"request to {self.endpoint!r} failed: {exc}") from exc
+
+        target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        headers = dict(self._headers)
+        https = url.scheme == "https"
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        if proxy is None:
+            conn = connection(url.hostname, port, timeout=self.timeout)
+        else:
+            conn = connection(proxy_url.hostname, proxy_port, timeout=self.timeout)
+            auth = {}
+            if proxy_url.username is not None:
+                user = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(
+                    user.encode("utf-8")
+                ).decode("ascii")
+            if https:
+                conn.set_tunnel(url.hostname, port, headers=auth)
+            else:
+                headers.update(auth)
+                authority = url.netloc.rpartition("@")[2]
+                target = urlunsplit((url.scheme, authority, url.path or "/", url.query, ""))
+        self._opened.append(conn)
+        return conn, target, headers
+
+    @staticmethod
+    def _parse(body: bytes) -> dict:
+        try:
+            payload = json.loads(body)
         except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
             raise TransportError(f"endpoint returned non-JSON body: {exc}") from exc
         has_text = isinstance(payload, dict) and "text" in payload

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
+import socket
 import sqlite3
 import tempfile
+import threading
 from contextlib import closing
 from pathlib import Path
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from answer_or_search.corpus import Corpus, QaRecord
 from answer_or_search.errors import DataError
-from answer_or_search.inference import CACHE_FILE, Prediction
+from answer_or_search.inference import CACHE_FILE, GenerationClient, Prediction
 
 #: Any JSON value, a little nested.
 JSON_VALUES = st.recursive(
@@ -70,24 +73,93 @@ def make_prediction(
     return Prediction.build(rec_id, text, logprobs, model_tag, prompt_style)
 
 
-def stub_post(monkeypatch, status: int, body: bytes) -> list[str]:
-    """Make every ``requests.Session.post`` answer ``status`` with ``body``.
+def stub_post(monkeypatch, status: int, body: bytes, headers: dict | None = None) -> list[str]:
+    """Make every POST of a :class:`GenerationClient` answer ``status`` with
+    ``body`` and ``headers``, with no connection opened.
 
-    Returns the list that each post appends its URL to.
+    Returns the list that each post appends the client's endpoint URL to.
     """
-    import requests
-
     posts = []
 
-    def post(self, url, *args, **kwargs):
-        posts.append(url)
-        resp = requests.Response()
-        resp.status_code = status
-        resp._content = body
-        return resp
+    def post(self, payload: bytes):
+        posts.append(self.endpoint)
+        return status, headers or {}, body
 
-    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setattr(GenerationClient, "_post", post)
     return posts
+
+
+def http_response(status: str, body: bytes = b"", headers: dict | None = None) -> bytes:
+    """The raw bytes of an HTTP/1.1 response with ``body``."""
+    fields = {"Content-Length": str(len(body)), **(headers or {})}
+    head = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+    return f"HTTP/1.1 {status}\r\n{head}\r\n".encode("ascii") + body
+
+
+def ok_response(text: str) -> bytes:
+    return http_response("200 OK", json.dumps({"text": text, "token_logprobs": [-0.5]}).encode())
+
+
+class RawServer:
+    """A TCP server that answers from a script of raw responses, one connection at a time.
+
+    ``script`` holds, for each connection in the order they are accepted, the
+    responses to send, one per request read; the connection is closed after
+    its last one. ``requests[i]`` lists the heads (request line and header
+    lines) of the requests read on connection ``i``, and ``closed[i]`` is set
+    once it is closed.
+    """
+
+    def __init__(self, script: list[list[bytes]]) -> None:
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(10)
+        self.port = self._listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        self.script = script
+        self.requests: list[list[str]] = [[] for _ in script]
+        self.closed = [threading.Event() for _ in script]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        for i, responses in enumerate(self.script):
+            conn, _ = self._listener.accept()
+            with conn, conn.makefile("rb") as reader:
+                for response in responses:
+                    head = _read_request(reader)
+                    if head is None:
+                        break
+                    self.requests[i].append(head)
+                    conn.sendall(response)
+            self.closed[i].set()
+
+    def close(self) -> None:
+        self._listener.close()
+        self._thread.join(timeout=10)
+
+    def __enter__(self) -> "RawServer":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _read_request(reader) -> str | None:
+    """Read one request and return its head; None at end of stream."""
+    head = []
+    length = 0
+    while True:
+        line = reader.readline()
+        if not line:
+            return None
+        if line == b"\r\n":
+            break
+        head.append(line.decode("latin-1"))
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    reader.read(length)
+    return "".join(head)
 
 
 @pytest.fixture

@@ -191,7 +191,9 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
         progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
         assert progress["done"] == ["d1"]
         assert progress["failed"] == "d2"
-        # The aborted run closed the cache: no write-ahead log is left behind.
+        # The aborted run committed the response it fetched and closed the
+        # cache: no write-ahead log is left behind.
+        assert len(cache_rows(workspace["tmp"] / "cache")) == 1
         assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
     finally:
         replacement.close()
@@ -332,6 +334,18 @@ def test_infer_response_that_breaks_the_contract_exits_transport_and_caches_noth
     assert not (workspace["out"] / "predictions.dev.jsonl").exists()
 
 
+def test_infer_on_a_redirect_exits_transport_naming_the_status_and_location(
+    workspace, monkeypatch, capsys
+):
+    run(workspace, "ingest")
+    rewrite_config(workspace, lambda c: c.update(max_in_flight=1))
+    posts = stub_post(monkeypatch, 307, b"", {"Location": "http://elsewhere/"})
+    assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
+    err = capsys.readouterr().err
+    assert "HTTP 307" in err and "'http://elsewhere/'" in err
+    assert len(posts) == 1  # not followed
+
+
 def test_split_outside_the_known_splits_is_a_usage_error(workspace, capsys):
     run(workspace, "ingest")
     with pytest.raises(SystemExit) as excinfo:
@@ -355,7 +369,7 @@ def test_warm_infer_never_loads_the_http_stack(workspace):
         "import sys\n"
         "from answer_or_search.cli import main\n"
         f"code = main(['infer', '-c', {str(workspace['config'])!r}, '--split', 'dev'])\n"
-        "print(code, 'requests' in sys.modules)\n"
+        "print(code, 'http.client' in sys.modules)\n"
     )
     src = str(Path(answer_or_search.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import http.client
 import json
 import math
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +32,11 @@ def test_scripted_prompt_round_trip(tmp_path):
 
 def test_unknown_prompt_gets_the_default_entry():
     with serve(Script()) as service:
-        resp = requests.post(service.url, json={"prompt": "never scripted"}, timeout=5)
-    assert resp.json() == {"text": "UNKNOWN", "token_logprobs": [-5.0]}
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=5)
+        conn.request("POST", "/", json.dumps({"prompt": "never scripted"}))
+        body = conn.getresponse().read()
+        conn.close()
+    assert json.loads(body) == {"text": "UNKNOWN", "token_logprobs": [-5.0]}
     assert DEFAULT_ENTRY.text == "UNKNOWN"
 
 
