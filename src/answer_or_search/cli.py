@@ -44,6 +44,7 @@ from .evaluation import Judgment, evaluate_pair, judge, read_report, render_tabl
 from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
 from .inference import (
     DEFAULT_MAX_NEW_TOKENS,
+    DEFAULT_TEMPLATE,
     PROMPT_STYLES,
     FewShotPool,
     GenerationClient,
@@ -211,7 +212,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             _get(raw, "search_token", str, DEFAULT_SEARCH_TOKEN, str.strip, "non-empty")
         ),
         prompt_style=_get(raw, "prompt.style", str, "zeroshot-qa", PROMPT_STYLES),
-        template=_get(raw, "prompt.template", str, "{q}"),
+        template=_get(raw, "prompt.template", str, DEFAULT_TEMPLATE),
         fewshot_k=_get(
             raw, "prompt.fewshot_k", int, 16, lambda k: k > 0 and k % 2 == 0, "even and positive"
         ),

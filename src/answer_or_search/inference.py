@@ -27,9 +27,9 @@ import sqlite3
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -108,18 +108,15 @@ class GenerationRequest:
             raise ConfigError("max_new_tokens must be a positive integer")
 
 
-_DERIVED: Any = object()  # the perplexity Prediction.build passes; no file holds it
-
-
 @dataclass(frozen=True)
 class Prediction:
-    """A model's answer, checked by :func:`check_response`; ``perplexity``
-    must match its log-probabilities, and :meth:`build` derives it."""
+    """A model's answer, checked by :func:`check_response`, which also gives
+    its ``perplexity``."""
 
     record_id: str
     text: str
     token_logprobs: tuple[float, ...]
-    perplexity: float
+    perplexity: float = field(init=False)
     model_tag: str
     prompt_style: str
 
@@ -131,36 +128,11 @@ class Prediction:
         if not isinstance(self.model_tag, str):
             raise DataError(f"record {self.record_id}: model_tag {self.model_tag!r} is not a string")
         try:
-            expected = check_response({"text": self.text, "token_logprobs": self.token_logprobs})
+            ppl = check_response({"text": self.text, "token_logprobs": self.token_logprobs})
         except DataError as exc:
             raise DataError(f"record {self.record_id}: {exc}") from exc
-        if self.perplexity is _DERIVED:
-            object.__setattr__(self, "perplexity", expected)
-        elif not is_number(self.perplexity) or not math.isclose(
-            self.perplexity, expected, rel_tol=1e-9
-        ):
-            raise DataError(
-                f"record {self.record_id}: perplexity {self.perplexity!r} is not the number "
-                f"its log-probabilities give ({expected})"
-            )
-
-    @classmethod
-    def build(
-        cls,
-        record_id: str,
-        text: str,
-        token_logprobs: Sequence[float],
-        model_tag: str,
-        prompt_style: str,
-    ) -> "Prediction":
-        return cls(
-            record_id=record_id,
-            text=text,
-            token_logprobs=tuple(token_logprobs),
-            perplexity=_DERIVED,
-            model_tag=model_tag,
-            prompt_style=prompt_style,
-        )
+        object.__setattr__(self, "token_logprobs", tuple(self.token_logprobs))
+        object.__setattr__(self, "perplexity", ppl)
 
     def to_dict(self) -> dict:
         return {
@@ -174,14 +146,20 @@ class Prediction:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Prediction":
-        return cls(
+        pred = cls(
             record_id=parse_record_id(raw["id"]),
             text=raw["text"],
-            token_logprobs=tuple(raw["token_logprobs"]),
-            perplexity=raw["perplexity"],
+            token_logprobs=raw["token_logprobs"],
             model_tag=raw["model_tag"],
             prompt_style=raw["prompt_style"],
         )
+        stored = raw["perplexity"]
+        if not is_number(stored) or not math.isclose(stored, pred.perplexity, rel_tol=1e-9):
+            raise DataError(
+                f"record {pred.record_id}: perplexity {stored!r} is not the number "
+                f"its log-probabilities give ({pred.perplexity})"
+            )
+        return pred
 
 
 def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> Path:
@@ -304,18 +282,18 @@ class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
 
     Keys cover everything that can change a greedy completion: model tag,
-    prompt, and decoding parameters. Each entry is one row of JSON text. The
-    file is in WAL mode, so several processes may share a ``cache_dir``, and
-    one connection serves every thread of this process, its statements taken
-    in turn under a lock. :meth:`put` buffers rows in memory, where
-    :meth:`get` and ``in`` see them at once, and commits them
-    :data:`_COMMIT_ROWS` at a time and on :meth:`close`: a short write
-    transaction per group, never one held across a request. Response files
-    of the earlier one-file-per-response layout are imported on open and
-    then deleted. Any SQLite failure is a :class:`DataError` naming the
-    file. Use it as a context manager, or call :meth:`close`: the last
-    connection to close folds the write-ahead log back into the file and
-    removes it.
+    prompt, and decoding parameters. Each entry is one row of JSON text,
+    ``{"response": {...}}``; one an earlier version wrote also holds a copy of
+    the request, which is not read. The file is in WAL mode, so several
+    processes may share a ``cache_dir``, and one connection serves every thread
+    of this process, its statements taken in turn under a lock. :meth:`put`
+    buffers rows in memory, where :meth:`get` and ``in`` see them at once, and
+    commits them :data:`_COMMIT_ROWS` at a time and on :meth:`close`: a short
+    write transaction per group, never one held across a request. Response
+    files of the earlier one-file-per-response layout are imported on open and
+    then deleted. Any SQLite failure is a :class:`DataError` naming the file.
+    Use it as a context manager, or call :meth:`close`: the last connection to
+    close folds the write-ahead log back into the file and removes it.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -424,11 +402,11 @@ class ResponseCache:
         self._pending.clear()
 
     @staticmethod
-    def entry(model_tag: str, prompt: str, max_new_tokens: int) -> tuple[str, dict]:
-        """The key of a request and the request fields its entry stores.
+    def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
+        """The key of a request: a hash of its fields.
 
-        The key hashes those same fields. "decoding" stays among them so that
-        caches written when it was a parameter keep their keys.
+        "decoding" stays among them so that caches written when it was a
+        parameter keep their keys.
         """
         request = {
             "model_tag": model_tag,
@@ -437,11 +415,7 @@ class ResponseCache:
             "decoding": "greedy",
         }
         blob = json.dumps(request, sort_keys=True, ensure_ascii=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest(), request
-
-    @staticmethod
-    def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
-        return ResponseCache.entry(model_tag, prompt, max_new_tokens)[0]
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def __contains__(self, key: str) -> bool:
         """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
@@ -460,12 +434,12 @@ class ResponseCache:
             )
 
     def get(self, key: str) -> dict | None:
-        """The stored entry, or None when it is missing or unusable.
+        """The stored response, or None when it is missing or unusable.
 
         An entry that is not JSON, or whose ``response`` breaks the response
-        contract (a truncated or hand-edited one, or one an earlier version
-        wrote), is a miss, so the caller fetches again and ``put`` replaces
-        it. Every entry returned therefore builds a :class:`Prediction`.
+        contract (a truncated or hand-edited one, say), is a miss, so the
+        caller fetches again and ``put`` replaces it. Every response returned
+        therefore builds a :class:`Prediction`.
         """
         with self._lock:
             text = self._pending.get(key)
@@ -475,14 +449,14 @@ class ResponseCache:
                     return None
                 text = rows[0][0]
         try:
-            entry = json.loads(text)
-            check_response(entry["response"])
+            response = json.loads(text)["response"]
+            check_response(response)
         except (ValueError, KeyError, TypeError, RecursionError, DataError):
             return None
-        return entry
+        return response
 
-    def put(self, key: str, payload: dict) -> None:
-        text = json.dumps(payload, ensure_ascii=False)
+    def put(self, key: str, response: dict) -> None:
+        text = json.dumps({"response": response}, ensure_ascii=False)
         with self._lock:
             self._pending[key] = text
             if len(self._pending) >= _COMMIT_ROWS:
@@ -572,20 +546,17 @@ class GenerationClient:
         for conn in self._opened:
             conn.close()
 
-    def generate(self, request: GenerationRequest, entry: tuple[str, dict] | None = None) -> dict:
+    def generate(self, request: GenerationRequest, key: str | None = None) -> dict:
         """Return ``{"text", "token_logprobs"}``, from cache when possible.
 
-        ``entry`` is the :meth:`ResponseCache.entry` of ``request``, passed by a
+        ``key`` is the :meth:`ResponseCache.key` of ``request``, passed by a
         caller that already has it so that the prompt is hashed once.
         """
-        key, stored_request = entry or ResponseCache.entry(
-            self.model_tag, request.prompt, request.max_new_tokens
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached["response"]
-        response = self._fetch(request)
-        self.cache.put(key, {"request": stored_request, "response": response})
+        key = key or ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
+        response = self.cache.get(key)
+        if response is None:
+            response = self._fetch(request)
+            self.cache.put(key, response)
         return response
 
     def _fetch(self, request: GenerationRequest) -> dict:
@@ -760,9 +731,9 @@ def run_corpus(
     failure: tuple[int, Exception] | None = None
     pending: dict[Future, int] = {}
 
-    def fetch(index: int, request: GenerationRequest, entry: tuple[str, dict]) -> Prediction:
-        response = client.generate(request, entry)
-        return Prediction.build(
+    def fetch(index: int, request: GenerationRequest, key: str) -> Prediction:
+        response = client.generate(request, key)
+        return Prediction(
             record_id=records[index].id,
             text=response["text"],
             token_logprobs=response["token_logprobs"],
@@ -790,12 +761,12 @@ def run_corpus(
             if failure is not None:
                 break
             request = GenerationRequest(prompt=prompts[index], max_new_tokens=max_new_tokens)
-            entry = ResponseCache.entry(client.model_tag, request.prompt, max_new_tokens)
-            if entry[0] in client.cache:
+            key = ResponseCache.key(client.model_tag, request.prompt, max_new_tokens)
+            if key in client.cache:
                 # Resolved here, never in the pool. An entry that turns out
                 # unusable is fetched again by this same call.
                 try:
-                    results[index] = fetch(index, request, entry)
+                    results[index] = fetch(index, request, key)
                 except Exception as exc:  # same abort path as a pooled miss
                     fail(index, exc)
                 continue
@@ -806,7 +777,7 @@ def run_corpus(
                 collect(done)
             if failure is not None:
                 break
-            pending[executor.submit(fetch, index, request, entry)] = index
+            pending[executor.submit(fetch, index, request, key)] = index
         # Outstanding misses drain and still count as done.
         collect(wait(pending).done)
 

@@ -1,18 +1,21 @@
 """Scripted stand-in for the text-generation endpoint.
 
-Serves pre-programmed (prompt -> text, logprobs) mappings over the same wire
-protocol as the real client, so the whole pipeline can run and be tested with
-no external services. Keeps an exact request log: one entry per network
+Serves pre-programmed (prompt -> text, logprobs) mappings over HTTP/1.1 with
+keep-alive, as a real endpoint does, so the whole pipeline can run and be tested
+with no external services. Keeps an exact request log: one entry per network
 round-trip, which is how tests assert that the client cache works.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import socket
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -77,6 +80,8 @@ class Script:
         return self
 
     def lookup(self, prompt: str) -> ScriptEntry:
+        """The entry for ``prompt``; a ``by_question`` match costs one
+        ``rfind`` per scripted question on every request."""
         entry = self.exact.get(prompt)
         if entry is not None:
             return entry
@@ -137,6 +142,11 @@ def _entry_row(match: str, key: str, entry: ScriptEntry) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server: "_MockHTTPServer"
 
+    # Keep-alive, like a real endpoint. Without Nagle off, the body's write
+    # can wait behind the client's delayed ACK of the head.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
@@ -170,10 +180,27 @@ class _MockHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], script: Script) -> None:
-        super().__init__(address, _Handler)
         self.script = script
         self._log_lock = threading.Lock()
         self._request_log: list[str] = []
+        self._connections: weakref.WeakSet[socket.socket] = weakref.WeakSet()
+        super().__init__(address, _Handler)  # which calls server_close if it fails
+
+    def process_request(self, request, client_address) -> None:
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def server_close(self) -> None:
+        # Kept-alive connections end with the server, as a stopped endpoint's do.
+        super().server_close()
+        for conn in list(self._connections):
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up, say after its timeout, is not a server fault.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
     def log_request_prompt(self, prompt: str) -> None:
         with self._log_lock:

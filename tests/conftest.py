@@ -70,7 +70,7 @@ def make_prediction(
     model_tag: str = "mock-model",
     prompt_style: str = "zeroshot-qa",
 ) -> Prediction:
-    return Prediction.build(rec_id, text, logprobs, model_tag, prompt_style)
+    return Prediction(rec_id, text, logprobs, model_tag, prompt_style)
 
 
 def stub_post(monkeypatch, status: int, body: bytes, headers: dict | None = None) -> list[str]:

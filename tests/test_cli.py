@@ -23,7 +23,7 @@ from answer_or_search.errors import (
     RunAbortedError,
 )
 from answer_or_search.evaluation import read_report
-from answer_or_search.inference import CACHE_FILE, ResponseCache
+from answer_or_search.inference import CACHE_FILE, DEFAULT_MAX_NEW_TOKENS, ResponseCache
 from answer_or_search.mock_service import Script, serve
 
 from conftest import cache_rows, stub_post, write_cache_row
@@ -201,10 +201,9 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
 
 def _cache_key(workspace, question: str) -> str:
     """The key of the cached response to ``question``'s prompt."""
-    for key, entry in cache_rows(workspace["tmp"] / "cache").items():
-        if json.loads(entry)["request"]["prompt"] == question:
-            return key
-    raise AssertionError(f"no cache entry for {question!r}")
+    key = ResponseCache.key("mock-small", question, DEFAULT_MAX_NEW_TOKENS)
+    assert key in cache_rows(workspace["tmp"] / "cache"), f"no cache entry for {question!r}"
+    return key
 
 
 def test_infer_refetches_corrupt_cache_entries(workspace):
@@ -262,9 +261,20 @@ def test_infer_reuses_a_cache_in_the_old_one_file_per_response_layout(workspace)
     predictions = workspace["out"] / "predictions.dev.jsonl"
     first = predictions.read_bytes()
     cache = workspace["tmp"] / "cache"
-    # What earlier versions left: one <key>.json per response, holding the row's text.
-    for key, entry in cache_rows(cache).items():
-        (cache / f"{key}.json").write_bytes(entry.encode("utf-8"))
+    # What earlier versions left: one <key>.json per response, holding a copy
+    # of the request as well.
+    rows, old_entries = cache_rows(cache), {}
+    for question, *_ in DEV_ROWS:
+        key = ResponseCache.key("mock-small", question, DEFAULT_MAX_NEW_TOKENS)
+        request = {
+            "model_tag": "mock-small",
+            "prompt": question,
+            "max_new_tokens": DEFAULT_MAX_NEW_TOKENS,
+            "decoding": "greedy",
+        }
+        response = json.loads(rows[key])["response"]
+        old_entries[key] = json.dumps({"request": request, "response": response}, ensure_ascii=False)
+        (cache / f"{key}.json").write_text(old_entries[key], encoding="utf-8")
     (cache / CACHE_FILE).unlink()
     predictions.unlink()
     calls = len(workspace["service"].request_log)
@@ -273,7 +283,7 @@ def test_infer_reuses_a_cache_in_the_old_one_file_per_response_layout(workspace)
     assert len(workspace["service"].request_log) == calls
     assert predictions.read_bytes() == first
     assert os.listdir(cache) == [CACHE_FILE]
-    assert len(cache_rows(cache)) == len(DEV_ROWS)
+    assert cache_rows(cache) == old_entries  # imported as they are, and read as hits
 
 
 def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, capsys):

@@ -130,15 +130,17 @@ def test_prediction_build_derives_perplexity():
 
 
 def test_prediction_rejects_inconsistent_perplexity():
-    with pytest.raises(DataError):
-        Prediction(
-            record_id="q1",
-            text="Paris",
-            token_logprobs=(-0.1,),
-            perplexity=3.0,
-            model_tag="m",
-            prompt_style="zeroshot-qa",
-        )
+    row = make_prediction("q1", "Paris", (-0.1,)).to_dict()
+    for stored in (3.0, "1.1", True, None):
+        with pytest.raises(DataError, match="record q1: perplexity"):
+            Prediction.from_dict({**row, "perplexity": stored})
+    assert Prediction.from_dict({**row, "perplexity": math.exp(0.1) * (1 + 1e-12)})
+
+
+def test_prediction_rejects_a_string_of_logprobs_without_splitting_it():
+    row = {**make_prediction("q1", "x").to_dict(), "token_logprobs": "-1"}
+    with pytest.raises(DataError, match="record q1: token log-probabilities must be a non-empty"):
+        Prediction.from_dict(row)
 
 
 @pytest.mark.parametrize("text, logprobs", [(5, (0.0,)), ("x", ()), ("x", (False,))])
@@ -148,7 +150,6 @@ def test_prediction_checks_the_response_contract(text, logprobs):
             record_id="q1",
             text=text,
             token_logprobs=logprobs,
-            perplexity=1.0,
             model_tag="m",
             prompt_style="zeroshot-qa",
         )
@@ -285,13 +286,13 @@ def test_cache_round_trip(tmp_path):
     cache = ResponseCache(tmp_path)
     key = ResponseCache.key("m", "p", 32)
     assert cache.get(key) is None
-    cache.put(key, {"response": {"text": "x", "token_logprobs": [-1.0]}})
-    assert cache.get(key)["response"]["text"] == "x"
+    cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
+    assert cache.get(key) == {"text": "x", "token_logprobs": [-1.0]}
 
 
 def test_cache_rows_put_are_seen_before_they_are_committed_in_groups(tmp_path):
     def entry(i: int) -> dict:
-        return {"response": {"text": f"t{i}", "token_logprobs": [-1.0]}}
+        return {"text": f"t{i}", "token_logprobs": [-1.0]}
 
     with ResponseCache(tmp_path) as cache:
         for i in range(inference._COMMIT_ROWS - 1):
@@ -302,12 +303,12 @@ def test_cache_rows_put_are_seen_before_they_are_committed_in_groups(tmp_path):
         assert len(cache_rows(tmp_path)) == inference._COMMIT_ROWS
         cache.put("next", entry(-2))
         assert "next" in cache and cache.get("next") == entry(-2)
-    assert cache_rows(tmp_path)["next"] == json.dumps(entry(-2))
+    assert cache_rows(tmp_path)["next"] == json.dumps({"response": entry(-2)})
 
 
 def test_another_connection_commits_while_the_cache_holds_buffered_rows(tmp_path):
     with ResponseCache(tmp_path) as cache:
-        cache.put("mine", {"response": {"text": "x", "token_logprobs": [-1.0]}})
+        cache.put("mine", {"text": "x", "token_logprobs": [-1.0]})
         # No busy wait allowed: the buffered row holds no lock on the file.
         with closing(sqlite3.connect(tmp_path / CACHE_FILE, timeout=0)) as other, other:
             other.execute("INSERT INTO entries VALUES ('theirs', '{}')")
@@ -350,14 +351,14 @@ def test_cache_unusable_row_is_a_miss(tmp_path, content):
         write_cache_row(tmp_path, key, content)
         assert key in cache
         assert cache.get(key) is None
-        cache.put(key, {"response": {"text": "x", "token_logprobs": [-1.0]}})
-        assert cache.get(key)["response"]["text"] == "x"
+        cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
+        assert cache.get(key)["text"] == "x"
 
 
 def test_cache_imports_legacy_files_once_and_deletes_them(tmp_path):
     stored, legacy_only = ResponseCache.key("m", "p", 32), ResponseCache.key("m", "q", 32)
     with ResponseCache(tmp_path) as cache:
-        cache.put(stored, {"response": {"text": "row", "token_logprobs": [-1.0]}})
+        cache.put(stored, {"text": "row", "token_logprobs": [-1.0]})
     file_text = '{"response": {"text": "file", "token_logprobs": [-1.0]}}'
     (tmp_path / f"{stored}.json").write_text(file_text)
     legacy_text = '{"response": {"text": "caf\u00e9", "token_logprobs": [-2.0]}}'
@@ -368,8 +369,8 @@ def test_cache_imports_legacy_files_once_and_deletes_them(tmp_path):
         (tmp_path / name).write_text("{}")
 
     with ResponseCache(tmp_path) as cache:
-        assert cache.get(stored)["response"]["text"] == "row"  # a stored row wins
-        assert cache.get(legacy_only)["response"]["text"] == "caf\u00e9"
+        assert cache.get(stored)["text"] == "row"  # a stored row wins
+        assert cache.get(legacy_only)["text"] == "caf\u00e9"
     assert sorted(os.listdir(tmp_path)) == sorted([CACHE_FILE, *keep])
     assert cache_rows(tmp_path)[legacy_only] == legacy_text
     assert len(cache_rows(tmp_path)) == 2
@@ -377,12 +378,12 @@ def test_cache_imports_legacy_files_once_and_deletes_them(tmp_path):
 
 def test_cache_close_leaves_only_the_database_file(tmp_path):
     cache = ResponseCache(tmp_path)
-    cache.put("k", {"response": {"text": "x", "token_logprobs": [-1.0]}})
+    cache.put("k", {"text": "x", "token_logprobs": [-1.0]})
     assert sorted(os.listdir(tmp_path)) == [CACHE_FILE, f"{CACHE_FILE}-shm", f"{CACHE_FILE}-wal"]
     cache.close()
     assert os.listdir(tmp_path) == [CACHE_FILE]
     with ResponseCache(tmp_path) as reopened:
-        assert reopened.get("k")["response"]["text"] == "x"
+        assert reopened.get("k")["text"] == "x"
 
 
 def test_cache_file_that_is_not_a_database_is_a_data_error_naming_it(tmp_path):
@@ -423,7 +424,7 @@ def test_caches_opened_at_once_on_a_new_file_all_open(tmp_path):
 
 def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
     def entry(i: int) -> dict:
-        return {"response": {"text": f"t{i}", "token_logprobs": [-float(i)]}}
+        return {"text": f"t{i}", "token_logprobs": [-float(i)]}
 
     errors = []
 
@@ -720,12 +721,30 @@ def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_pa
     with ResponseCache(tmp_path) as cache:
         GenerationClient("http://stub", "m", cache).generate(GenerationRequest("q \u00e9?"))
     ((key, entry),) = cache_rows(tmp_path).items()
+    # The key earlier versions gave this request; the row holds only the
+    # response, non-ASCII kept.
     assert key == "310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993"
-    # The text of the file an earlier version wrote for this request, non-ASCII kept.
     assert entry.encode("utf-8") == (
-        b'{"request": {"model_tag": "m", "prompt": "q \xc3\xa9?", "max_new_tokens": 32, '
-        b'"decoding": "greedy"}, "response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
+        b'{"response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
     )
+
+
+#: The row an earlier version wrote for ("m", "q \u00e9?", 32): a copy of the request, too.
+OLD_ROW = (
+    b'{"request": {"model_tag": "m", "prompt": "q \xc3\xa9?", "max_new_tokens": 32, '
+    b'"decoding": "greedy"}, "response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
+).decode("utf-8")
+
+
+def test_generate_reads_a_row_of_an_earlier_version_as_a_hit_and_leaves_it(tmp_path, monkeypatch):
+    posts = stub_post(monkeypatch, 200, b'{"text": "new", "token_logprobs": [-1.0]}')
+    key = ResponseCache.key("m", "q \u00e9?", 32)
+    with ResponseCache(tmp_path) as cache:
+        write_cache_row(tmp_path, key, OLD_ROW)
+        response = GenerationClient("http://stub", "m", cache).generate(GenerationRequest("q \u00e9?"))
+    assert response == {"text": "Caf\u00e9", "token_logprobs": [-0.5, 0]}
+    assert posts == []
+    assert cache_rows(tmp_path) == {key: OLD_ROW}
 
 
 NUMBERS = st.floats() | st.integers() | st.booleans()
@@ -755,7 +774,7 @@ def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(
 ):
     # A prompt no earlier example used, so this example's request is a miss.
     request = GenerationRequest(f"{uuid.uuid4()}?")
-    key, stored_request = ResponseCache.entry("m", request.prompt, request.max_new_tokens)
+    key = ResponseCache.key("m", request.prompt, request.max_new_tokens)
     entries_before = len(shared_cache)
     with pytest.MonkeyPatch.context() as monkeypatch:
         stub_post(monkeypatch, status, body)
@@ -767,7 +786,7 @@ def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(
         else:
             check_response(response)
             assert len(shared_cache) == entries_before + 1
-            assert shared_cache.get(key) == {"request": stored_request, "response": response}
+            assert shared_cache.get(key) == response
 
 
 @st.composite
@@ -860,13 +879,13 @@ def test_run_corpus_hashes_each_prompt_once(tmp_path, monkeypatch):
     corpus = _three_record_corpus()
     _warm(tmp_path, make_corpus(*list(corpus)[:2]))
     hashed = []
-    entry = ResponseCache.entry
+    key = ResponseCache.key
 
-    def counted_entry(model_tag, prompt, max_new_tokens):
+    def counted_key(model_tag, prompt, max_new_tokens):
         hashed.append(prompt)
-        return entry(model_tag, prompt, max_new_tokens)
+        return key(model_tag, prompt, max_new_tokens)
 
-    monkeypatch.setattr(ResponseCache, "entry", staticmethod(counted_entry))
+    monkeypatch.setattr(ResponseCache, "key", staticmethod(counted_key))
     with _scripted_service() as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
         run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)

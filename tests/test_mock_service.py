@@ -3,11 +3,13 @@ from __future__ import annotations
 import http.client
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answer_or_search import mock_service
 from answer_or_search.errors import (
     EXIT_DATA,
     CapabilityError,
@@ -78,6 +80,47 @@ def test_http_error_fault_raises_transport_error(tmp_path):
         )
         with pytest.raises(TransportError):
             client.generate(GenerationRequest("q?"))
+
+
+def test_answering_a_client_that_hung_up_prints_nothing(tmp_path, capfd):
+    script = Script().add_exact("q?", "Paris", (-0.1,), fault="timeout")
+    script.timeout_sleep = 0.5
+    with serve(script) as service:
+        client = GenerationClient(
+            service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=0.1
+        )
+        with pytest.raises(TransportError):
+            client.generate(GenerationRequest("q?"))
+        time.sleep(1.0)  # the handler wakes and writes to the closed connection
+    assert capfd.readouterr().err == ""
+
+
+def test_misses_from_one_client_thread_share_one_connection(tmp_path, monkeypatch):
+    accepted = []
+    process_request = mock_service._MockHTTPServer.process_request
+
+    def counted(server, request, client_address):
+        accepted.append(client_address)
+        return process_request(server, request, client_address)
+
+    monkeypatch.setattr(mock_service._MockHTTPServer, "process_request", counted)
+    with serve(Script()) as service:
+        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+        client.generate(GenerationRequest("q1?"))
+        client.generate(GenerationRequest("q2?"))
+        client.close()
+        assert service.request_log == ["q1?", "q2?"]
+    assert len(accepted) == 1
+
+
+def test_close_ends_the_kept_alive_connections(tmp_path):
+    service = serve(Script())
+    client = GenerationClient(service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=5)
+    client.generate(GenerationRequest("q1?"))
+    service.close()
+    with pytest.raises(TransportError):
+        client.generate(GenerationRequest("q2?"))
+    assert service.request_log == ["q1?"]
 
 
 def test_port_already_in_use_is_a_startup_error():
