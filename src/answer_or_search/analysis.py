@@ -109,8 +109,7 @@ def write_tradeoff_table(
 ) -> Path:
     """Emit a plot-ready table with ratio,c,h rows ('#' lines carry provenance)."""
     with atomic_write(path) as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
+        fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(["ratio", "c", "h"])
         for pt in points:
@@ -125,8 +124,7 @@ def write_histogram_table(
 ) -> Path:
     """Emit per-class bin counts: one row per (class, bin) plus out-of-range rows."""
     with atomic_write(path) as fh:
-        for comment in comments:
-            fh.write(f"# {comment}\n")
+        fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(["class", "bin_lo", "bin_hi", "count"])
         for cls, result in results.items():

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import yaml
@@ -58,6 +58,13 @@ from .labeling import build_masked_dataset, read_masked_dataset, write_masked_da
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 
 
+#: How a run reaches the endpoint and where it keeps files, never what it writes:
+#: the fields ``config_hash`` leaves out. A field added later is hashed by default.
+OPERATIONAL_FIELDS = (
+    "endpoint_url", "max_retries", "timeout", "max_in_flight", "cache_dir", "output_dir"
+)
+
+
 @dataclass
 class PipelineConfig:
     """Validated, flattened view of the pipeline configuration file."""
@@ -81,7 +88,13 @@ class PipelineConfig:
     lam: float
     cache_dir: Path
     output_dir: Path
-    config_hash: str
+
+    @property
+    def config_hash(self) -> str:
+        """SHA-256 of the validated fields, defaults filled in, but OPERATIONAL_FIELDS."""
+        fields = {k: v for k, v in asdict(self).items() if k not in OPERATIONAL_FIELDS}
+        blob = json.dumps(fields, sort_keys=True, ensure_ascii=True)
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @property
     def provenance(self) -> dict:
@@ -94,10 +107,7 @@ class PipelineConfig:
         }
 
     def comments(self) -> list[str]:
-        return [
-            f"config_hash={self.config_hash}",
-            f"normalization_profile_hash={self.profile.fingerprint()}",
-        ]
+        return [f"{key}={value}" for key, value in self.provenance.items() if key.endswith("_hash")]
 
 
 #: YAML types accepted for each kind of config value, and how the error names
@@ -160,7 +170,7 @@ def _build_profile(raw: dict) -> NormalizationProfile:
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read, override, validate, and hash a YAML pipeline configuration."""
+    """Read, override, and validate a YAML pipeline configuration."""
     try:
         with Path(path).open("r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}
@@ -191,10 +201,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
     if target_rate is None and strategy == "target-search-rate":
         raise ConfigError("ppl.target_rate is required for target-search-rate calibration")
 
-    try:
-        blob = json.dumps(raw, sort_keys=True, ensure_ascii=True, default=str)
-    except (TypeError, ValueError) as exc:  # keys of mixed types, a recursive alias
-        raise ConfigError(f"config cannot be hashed: {exc}") from exc
     positive = (lambda n: n >= 1), ">= 1"
 
     return PipelineConfig(
@@ -223,7 +229,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         lam=_get(raw, "lambda", float, 1.0, lambda x: x >= 1, ">= 1"),
         cache_dir=Path(_get(raw, "cache_dir", str, "cache")),
         output_dir=Path(_get(raw, "output_dir", str, "out")),
-        config_hash=hashlib.sha256(blob.encode("utf-8")).hexdigest(),
     )
 
 
@@ -349,7 +354,7 @@ def cmd_label(config: PipelineConfig, args: argparse.Namespace) -> int:
         dataset,
         config.output_dir / f"masked.{args.split}.jsonl",
         corpus=corpus,
-        extra_manifest={"split": args.split, **config.provenance},
+        extra_manifest={"split": args.split, "config_hash": config.config_hash},
     )
     stats = dataset.stats()
     rate = (stats["n_masked"] / stats["n_total"] * 100) if stats["n_total"] else 0.0
@@ -415,8 +420,7 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
     json_path = write_report(report, config.output_dir / "eval_report.json", extra=config.provenance)
     table = render_table(report, title=f"split={args.split} lambda={config.lam:g}")
     with atomic_write(config.output_dir / "eval_report.txt") as fh:
-        for comment in config.comments():
-            fh.write(f"# {comment}\n")
+        fh.writelines(f"# {comment}\n" for comment in config.comments())
         fh.write(table)
     print(table, end="")
     print(f"evaluate: report -> {json_path}")

@@ -718,8 +718,6 @@ def run_corpus(
     """
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
-    if prompt_style not in PROMPT_STYLES:
-        raise ConfigError(f"unknown prompt style {prompt_style!r}")
 
     records = list(corpus)
     prompts = [

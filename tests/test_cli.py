@@ -148,15 +148,35 @@ def test_infer_writes_one_prediction_per_record(workspace):
     assert first["prompt_style"] == "zeroshot-qa"
 
 
+def _out_files(workspace) -> dict[str, bytes]:
+    out = workspace["out"]
+    return {str(path.relative_to(out)): path.read_bytes() for path in out.rglob("*")}
+
+
 def test_infer_rerun_with_warm_cache_is_byte_identical_and_offline(workspace):
-    run(workspace, "ingest")
-    run(workspace, "infer", "--split", "dev")
-    path = workspace["out"] / "predictions.dev.jsonl"
-    first = path.read_bytes()
-    calls = len(workspace["service"].request_log)
-    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
-    assert path.read_bytes() == first
-    assert len(workspace["service"].request_log) == calls
+    """A rerun on the warm cache against an endpoint on another port writes
+    every file, manifests included, byte for byte as the first run did."""
+    threshold = str(workspace["out"] / "threshold.json")
+    stages = [
+        ("ingest",),
+        ("infer", "--split", "dev"),
+        ("label", "--split", "dev"),
+        ("calibrate", "--split", "dev"),
+        ("evaluate", "--split", "dev", "--threshold", threshold),
+        ("histogram", "--split", "dev", "--edges", "0", "1", "10"),
+    ]
+    for stage in stages:
+        assert run(workspace, *stage) == EXIT_OK
+    first = _out_files(workspace)
+    assert "predictions.dev.jsonl.manifest.json" in first
+    second_endpoint = serve(Script())
+    try:
+        for stage in stages:
+            assert run(workspace, *stage, "--endpoint-url", second_endpoint.url) == EXIT_OK
+        assert second_endpoint.request_log == []
+    finally:
+        second_endpoint.close()
+    assert _out_files(workspace) == first
 
 
 def test_infer_without_logprobs_exits_capability(workspace, capsys):
@@ -425,6 +445,12 @@ def test_label_reports_mask_rate(workspace, capsys):
     masked = (workspace["out"] / "masked.dev.jsonl").read_text().splitlines()
     assert len(masked) == 6
     assert json.loads(masked[2])["target"] == "<search>"
+    # The profile is written once, under provenance, beside the config hash.
+    manifest = json.loads((workspace["out"] / "masked.dev.jsonl.manifest.json").read_text())
+    assert "normalization_profile" not in manifest
+    assert "normalization_profile_hash" not in manifest
+    assert manifest["config_hash"] == load_config(workspace["config"]).config_hash
+    assert manifest["provenance"]["normalization_profile_hash"]
 
 
 def test_label_empty_predictions_warns(workspace, capsys):
@@ -676,6 +702,41 @@ def test_full_pipeline_outputs_embed_provenance(workspace):
     assert table.startswith("# config_hash=")
 
 
+#: (key, new value, whether the hash stays): the six operational keys, a
+#: spelled-out default and an unknown key, then one result key per kind.
+HASH_CASES = [
+    ("endpoint.url", "http://127.0.0.1:9", True),
+    ("endpoint.timeout", 5.0, True),
+    ("endpoint.max_retries", 0, True),
+    ("max_in_flight", 1, True),
+    ("cache_dir", "elsewhere", True),
+    ("output_dir", "elsewhere", True),
+    ("prompt.fewshot_k", 16, True),
+    ("not_a_known_key", 1, True),
+    ("endpoint.model_tag", "mock-large", False),
+    ("endpoint.max_new_tokens", 7, False),
+    ("prompt.template", "Q: {q}", False),
+    ("prompt.style", "instruct-idk", False),
+    ("search_token", "<tool>", False),
+    ("normalization.lowercase", False, False),
+    ("ppl", {"strategy": "target-search-rate", "target_rate": 0.5}, False),
+    ("lambda", 2.0, False),
+]
+
+
+@pytest.mark.parametrize("key, value, same_hash", HASH_CASES, ids=[c[0] for c in HASH_CASES])
+def test_config_hash_changes_only_with_a_result_key(workspace, key, value, same_hash):
+    before = load_config(workspace["config"]).config_hash
+    rewrite_config(workspace, lambda c: set_key(c, key, value))
+    assert (load_config(workspace["config"]).config_hash == before) is same_hash
+
+
+@pytest.mark.parametrize("key", ["output_dir", "cache_dir"])
+def test_config_hash_ignores_directory_overrides(workspace, key):
+    before = load_config(workspace["config"]).config_hash
+    assert load_config(workspace["config"], {key: "elsewhere"}).config_hash == before
+
+
 def test_config_rejects_odd_fewshot_k(workspace):
     rewrite_config(workspace, lambda c: c["prompt"].update(fewshot_k=7))
     assert run(workspace, "ingest") == EXIT_CONFIG
@@ -838,3 +899,43 @@ def test_load_config_gives_a_config_or_a_config_error(tmp_path, values):
     assert type(loaded.profile.lowercase) is bool and type(loaded.profile.unicode_fold) is bool
     assert all(type(word) is str for word in loaded.profile.stopwords)
     assert isinstance(loaded.template, str) and loaded.token.literal.strip()
+    # Every default spelled out: the same config, and so the same hash.
+    spelled = path.with_name(f"spelled-{path.name}")
+    spelled.write_text(yaml.safe_dump(spelled_out(loaded)))
+    reloaded = load_config(spelled)
+    assert reloaded == loaded and reloaded.config_hash == loaded.config_hash
+
+
+def spelled_out(config: PipelineConfig) -> dict:
+    """A config file giving every key ``load_config`` reads the value ``config`` holds."""
+    profile = config.profile
+    return {
+        "corpus": config.corpus,
+        "endpoint": {
+            "url": config.endpoint_url,
+            "model_tag": config.model_tag,
+            "max_new_tokens": config.max_new_tokens,
+            "max_retries": config.max_retries,
+            "timeout": config.timeout,
+        },
+        "max_in_flight": config.max_in_flight,
+        "normalization": {
+            "lowercase": profile.lowercase,
+            "strip_punctuation": profile.strip_punctuation,
+            "stopwords": list(profile.stopwords),
+            "collapse_whitespace": profile.collapse_whitespace,
+            "unicode_fold": profile.unicode_fold,
+        },
+        "search_token": config.token.literal,
+        "prompt": {
+            "style": config.prompt_style,
+            "template": config.template,
+            "fewshot_k": config.fewshot_k,
+            "seed": config.seed,
+            "pool_path": config.pool_path,
+        },
+        "ppl": {"strategy": config.ppl_strategy, "target_rate": config.ppl_target_rate},
+        "lambda": config.lam,
+        "cache_dir": str(config.cache_dir),
+        "output_dir": str(config.output_dir),
+    }
