@@ -50,6 +50,10 @@ def tradeoff_curve(
     return points
 
 
+#: Value transforms a histogram applies before binning.
+TRANSFORMS = ("log", "identity")
+
+
 @dataclass(frozen=True)
 class HistogramSpec:
     """Binning recipe: strictly increasing edges, optional log transform.
@@ -67,7 +71,7 @@ class HistogramSpec:
         # Written as `not b > a` so that a NaN edge is rejected too.
         if any(not b > a for a, b in zip(self.bin_edges, self.bin_edges[1:])):
             raise DataError("bin edges must be strictly increasing")
-        if self.value_transform not in ("log", "identity"):
+        if self.value_transform not in TRANSFORMS:
             raise DataError(f"unknown value transform {self.value_transform!r}")
 
 

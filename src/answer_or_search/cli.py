@@ -20,6 +20,7 @@ from pathlib import Path
 import yaml
 
 from .analysis import (
+    TRANSFORMS,
     HistogramSpec,
     histogram,
     tradeoff_curve,
@@ -226,7 +227,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         pool_path=_get(raw, "prompt.pool_path", str),
         ppl_strategy=strategy,
         ppl_target_rate=target_rate,
-        lam=_get(raw, "lambda", float, 1.0, lambda x: x >= 1, ">= 1"),
+        lam=_get(raw, "lambda", float, 1.0, lambda x: 1 <= x < math.inf, ">= 1 and finite"),
         cache_dir=Path(_get(raw, "cache_dir", str, "cache")),
         output_dir=Path(_get(raw, "output_dir", str, "out")),
     )
@@ -307,6 +308,7 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
             config.endpoint_url,
             config.model_tag,
             cache,
+            max_new_tokens=config.max_new_tokens,
             max_retries=config.max_retries,
             timeout=config.timeout,
         )
@@ -319,7 +321,6 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
                 template=config.template,
                 pool=pool,
                 fewshot_k=config.fewshot_k,
-                max_new_tokens=config.max_new_tokens,
                 max_in_flight=config.max_in_flight,
             )
         except RunAbortedError as exc:
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
         "histogram", cmd_histogram, "perplexity histograms per class", split, predictions
     )
     p_hist.add_argument("--edges", nargs="+", type=float, required=True)
-    p_hist.add_argument("--transform", choices=["log", "identity"], default="log")
+    p_hist.add_argument("--transform", choices=TRANSFORMS, default="log")
     p_hist.add_argument(
         "--classes", nargs="+", choices=[j.value for j in Judgment], default=["C", "H"]
     )

@@ -11,6 +11,7 @@ line-delimited output carries a sidecar ``<name>.manifest.json`` whose
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,6 +32,24 @@ _PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError,
 def is_number(value: object) -> bool:
     """Whether JSON decoded ``value`` as a number; a bool is not one."""
     return isinstance(value, float) or type(value) is int
+
+
+def encode_infinity(value: float) -> float | str:
+    """``value``, or ``"+inf"``/``"-inf"`` for an infinity, which JSON cannot hold."""
+    if value == math.inf:
+        return "+inf"
+    if value == -math.inf:
+        return "-inf"
+    return value
+
+
+def decode_infinity(raw: object) -> object:
+    """The number :func:`encode_infinity` wrote; any other value is returned as it is."""
+    if raw == "+inf":
+        return math.inf
+    if raw == "-inf":
+        return -math.inf
+    return raw
 
 
 @contextmanager

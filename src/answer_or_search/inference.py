@@ -29,13 +29,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
     import http.client
 
-from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, QaRecord, parse_record_id
+from .corpus import DEFAULT_SEARCH_TOKEN, Corpus, parse_record_id
 from .errors import (
     BalanceError,
     CapabilityError,
@@ -45,7 +45,14 @@ from .errors import (
     TemplateError,
     TransportError,
 )
-from .fileio import check_manifest, is_number, read_jsonl, write_jsonl
+from .fileio import (
+    check_manifest,
+    decode_infinity,
+    encode_infinity,
+    is_number,
+    read_jsonl,
+    write_jsonl,
+)
 
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
 
@@ -97,18 +104,6 @@ def check_response(response: object) -> float:
 
 
 @dataclass(frozen=True)
-class GenerationRequest:
-    """One greedy-decoding completion request."""
-
-    prompt: str
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
-
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be a positive integer")
-
-
-@dataclass(frozen=True)
 class Prediction:
     """A model's answer, checked by :func:`check_response`, which also gives
     its ``perplexity``."""
@@ -139,7 +134,7 @@ class Prediction:
             "id": self.record_id,
             "text": self.text,
             "token_logprobs": list(self.token_logprobs),
-            "perplexity": self.perplexity,
+            "perplexity": encode_infinity(self.perplexity),
             "model_tag": self.model_tag,
             "prompt_style": self.prompt_style,
         }
@@ -153,7 +148,7 @@ class Prediction:
             model_tag=raw["model_tag"],
             prompt_style=raw["prompt_style"],
         )
-        stored = raw["perplexity"]
+        stored = decode_infinity(raw["perplexity"])
         if not is_number(stored) or not math.isclose(stored, pred.perplexity, rel_tol=1e-9):
             raise DataError(
                 f"record {pred.record_id}: perplexity {stored!r} is not the number "
@@ -174,20 +169,10 @@ def read_predictions(path: str | Path) -> list[Prediction]:
 
 
 # ---------------------------------------------------------------------------
-# Prompt builders
+# Prompts
 # ---------------------------------------------------------------------------
 
 _PLACEHOLDER = "{q}"
-
-
-def build_zeroshot_prompt(record: QaRecord, template: str = DEFAULT_TEMPLATE) -> str:
-    """Substitute the question into a template with exactly one ``{q}`` slot."""
-    n = template.count(_PLACEHOLDER)
-    if n != 1:
-        raise TemplateError(
-            f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
-        )
-    return template.replace(_PLACEHOLDER, record.question)
 
 
 @dataclass(frozen=True)
@@ -203,26 +188,42 @@ class FewShotPool:
     seed: int
     search_token: str = DEFAULT_SEARCH_TOKEN
 
-    @property
-    def answered(self) -> list[tuple[str, str]]:
-        return [ex for ex in self.examples if ex[1] != self.search_token]
 
-    @property
-    def masked(self) -> list[tuple[str, str]]:
-        return [ex for ex in self.examples if ex[1] == self.search_token]
+def prompt_builder(
+    prompt_style: str,
+    template: str = DEFAULT_TEMPLATE,
+    pool: FewShotPool | None = None,
+    fewshot_k: int = 16,
+) -> Callable[[str], str]:
+    """The run's ``question -> prompt`` function, its settings checked here, once.
 
-
-def build_fewshot_balanced_prompt(pool: FewShotPool, k: int, record: QaRecord) -> str:
-    """Prompt with exactly k/2 answered and k/2 masked demonstrations.
-
-    An unbalanced demonstration set skews the model's predictions, so the
-    builder refuses a pool that cannot supply both halves rather than warn.
+    - ``zeroshot-qa`` substitutes the question into ``template``, which must
+      hold exactly one ``{q}`` slot (else :class:`TemplateError`).
+    - ``instruct-idk`` puts :data:`IDK_INSTRUCTION` on the line before it.
+    - ``fewshot-balanced`` puts before it ``fewshot_k`` demonstrations drawn
+      from ``pool`` under its seed, half answered and half masked. An
+      unbalanced demonstration set skews the model's predictions, so a pool
+      that cannot supply both halves raises :class:`BalanceError` rather than
+      warn. The sample is drawn once, so every prompt of a run shares it.
     """
-    if k <= 0 or k % 2 != 0:
-        raise ConfigError(f"k must be an even positive integer, got {k}")
-    need = k // 2
-    answered = pool.answered
-    masked = pool.masked
+    if prompt_style == "zeroshot-qa":
+        n = template.count(_PLACEHOLDER)
+        if n != 1:
+            raise TemplateError(
+                f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
+            )
+        return lambda question: template.replace(_PLACEHOLDER, question)
+    if prompt_style == "instruct-idk":
+        return lambda question: f"{IDK_INSTRUCTION}\n{question}"
+    if prompt_style != "fewshot-balanced":
+        raise ConfigError(f"unknown prompt style {prompt_style!r}")
+    if pool is None:
+        raise ConfigError("fewshot-balanced prompts require a demonstration pool")
+    if fewshot_k <= 0 or fewshot_k % 2 != 0:
+        raise ConfigError(f"k must be an even positive integer, got {fewshot_k}")
+    need = fewshot_k // 2
+    answered = [ex for ex in pool.examples if ex[1] != pool.search_token]
+    masked = [ex for ex in pool.examples if ex[1] == pool.search_token]
     if len(answered) < need:
         raise BalanceError("answered", need, len(answered))
     if len(masked) < need:
@@ -231,33 +232,8 @@ def build_fewshot_balanced_prompt(pool: FewShotPool, k: int, record: QaRecord) -
     rng = random.Random(pool.seed)
     chosen = rng.sample(answered, need) + rng.sample(masked, need)
     rng.shuffle(chosen)
-
-    parts = [f"Q: {q}\nA: {t}\n" for q, t in chosen]
-    parts.append(f"Q: {record.question}\nA:")
-    return "\n".join(parts)
-
-
-def build_instruct_prompt(record: QaRecord) -> str:
-    """Instruction-style prompt asking the model to admit ignorance."""
-    return f"{IDK_INSTRUCTION}\n{record.question}"
-
-
-def build_prompt(
-    record: QaRecord,
-    prompt_style: str,
-    template: str = DEFAULT_TEMPLATE,
-    pool: FewShotPool | None = None,
-    fewshot_k: int = 16,
-) -> str:
-    if prompt_style == "zeroshot-qa":
-        return build_zeroshot_prompt(record, template)
-    if prompt_style == "fewshot-balanced":
-        if pool is None:
-            raise ConfigError("fewshot-balanced prompts require a demonstration pool")
-        return build_fewshot_balanced_prompt(pool, fewshot_k, record)
-    if prompt_style == "instruct-idk":
-        return build_instruct_prompt(record)
-    raise ConfigError(f"unknown prompt style {prompt_style!r}")
+    demonstrations = "".join(f"Q: {q}\nA: {t}\n\n" for q, t in chosen)
+    return lambda question: f"{demonstrations}Q: {question}\nA:"
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +500,7 @@ class GenerationClient:
         model_tag: str,
         cache: ResponseCache,
         *,
+        max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
         max_retries: int = 3,
         backoff_seconds: float = 0.2,
         timeout: float = 30.0,
@@ -531,6 +508,9 @@ class GenerationClient:
         self.endpoint = endpoint
         self.model_tag = model_tag
         self.cache = cache
+        if max_new_tokens < 1:
+            raise ConfigError("max_new_tokens must be a positive integer")
+        self.max_new_tokens = max_new_tokens
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
@@ -546,28 +526,28 @@ class GenerationClient:
         for conn in self._opened:
             conn.close()
 
-    def generate(self, request: GenerationRequest, key: str | None = None) -> dict:
-        """Return ``{"text", "token_logprobs"}``, from cache when possible.
+    def generate(self, prompt: str, key: str | None = None) -> dict:
+        """Return ``{"text", "token_logprobs"}`` for ``prompt``, from cache when possible.
 
-        ``key`` is the :meth:`ResponseCache.key` of ``request``, passed by a
+        ``key`` is the :meth:`ResponseCache.key` of ``prompt``, passed by a
         caller that already has it so that the prompt is hashed once.
         """
-        key = key or ResponseCache.key(self.model_tag, request.prompt, request.max_new_tokens)
+        key = key or ResponseCache.key(self.model_tag, prompt, self.max_new_tokens)
         response = self.cache.get(key)
         if response is None:
-            response = self._fetch(request)
+            response = self._fetch(prompt)
             self.cache.put(key, response)
         return response
 
-    def _fetch(self, request: GenerationRequest) -> dict:
+    def _fetch(self, prompt: str) -> dict:
         # Imported here, not at module level: a run whose every record is
         # cached never pays for loading the HTTP stack.
         import http.client
 
         body = json.dumps(
             {
-                "prompt": request.prompt,
-                "max_new_tokens": request.max_new_tokens,
+                "prompt": prompt,
+                "max_new_tokens": self.max_new_tokens,
                 "greedy": True,
                 "logprobs": True,
             }
@@ -699,15 +679,16 @@ def run_corpus(
     template: str = DEFAULT_TEMPLATE,
     pool: FewShotPool | None = None,
     fewshot_k: int = 16,
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS,
     max_in_flight: int = 4,
 ) -> list[Prediction]:
     """Collect one prediction per record, in corpus order.
 
-    Records are visited in corpus order. A cached record is built in the
-    calling thread; a miss goes to a worker thread through
-    ``client.generate``, with at most ``max_in_flight`` misses outstanding.
-    Output order always equals corpus order.
+    The prompt settings go to :func:`prompt_builder` first, so a bad one
+    fails before any request is sent, even on an empty corpus. Records are
+    visited in corpus order. A cached record is built in the calling thread;
+    a miss goes to a worker thread through ``client.generate``, with at most
+    ``max_in_flight`` misses outstanding. Output order always equals corpus
+    order.
 
     If any miss fails (still failing after the client's retries, or answered
     with a response that breaks the contract), no further record is started
@@ -719,18 +700,15 @@ def run_corpus(
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
 
+    prompt_for = prompt_builder(prompt_style, template, pool, fewshot_k)
     records = list(corpus)
-    prompts = [
-        build_prompt(rec, prompt_style, template=template, pool=pool, fewshot_k=fewshot_k)
-        for rec in records
-    ]
 
     results: list[Prediction | None] = [None] * len(records)
     failure: tuple[int, Exception] | None = None
     pending: dict[Future, int] = {}
 
-    def fetch(index: int, request: GenerationRequest, key: str) -> Prediction:
-        response = client.generate(request, key)
+    def fetch(index: int, prompt: str, key: str) -> Prediction:
+        response = client.generate(prompt, key)
         return Prediction(
             record_id=records[index].id,
             text=response["text"],
@@ -758,13 +736,13 @@ def run_corpus(
         for index in range(len(records)):
             if failure is not None:
                 break
-            request = GenerationRequest(prompt=prompts[index], max_new_tokens=max_new_tokens)
-            key = ResponseCache.key(client.model_tag, request.prompt, max_new_tokens)
+            prompt = prompt_for(records[index].question)
+            key = ResponseCache.key(client.model_tag, prompt, client.max_new_tokens)
             if key in client.cache:
                 # Resolved here, never in the pool. An entry that turns out
                 # unusable is fetched again by this same call.
                 try:
-                    results[index] = fetch(index, request, key)
+                    results[index] = fetch(index, prompt, key)
                 except Exception as exc:  # same abort path as a pooled miss
                     fail(index, exc)
                 continue
@@ -775,7 +753,7 @@ def run_corpus(
                 collect(done)
             if failure is not None:
                 break
-            pending[executor.submit(fetch, index, request, key)] = index
+            pending[executor.submit(fetch, index, prompt, key)] = index
         # Outstanding misses drain and still count as done.
         collect(wait(pending).done)
 

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .corpus import SearchToken
 from .errors import CalibrationError, ConfigError, DataError
-from .fileio import is_number, read_json, write_json
+from .fileio import decode_infinity, encode_infinity, is_number, read_json, write_json
 from .inference import Prediction
 
 STRATEGIES = ("max-f1", "target-search-rate")
@@ -143,27 +143,10 @@ def apply_threshold(
     ]
 
 
-def _encode_tau(tau: float) -> float | str:
-    if tau == math.inf:
-        return "+inf"
-    if tau == -math.inf:
-        return "-inf"
-    return tau
-
-
-def _decode_tau(raw: float | str) -> float:
-    # Anything but a number or an infinity sentinel is refused by PplThreshold.
-    if raw == "+inf":
-        return math.inf
-    if raw == "-inf":
-        return -math.inf
-    return raw
-
-
 def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None = None) -> Path:
     """Persist the threshold manifest: {tau, strategy, target_rate, fitted_on}."""
     manifest = {
-        "tau": _encode_tau(threshold.tau),
+        "tau": encode_infinity(threshold.tau),
         "strategy": threshold.calibration,
         "target_rate": threshold.target_rate,
         "fitted_on": threshold.fitted_on,
@@ -173,7 +156,7 @@ def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None
 
 def _parse_threshold(manifest: dict) -> PplThreshold:
     return PplThreshold(
-        tau=_decode_tau(manifest["tau"]),
+        tau=decode_infinity(manifest["tau"]),  # PplThreshold refuses a non-number
         calibration=manifest["strategy"],
         fitted_on=manifest["fitted_on"],
         target_rate=manifest.get("target_rate"),

@@ -390,6 +390,36 @@ def test_infer_on_a_split_that_was_not_ingested_exits_data(workspace, capsys):
     assert "run 'ingest'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("records", [6, 0], ids=["six-records", "empty-corpus"])
+def test_infer_with_a_bad_template_exits_config_before_any_request(workspace, capsys, records):
+    rows = workspace["dev_file"].read_text().splitlines(keepends=True)
+    workspace["dev_file"].write_text("".join(rows[:records]))
+    rewrite_config(workspace, lambda c: c["prompt"].update(template="{q} or {q}"))
+    assert run(workspace, "ingest") == EXIT_OK
+    assert run(workspace, "infer", "--split", "dev") == EXIT_CONFIG
+    assert "exactly one {q} placeholder, found 2" in capsys.readouterr().err
+    assert workspace["service"].request_log == []
+    assert not (workspace["out"] / "predictions.dev.jsonl").exists()
+
+
+def test_infer_with_a_pool_too_small_for_fewshot_k_exits_data_before_any_request(
+    workspace, capsys
+):
+    # The zero-shot run's masked dataset is the pool: 3 answered, 3 masked.
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    pool = str(workspace["out"] / "masked.dev.jsonl")
+    rewrite_config(
+        workspace,
+        lambda c: c["prompt"].update(style="fewshot-balanced", pool_path=pool, fewshot_k=8),
+    )
+    with serve(Script()) as fewshot_endpoint:
+        argv = ("infer", "--split", "dev", "--endpoint-url", fewshot_endpoint.url)
+        assert run(workspace, *argv) == EXIT_DATA
+        assert fewshot_endpoint.request_log == []
+    assert "too few answered examples: need 4, have 3" in capsys.readouterr().err
+
+
 def test_warm_infer_never_loads_the_http_stack(workspace):
     rewrite_config(workspace, lambda c: c.update(max_in_flight=4))
     run(workspace, "ingest")
@@ -775,6 +805,7 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
         ("prompt.pool_path", 5),
         ("endpoint.timeout", "30"),
         ("lambda", 10**400),
+        ("lambda", float("inf")),
     ],
     ids=[
         "lambda-below-one",
@@ -801,6 +832,7 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
         "pool-path-number",
         "timeout-quoted-number",
         "lambda-beyond-float-range",
+        "lambda-infinite",
     ],
 )
 def test_config_rejects_out_of_range_values(workspace, capsys, key, value):

@@ -4,6 +4,7 @@ import http.client
 import json
 import math
 import os
+import random
 import sqlite3
 import sys
 import tempfile
@@ -11,6 +12,7 @@ import threading
 import uuid
 from contextlib import closing
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -30,15 +32,12 @@ from answer_or_search.inference import (
     CACHE_FILE,
     FewShotPool,
     GenerationClient,
-    GenerationRequest,
     IDK_INSTRUCTION,
     Prediction,
     ResponseCache,
-    build_fewshot_balanced_prompt,
-    build_instruct_prompt,
-    build_zeroshot_prompt,
     check_response,
     perplexity,
+    prompt_builder,
     read_predictions,
     run_corpus,
     write_predictions,
@@ -161,6 +160,25 @@ def test_predictions_file_round_trip(tmp_path):
     assert read_predictions(path) == preds
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_infinite_perplexity_is_written_as_standard_json_and_reads_back(tmp_path):
+    preds = [make_prediction("q1", "x", (-800.0,)), make_prediction("q2", "Lyon", (-0.5,))]
+    path = write_predictions(preds, tmp_path / "preds.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [json.loads(line, parse_constant=_refuse_constant) for line in lines]
+    assert [row["perplexity"] for row in rows] == ["+inf", math.exp(0.5)]
+    assert read_predictions(path) == preds
+    assert read_predictions(path)[0].perplexity == math.inf
+    # A file of earlier versions, with a bare Infinity, still reads.
+    path.write_text(json.dumps({**rows[0], "perplexity": math.inf}) + "\n", encoding="utf-8")
+    assert read_predictions(path) == preds[:1]
+    with pytest.raises(DataError, match="record q2: perplexity"):
+        Prediction.from_dict({**rows[1], "perplexity": "+inf"})
+
+
 def test_read_predictions_null_id_names_file_and_line(tmp_path):
     path = tmp_path / "preds.jsonl"
     rows = [
@@ -178,20 +196,18 @@ def test_read_predictions_null_id_names_file_and_line(tmp_path):
 
 
 def test_zeroshot_substitutes_the_question():
-    rec = make_record("q1", "capital of France?", ["Paris"])
-    assert build_zeroshot_prompt(rec, "Q: {q}\nA:") == "Q: capital of France?\nA:"
+    prompt_for = prompt_builder("zeroshot-qa", "Q: {q}\nA:")
+    assert prompt_for("capital of France?") == "Q: capital of France?\nA:"
 
 
 def test_zeroshot_rejects_missing_placeholder():
-    rec = make_record("q1", "capital of France?", ["Paris"])
     with pytest.raises(TemplateError):
-        build_zeroshot_prompt(rec, "Q: question\nA:")
+        prompt_builder("zeroshot-qa", "Q: question\nA:")
 
 
 def test_zeroshot_rejects_double_placeholder():
-    rec = make_record("q1", "capital of France?", ["Paris"])
     with pytest.raises(TemplateError):
-        build_zeroshot_prompt(rec, "{q} {q}")
+        prompt_builder("zeroshot-qa", "{q} {q}")
 
 
 def _pool(n_answered: int, n_masked: int, seed: int = 7) -> FewShotPool:
@@ -200,63 +216,66 @@ def _pool(n_answered: int, n_masked: int, seed: int = 7) -> FewShotPool:
     return FewShotPool(examples=tuple(examples), seed=seed)
 
 
+def _fewshot(pool: FewShotPool, k: int, question: str = "target question?") -> str:
+    return prompt_builder("fewshot-balanced", pool=pool, fewshot_k=k)(question)
+
+
 def test_fewshot_16_is_8_answered_8_masked():
-    rec = make_record("q1", "target question?", ["x"])
-    prompt = build_fewshot_balanced_prompt(_pool(10, 10), 16, rec)
+    prompt = _fewshot(_pool(10, 10), 16)
     assert prompt.count("<search>") == 8
     assert prompt.count("Q:") == 17  # 16 demonstrations + the target
     assert prompt.endswith("Q: target question?\nA:")
 
 
 def test_fewshot_minimal_pool_uses_both_examples():
-    rec = make_record("q1", "target question?", ["x"])
-    prompt = build_fewshot_balanced_prompt(_pool(1, 1), 2, rec)
+    prompt = _fewshot(_pool(1, 1), 2)
     assert prompt.count("<search>") == 1
     assert "answered question 0?" in prompt
     assert "masked question 0?" in prompt
 
 
 def test_fewshot_refuses_unbalanced_pool_naming_the_side():
-    rec = make_record("q1", "target question?", ["x"])
     with pytest.raises(BalanceError, match="answered"):
-        build_fewshot_balanced_prompt(_pool(1, 3), 4, rec)
+        prompt_builder("fewshot-balanced", pool=_pool(1, 3), fewshot_k=4)
     with pytest.raises(BalanceError, match="masked"):
-        build_fewshot_balanced_prompt(_pool(3, 1), 4, rec)
+        prompt_builder("fewshot-balanced", pool=_pool(3, 1), fewshot_k=4)
 
 
 def test_fewshot_rejects_odd_k():
-    rec = make_record("q1", "target question?", ["x"])
     with pytest.raises(ConfigError):
-        build_fewshot_balanced_prompt(_pool(4, 4), 3, rec)
+        prompt_builder("fewshot-balanced", pool=_pool(4, 4), fewshot_k=3)
 
 
 def test_fewshot_deterministic_under_seed():
-    rec = make_record("q1", "target question?", ["x"])
-    first = build_fewshot_balanced_prompt(_pool(10, 10, seed=42), 8, rec)
-    second = build_fewshot_balanced_prompt(_pool(10, 10, seed=42), 8, rec)
-    different = build_fewshot_balanced_prompt(_pool(10, 10, seed=43), 8, rec)
+    first = _fewshot(_pool(10, 10, seed=42), 8)
+    second = _fewshot(_pool(10, 10, seed=42), 8)
+    different = _fewshot(_pool(10, 10, seed=43), 8)
     assert first == second
     assert first != different
+
+
+def test_fewshot_prompt_is_the_blank_line_joined_demonstrations_then_the_question():
+    # The bytes earlier versions gave this prompt: cached few-shot responses are keyed by them.
+    pool = FewShotPool(examples=(("a?", "x"), ("b?", "<search>")), seed=0)
+    assert _fewshot(pool, 2) == "Q: b?\nA: <search>\n\nQ: a?\nA: x\n\nQ: target question?\nA:"
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_fewshot_always_balanced(half_k, seed):
-    rec = make_record("q1", "target question?", ["x"])
-    prompt = build_fewshot_balanced_prompt(_pool(8, 8, seed=seed), 2 * half_k, rec)
+    prompt = _fewshot(_pool(8, 8, seed=seed), 2 * half_k)
     assert prompt.count("<search>") == half_k
 
 
 def test_instruct_prompt_is_instruction_then_question():
-    rec = make_record("q1", "capital of France?", ["Paris"])
-    prompt = build_instruct_prompt(rec)
+    prompt = prompt_builder("instruct-idk")("capital of France?")
     assert prompt == IDK_INSTRUCTION + "\ncapital of France?"
     assert 'otherwise answer "I don\'t know"' in prompt
 
 
 def test_instruct_prompts_differ_only_in_question():
-    a = build_instruct_prompt(make_record("q1", "first?", ["x"]))
-    b = build_instruct_prompt(make_record("q2", "second?", ["y"]))
+    prompt_for = prompt_builder("instruct-idk")
+    a, b = prompt_for("first?"), prompt_for("second?")
     assert a.rsplit("\n", 1)[0] == b.rsplit("\n", 1)[0]
     assert a.rsplit("\n", 1)[1] == "first?"
     assert b.rsplit("\n", 1)[1] == "second?"
@@ -469,15 +488,15 @@ def paris_service():
 
 def test_generate_returns_text_and_logprobs(paris_service, tmp_path):
     client = GenerationClient(paris_service.url, "m", ResponseCache(tmp_path), timeout=5)
-    response = client.generate(GenerationRequest("capital of France?"))
+    response = client.generate("capital of France?")
     assert response["text"] == "Paris"
     assert perplexity(response["token_logprobs"]) == pytest.approx(math.exp(0.15))
 
 
 def test_generate_cache_hit_makes_no_network_call(paris_service, tmp_path):
     client = GenerationClient(paris_service.url, "m", ResponseCache(tmp_path), timeout=5)
-    first = client.generate(GenerationRequest("capital of France?"))
-    second = client.generate(GenerationRequest("capital of France?"))
+    first = client.generate("capital of France?")
+    second = client.generate("capital of France?")
     assert first == second
     assert len(paris_service.request_log) == 1
 
@@ -487,7 +506,7 @@ def test_generate_without_logprobs_is_a_capability_error(tmp_path):
     with serve(script) as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
         with pytest.raises(CapabilityError, match="logprobs"):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
 
 
 def test_generate_retries_then_raises_transport_error(tmp_path):
@@ -498,7 +517,7 @@ def test_generate_retries_then_raises_transport_error(tmp_path):
             backoff_seconds=0.01, timeout=5,
         )
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
         assert len(service.request_log) == 3  # initial + 2 retries
 
 
@@ -511,7 +530,7 @@ def test_generate_timeout_becomes_transport_error(tmp_path):
             backoff_seconds=0.01, timeout=0.2,
         )
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
 
 
 def test_generate_unreachable_endpoint(tmp_path):
@@ -520,13 +539,13 @@ def test_generate_unreachable_endpoint(tmp_path):
         backoff_seconds=0.01, timeout=0.5,
     )
     with pytest.raises(TransportError):
-        client.generate(GenerationRequest("q?"))
+        client.generate("q?")
 
 
 def test_generate_invalid_url_is_transport_error(tmp_path):
     client = GenerationClient("not-a-url", "m", ResponseCache(tmp_path), max_retries=0)
     with pytest.raises(TransportError, match="not-a-url"):
-        client.generate(GenerationRequest("q?"))
+        client.generate("q?")
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:1/a b", "http://a b/"])
@@ -535,7 +554,7 @@ def test_generate_url_that_http_client_refuses_is_not_retried(tmp_path, monkeypa
     monkeypatch.setattr(inference.time, "sleep", slept.append)
     client = GenerationClient(url, "m", ResponseCache(tmp_path), max_retries=2)
     with pytest.raises(TransportError, match=f"request to {url!r} failed"):
-        client.generate(GenerationRequest("q?"))
+        client.generate("q?")
     assert slept == []  # not retried
 
 
@@ -553,9 +572,9 @@ def test_generate_resends_at_once_when_the_server_closed_an_idle_connection(tmp_
     # The first connection answers one request and is then closed by the server.
     with RawServer([[ok_response("one")], [ok_response("two")]]) as server:
         client = GenerationClient(server.url, "m", ResponseCache(tmp_path), max_retries=0)
-        assert client.generate(GenerationRequest("q1?"))["text"] == "one"
+        assert client.generate("q1?")["text"] == "one"
         assert server.closed[0].wait(timeout=10)
-        assert client.generate(GenerationRequest("q2?"))["text"] == "two"
+        assert client.generate("q2?")["text"] == "two"
         client.close()
     assert [len(heads) for heads in server.requests] == [1, 1]
 
@@ -566,11 +585,11 @@ def test_generate_resends_only_once_and_only_on_a_reused_connection(tmp_path, no
     with RawServer([[], [ok_response("one")], []]) as server:
         client = GenerationClient(server.url, "m", ResponseCache(tmp_path), max_retries=0)
         with pytest.raises(TransportError, match="after 1 attempts"):
-            client.generate(GenerationRequest("q0?"))
-        assert client.generate(GenerationRequest("q1?"))["text"] == "one"
+            client.generate("q0?")
+        assert client.generate("q1?")["text"] == "one"
         assert server.closed[1].wait(timeout=10)
         with pytest.raises(TransportError, match="after 1 attempts"):
-            client.generate(GenerationRequest("q2?"))
+            client.generate("q2?")
         assert server.closed[2].wait(timeout=10)
     assert [len(heads) for heads in server.requests] == [0, 1, 0]
 
@@ -587,7 +606,7 @@ def test_generate_goes_through_the_http_proxy_of_the_environment(tmp_path, proxy
     with serve(Script().add_exact("q?", "Paris", (-0.1,))) as proxy:
         proxy_env.setenv("http_proxy", proxy.url)
         client = GenerationClient("http://endpoint.invalid/", "m", ResponseCache(tmp_path))
-        assert client.generate(GenerationRequest("q?"))["text"] == "Paris"
+        assert client.generate("q?")["text"] == "Paris"
         assert proxy.request_log == ["q?"]
 
 
@@ -600,7 +619,7 @@ def test_generate_sends_an_absolute_url_and_credentials_to_an_http_proxy(tmp_pat
         proxy_env.setenv("http_proxy", f"user:p%40ss@127.0.0.1:{proxy.port}")  # no scheme
         url = "http://endpoint.invalid:8080/v1?x=1"
         client = GenerationClient(url, "m", ResponseCache(tmp_path))
-        assert client.generate(GenerationRequest("q?"))["text"] == "one"
+        assert client.generate("q?")["text"] == "one"
         client.close()
     ((head,),) = proxy.requests
     assert head.startswith("POST http://endpoint.invalid:8080/v1?x=1 HTTP/1.1\r\n")
@@ -616,7 +635,7 @@ def test_generate_reaches_an_https_endpoint_through_a_connect_tunnel(tmp_path, p
         )
         # The proxy closes the tunnel during the TLS handshake.
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
     ((head,),) = proxy.requests
     assert head.startswith("CONNECT endpoint.invalid:443 HTTP/")
     assert PROXY_AUTHORIZATION in head
@@ -625,7 +644,7 @@ def test_generate_reaches_an_https_endpoint_through_a_connect_tunnel(tmp_path, p
 def test_close_closes_the_kept_alive_connections(tmp_path):
     with RawServer([[ok_response("one"), ok_response("two")]]) as server:
         client = GenerationClient(server.url, "m", ResponseCache(tmp_path))
-        client.generate(GenerationRequest("q?"))
+        client.generate("q?")
         client.close()
         assert server.closed[0].wait(timeout=5)
     assert len(server.requests[0]) == 1
@@ -636,11 +655,11 @@ def test_generate_bypasses_the_proxy_for_a_host_in_no_proxy(tmp_path, proxy_env)
     with serve(Script().add_exact("q?", "Paris", (-0.1,))) as service:
         proxy_env.setenv("no_proxy", "127.0.0.1")
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), max_retries=0)
-        assert client.generate(GenerationRequest("q?"))["text"] == "Paris"
+        assert client.generate("q?")["text"] == "Paris"
         proxy_env.delenv("no_proxy")
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), max_retries=0)
         with pytest.raises(TransportError, match="after 1 attempts"):
-            client.generate(GenerationRequest("other?"))
+            client.generate("other?")
         assert service.request_log == ["q?"]
 
 
@@ -666,7 +685,7 @@ def test_retry_after_in_seconds_replaces_the_backoff_on_429_and_503(
         "http://stub", "m", ResponseCache(tmp_path), max_retries=2, backoff_seconds=0.1, timeout=5
     )
     with pytest.raises(TransportError, match=f"HTTP {status}"):
-        client.generate(GenerationRequest("q?"))
+        client.generate("q?")
     assert len(posts) == 3
     assert slept == waits
 
@@ -700,7 +719,7 @@ def test_generate_rejects_a_breach_of_the_contract_before_caching(
     with ResponseCache(tmp_path) as cache:
         client = GenerationClient("http://stub", "m", cache, max_retries=2)
         with pytest.raises(error):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
         assert len(cache) == 0
     assert posts == ["http://stub"]  # not retried
     assert cache_rows(tmp_path) == {}
@@ -710,7 +729,7 @@ def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
     stub_post(monkeypatch, 200, b'{"text": "x", "token_logprobs": [-0.5, 0], "extra": 1}')
     with ResponseCache(tmp_path) as cache:
         client = GenerationClient("http://stub", "m", cache)
-        response = client.generate(GenerationRequest("q?"))
+        response = client.generate("q?")
     assert response == {"text": "x", "token_logprobs": [-0.5, 0]}
     (entry,) = cache_rows(tmp_path).values()
     assert json.loads(entry)["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
@@ -719,7 +738,7 @@ def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
 def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_path, monkeypatch):
     stub_post(monkeypatch, 200, b'{"text": "Caf\\u00e9", "token_logprobs": [-0.5, 0]}')
     with ResponseCache(tmp_path) as cache:
-        GenerationClient("http://stub", "m", cache).generate(GenerationRequest("q \u00e9?"))
+        GenerationClient("http://stub", "m", cache).generate("q \u00e9?")
     ((key, entry),) = cache_rows(tmp_path).items()
     # The key earlier versions gave this request; the row holds only the
     # response, non-ASCII kept.
@@ -741,7 +760,7 @@ def test_generate_reads_a_row_of_an_earlier_version_as_a_hit_and_leaves_it(tmp_p
     key = ResponseCache.key("m", "q \u00e9?", 32)
     with ResponseCache(tmp_path) as cache:
         write_cache_row(tmp_path, key, OLD_ROW)
-        response = GenerationClient("http://stub", "m", cache).generate(GenerationRequest("q \u00e9?"))
+        response = GenerationClient("http://stub", "m", cache).generate("q \u00e9?")
     assert response == {"text": "Caf\u00e9", "token_logprobs": [-0.5, 0]}
     assert posts == []
     assert cache_rows(tmp_path) == {key: OLD_ROW}
@@ -773,14 +792,14 @@ def test_generate_gives_a_valid_response_or_a_transport_or_capability_error(
     shared_cache, status, body
 ):
     # A prompt no earlier example used, so this example's request is a miss.
-    request = GenerationRequest(f"{uuid.uuid4()}?")
-    key = ResponseCache.key("m", request.prompt, request.max_new_tokens)
+    prompt = f"{uuid.uuid4()}?"
+    key = ResponseCache.key("m", prompt, 32)
     entries_before = len(shared_cache)
     with pytest.MonkeyPatch.context() as monkeypatch:
         stub_post(monkeypatch, status, body)
         client = GenerationClient("http://stub", "m", shared_cache, max_retries=0)
         try:
-            response = client.generate(request)
+            response = client.generate(prompt)
         except (TransportError, CapabilityError):
             assert len(shared_cache) == entries_before
         else:
@@ -897,6 +916,30 @@ def test_run_corpus_rejects_unknown_style(tmp_path):
     client = GenerationClient("http://127.0.0.1:1", "m", ResponseCache(tmp_path))
     with pytest.raises(ConfigError):
         run_corpus(_three_record_corpus(), "sampling", client)
+
+
+def test_run_corpus_draws_the_fewshot_demonstrations_once(tmp_path, monkeypatch):
+    draws = []
+
+    class CountedRandom(random.Random):
+        def __init__(self, seed):
+            draws.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(inference, "random", SimpleNamespace(Random=CountedRandom))
+    with serve(Script()) as service, ResponseCache(tmp_path) as cache, closing(
+        GenerationClient(service.url, "m", cache, timeout=5)
+    ) as client:
+        run_corpus(
+            _three_record_corpus(), "fewshot-balanced", client, pool=_pool(4, 4), fewshot_k=4,
+            max_in_flight=1,
+        )
+        prompts = service.request_log
+    assert draws == [7]
+    questions = ["first question?", "second question?", "third question?"]
+    prefixes = {p.removesuffix(f"Q: {q}\nA:") for p, q in zip(prompts, questions)}
+    (prefix,) = prefixes
+    assert prefix.count("Q: ") == 4 and prefix.endswith("\n\n")
 
 
 def _warm(tmp_path, corpus) -> ResponseCache:

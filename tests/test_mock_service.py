@@ -17,7 +17,7 @@ from answer_or_search.errors import (
     DataError,
     TransportError,
 )
-from answer_or_search.inference import GenerationClient, GenerationRequest, ResponseCache, perplexity
+from answer_or_search.inference import GenerationClient, ResponseCache, perplexity
 from answer_or_search.mock_service import DEFAULT_ENTRY, Script, ScriptEntry, main, serve
 
 from conftest import ANY_LINE, damaged, read_or_data_error
@@ -27,7 +27,7 @@ def test_scripted_prompt_round_trip(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,))
     with serve(script) as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
-        response = client.generate(GenerationRequest("q?"))
+        response = client.generate("q?")
     assert response["text"] == "Paris"
     assert perplexity(response["token_logprobs"]) == pytest.approx(math.exp(0.1))
 
@@ -56,10 +56,10 @@ def test_request_log_counts_each_round_trip_exactly(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,))
     with serve(script) as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
-        client.generate(GenerationRequest("q?"))
-        client.generate(GenerationRequest("q?"))  # warm cache: no round trip
+        client.generate("q?")
+        client.generate("q?")  # warm cache: no round trip
         assert service.request_log == ["q?"]
-        client.generate(GenerationRequest("other?"))
+        client.generate("other?")
         assert service.request_log == ["q?", "other?"]
 
 
@@ -68,7 +68,7 @@ def test_no_logprobs_fault_raises_capability_error(tmp_path):
     with serve(script) as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
         with pytest.raises(CapabilityError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
 
 
 def test_http_error_fault_raises_transport_error(tmp_path):
@@ -79,7 +79,7 @@ def test_http_error_fault_raises_transport_error(tmp_path):
             max_retries=1, backoff_seconds=0.01, timeout=5,
         )
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
 
 
 def test_answering_a_client_that_hung_up_prints_nothing(tmp_path, capfd):
@@ -90,7 +90,7 @@ def test_answering_a_client_that_hung_up_prints_nothing(tmp_path, capfd):
             service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=0.1
         )
         with pytest.raises(TransportError):
-            client.generate(GenerationRequest("q?"))
+            client.generate("q?")
         time.sleep(1.0)  # the handler wakes and writes to the closed connection
     assert capfd.readouterr().err == ""
 
@@ -106,8 +106,8 @@ def test_misses_from_one_client_thread_share_one_connection(tmp_path, monkeypatc
     monkeypatch.setattr(mock_service._MockHTTPServer, "process_request", counted)
     with serve(Script()) as service:
         client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
-        client.generate(GenerationRequest("q1?"))
-        client.generate(GenerationRequest("q2?"))
+        client.generate("q1?")
+        client.generate("q2?")
         client.close()
         assert service.request_log == ["q1?", "q2?"]
     assert len(accepted) == 1
@@ -116,10 +116,10 @@ def test_misses_from_one_client_thread_share_one_connection(tmp_path, monkeypatc
 def test_close_ends_the_kept_alive_connections(tmp_path):
     service = serve(Script())
     client = GenerationClient(service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=5)
-    client.generate(GenerationRequest("q1?"))
+    client.generate("q1?")
     service.close()
     with pytest.raises(TransportError):
-        client.generate(GenerationRequest("q2?"))
+        client.generate("q2?")
     assert service.request_log == ["q1?"]
 
 
