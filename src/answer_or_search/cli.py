@@ -189,11 +189,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
             section[leaf] = value
 
     corpus: dict[str, dict] = {}
-    exists = lambda p: p and Path(p).exists()  # "" would name the current directory
+    is_file = lambda p: Path(p).is_file()
     for split in _get(raw, "corpus", dict, {}, bool, "a mapping of at least one split"):
         if split not in SPLITS:
             raise ConfigError(f"unknown corpus split {split!r}")
-        split_path = _get(raw, f"corpus.{split}.path", str, "", exists, "an existing file")
+        split_path = _get(raw, f"corpus.{split}.path", str, "", is_file, "an existing file")
         fmt = _get(raw, f"corpus.{split}.format", str, "canonical-jsonl", CORPUS_FORMATS)
         corpus[split] = {"path": str(Path(split_path)), "format": fmt}
 

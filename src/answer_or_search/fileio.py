@@ -90,16 +90,24 @@ def write_json(path: str | Path, doc: dict) -> Path:
     return Path(path)
 
 
+def _open(path: Path, what: str) -> TextIO:
+    """``path`` opened for reading; a DataError names a file it cannot open (a directory, say)."""
+    try:
+        return path.open("r", encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{what} does not exist: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+
+
 def read_lines(path: str | Path, parse: Callable[[str, int], T], what: str) -> list[T]:
     """``parse(line, line_no)`` for every non-blank line, newline stripped.
 
     Line numbers count blank lines too, so they match what an editor shows.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} does not exist: {path}")
     rows: list[T] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with _open(path, what) as fh:
         line_no = 0
         try:
             for line_no, line in enumerate(fh, start=1):
@@ -118,13 +126,11 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> list[T
 def read_json(path: str | Path, parse: Callable[[Any], T], what: str) -> T:
     """``parse(doc)`` for the one JSON document in ``path``."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"{what} does not exist: {path}")
-    try:
-        with path.open("r", encoding="utf-8") as fh:
+    with _open(path, what) as fh:
+        try:
             return parse(json.load(fh))
-    except _PARSE_ERRORS as exc:
-        raise DataError(f"malformed {what} in {path}: {exc}") from exc
+        except _PARSE_ERRORS as exc:
+            raise DataError(f"malformed {what} in {path}: {exc}") from exc
 
 
 def manifest_path_for(path: str | Path) -> Path:

@@ -250,9 +250,6 @@ _LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 #: How long a statement waits for another connection's lock before it fails.
 _BUSY_SECONDS = 5.0
 
-#: Rows :meth:`ResponseCache.put` buffers before it commits them in one transaction.
-_COMMIT_ROWS = 64
-
 
 class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
@@ -263,20 +260,18 @@ class ResponseCache:
     the request, which is not read. The file is in WAL mode, so several
     processes may share a ``cache_dir``, and one connection serves every thread
     of this process, its statements taken in turn under a lock. :meth:`put`
-    buffers rows in memory, where :meth:`get` and ``in`` see them at once, and
-    commits them :data:`_COMMIT_ROWS` at a time and on :meth:`close`: a short
-    write transaction per group, never one held across a request. Response
-    files of the earlier one-file-per-response layout are imported on open and
-    then deleted. Any SQLite failure is a :class:`DataError` naming the file.
-    Use it as a context manager, or call :meth:`close`: the last connection to
-    close folds the write-ahead log back into the file and removes it.
+    commits its row at once, so no write lock is held across a request and a
+    killed process keeps every row it put. Response files of the earlier
+    one-file-per-response layout are imported on open and then deleted. Any
+    SQLite failure is a :class:`DataError` naming the file. Use it as a context
+    manager, or call :meth:`close`: the last connection to close folds the
+    write-ahead log back into the file and removes it.
     """
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILE
         self._lock = threading.Lock()
-        self._pending: dict[str, str] = {}  # key -> entry text, not yet committed
         self._db: sqlite3.Connection | None = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -340,13 +335,7 @@ class ResponseCache:
             path.unlink(missing_ok=True)
 
     def close(self) -> None:
-        """Commit the buffered rows, then close the connection."""
-        if self._db is None:
-            return
-        try:
-            with self._lock:
-                self._commit_pending()
-        finally:
+        if self._db is not None:
             db, self._db = self._db, None
             db.close()
 
@@ -362,20 +351,6 @@ class ResponseCache:
             return self._db.execute(sql, params).fetchall()
         except sqlite3.Error as exc:
             raise DataError(f"response cache {self.path}: {exc}") from exc
-
-    def _commit_pending(self) -> None:
-        """Write the buffered rows in one transaction; the caller holds the lock."""
-        if not self._pending:
-            return
-        try:
-            self._db.execute("BEGIN IMMEDIATE")
-            with self._db:
-                self._db.executemany(
-                    "INSERT OR REPLACE INTO entries VALUES (?, ?)", self._pending.items()
-                )
-        except sqlite3.Error as exc:
-            raise DataError(f"response cache {self.path}: {exc}") from exc
-        self._pending.clear()
 
     @staticmethod
     def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
@@ -396,18 +371,11 @@ class ResponseCache:
     def __contains__(self, key: str) -> bool:
         """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
         with self._lock:
-            return key in self._pending or bool(
-                self._query("SELECT 1 FROM entries WHERE key = ?", (key,))
-            )
+            return bool(self._query("SELECT 1 FROM entries WHERE key = ?", (key,)))
 
     def __len__(self) -> int:
-        """The number of entries, committed or buffered."""
         with self._lock:
-            (committed,) = self._query("SELECT COUNT(*) FROM entries")[0]
-            return committed + sum(
-                not self._query("SELECT 1 FROM entries WHERE key = ?", (key,))
-                for key in self._pending
-            )
+            return self._query("SELECT COUNT(*) FROM entries")[0][0]
 
     def get(self, key: str) -> dict | None:
         """The stored response, or None when it is missing or unusable.
@@ -418,14 +386,11 @@ class ResponseCache:
         therefore builds a :class:`Prediction`.
         """
         with self._lock:
-            text = self._pending.get(key)
-            if text is None:
-                rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
-                if not rows:
-                    return None
-                text = rows[0][0]
+            rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
+        if not rows:
+            return None
         try:
-            response = json.loads(text)["response"]
+            response = json.loads(rows[0][0])["response"]
             check_response(response)
         except (ValueError, KeyError, TypeError, RecursionError, DataError):
             return None
@@ -434,9 +399,7 @@ class ResponseCache:
     def put(self, key: str, response: dict) -> None:
         text = json.dumps({"response": response}, ensure_ascii=False)
         with self._lock:
-            self._pending[key] = text
-            if len(self._pending) >= _COMMIT_ROWS:
-                self._commit_pending()
+            self._query("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, text))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import socket
 import sqlite3
 import tempfile
 import threading
-from contextlib import closing
+from collections.abc import Iterator
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from answer_or_search.corpus import Corpus, QaRecord
 from answer_or_search.errors import DataError
-from answer_or_search.inference import CACHE_FILE, GenerationClient, Prediction
+from answer_or_search.inference import CACHE_FILE, GenerationClient, Prediction, ResponseCache
 
 #: Any JSON value, a little nested.
 JSON_VALUES = st.recursive(
@@ -169,6 +170,15 @@ def small_corpus() -> Corpus:
         make_record("q2", "first emperor of France?", ["Napoleon"]),
         make_record("q3", "capital of Italy?", ["Rome", "Roma"]),
     )
+
+
+@contextmanager
+def open_client(url: str, cache_dir: str | Path, **options) -> Iterator[GenerationClient]:
+    """A client of model tag "m" on the cache in ``cache_dir``; both are closed on exit."""
+    with ResponseCache(cache_dir) as cache, closing(
+        GenerationClient(url, "m", cache, **options)
+    ) as client:
+        yield client
 
 
 def cache_rows(cache_dir: str | Path) -> dict[str, str | bytes]:

@@ -651,6 +651,16 @@ def test_histogram_splits_classes(workspace):
 # malformed inputs
 # ---------------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("command, flag", [("label", "--predictions"), ("tradeoff", "--report")])
+def test_input_path_that_names_a_directory_exits_data(workspace, capsys, command, flag):
+    run(workspace, "ingest")
+    directory = workspace["tmp"] / "a-directory"
+    directory.mkdir()
+    capsys.readouterr()
+    assert run(workspace, command, flag, str(directory)) == EXIT_DATA
+    assert f"{directory} cannot be read" in capsys.readouterr().err
+
 # (command, flag, file content); flag None truncates infer's own predictions
 # file below the record count in its manifest.
 MALFORMED_INPUTS = {
@@ -806,6 +816,7 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
         ("endpoint.timeout", "30"),
         ("lambda", 10**400),
         ("lambda", float("inf")),
+        ("corpus.dev.path", "."),
     ],
     ids=[
         "lambda-below-one",
@@ -833,6 +844,7 @@ def test_config_rejects_non_numeric_value(workspace, capsys):
         "timeout-quoted-number",
         "lambda-beyond-float-range",
         "lambda-infinite",
+        "corpus-path-is-a-directory",
     ],
 )
 def test_config_rejects_out_of_range_values(workspace, capsys, key, value):

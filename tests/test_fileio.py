@@ -67,6 +67,12 @@ def test_readers_reject_missing_file(tmp_path):
         read_jsonl(tmp_path / "nope.jsonl", dict, "rows")
     with pytest.raises(DataError, match="does not exist"):
         read_json(tmp_path / "nope.json", dict, "doc")
+    directory = tmp_path / "dir.jsonl"
+    directory.mkdir()
+    with pytest.raises(DataError, match=r"rows .*dir\.jsonl cannot be read"):
+        read_jsonl(directory, dict, "rows")
+    with pytest.raises(DataError, match=r"doc .*dir\.jsonl cannot be read"):
+        read_json(directory, dict, "doc")
 
 
 def test_read_json_wraps_parse_errors(tmp_path):

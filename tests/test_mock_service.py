@@ -17,16 +17,15 @@ from answer_or_search.errors import (
     DataError,
     TransportError,
 )
-from answer_or_search.inference import GenerationClient, ResponseCache, perplexity
+from answer_or_search.inference import perplexity
 from answer_or_search.mock_service import DEFAULT_ENTRY, Script, ScriptEntry, main, serve
 
-from conftest import ANY_LINE, damaged, read_or_data_error
+from conftest import ANY_LINE, damaged, open_client, read_or_data_error
 
 
 def test_scripted_prompt_round_trip(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,))
-    with serve(script) as service:
-        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+    with serve(script) as service, open_client(service.url, tmp_path, timeout=5) as client:
         response = client.generate("q?")
     assert response["text"] == "Paris"
     assert perplexity(response["token_logprobs"]) == pytest.approx(math.exp(0.1))
@@ -54,8 +53,7 @@ def test_question_matching_prefers_last_occurrence():
 
 def test_request_log_counts_each_round_trip_exactly(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,))
-    with serve(script) as service:
-        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+    with serve(script) as service, open_client(service.url, tmp_path, timeout=5) as client:
         client.generate("q?")
         client.generate("q?")  # warm cache: no round trip
         assert service.request_log == ["q?"]
@@ -65,19 +63,16 @@ def test_request_log_counts_each_round_trip_exactly(tmp_path):
 
 def test_no_logprobs_fault_raises_capability_error(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,), fault="no-logprobs")
-    with serve(script) as service:
-        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
+    with serve(script) as service, open_client(service.url, tmp_path, timeout=5) as client:
         with pytest.raises(CapabilityError):
             client.generate("q?")
 
 
 def test_http_error_fault_raises_transport_error(tmp_path):
     script = Script().add_exact("q?", "Paris", (-0.1,), fault="http-error")
-    with serve(script) as service:
-        client = GenerationClient(
-            service.url, "m", ResponseCache(tmp_path),
-            max_retries=1, backoff_seconds=0.01, timeout=5,
-        )
+    with serve(script) as service, open_client(
+        service.url, tmp_path, max_retries=1, backoff_seconds=0.01, timeout=5
+    ) as client:
         with pytest.raises(TransportError):
             client.generate("q?")
 
@@ -85,10 +80,9 @@ def test_http_error_fault_raises_transport_error(tmp_path):
 def test_answering_a_client_that_hung_up_prints_nothing(tmp_path, capfd):
     script = Script().add_exact("q?", "Paris", (-0.1,), fault="timeout")
     script.timeout_sleep = 0.5
-    with serve(script) as service:
-        client = GenerationClient(
-            service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=0.1
-        )
+    with serve(script) as service, open_client(
+        service.url, tmp_path, max_retries=0, timeout=0.1
+    ) as client:
         with pytest.raises(TransportError):
             client.generate("q?")
         time.sleep(1.0)  # the handler wakes and writes to the closed connection
@@ -105,21 +99,20 @@ def test_misses_from_one_client_thread_share_one_connection(tmp_path, monkeypatc
 
     monkeypatch.setattr(mock_service._MockHTTPServer, "process_request", counted)
     with serve(Script()) as service:
-        client = GenerationClient(service.url, "m", ResponseCache(tmp_path), timeout=5)
-        client.generate("q1?")
-        client.generate("q2?")
-        client.close()
+        with open_client(service.url, tmp_path, timeout=5) as client:
+            client.generate("q1?")
+            client.generate("q2?")
         assert service.request_log == ["q1?", "q2?"]
     assert len(accepted) == 1
 
 
 def test_close_ends_the_kept_alive_connections(tmp_path):
     service = serve(Script())
-    client = GenerationClient(service.url, "m", ResponseCache(tmp_path), max_retries=0, timeout=5)
-    client.generate("q1?")
-    service.close()
-    with pytest.raises(TransportError):
-        client.generate("q2?")
+    with open_client(service.url, tmp_path, max_retries=0, timeout=5) as client:
+        client.generate("q1?")
+        service.close()
+        with pytest.raises(TransportError):
+            client.generate("q2?")
     assert service.request_log == ["q1?"]
 
 
