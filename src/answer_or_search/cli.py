@@ -19,6 +19,8 @@ from pathlib import Path
 
 import yaml
 
+# Only what every stage needs is imported here; each subcommand imports the
+# modules of its own stage, so a stage never pays to load another's.
 from .analysis import (
     TRANSFORMS,
     HistogramSpec,
@@ -33,6 +35,7 @@ from .corpus import (
     DEFAULT_SEARCH_TOKEN,
     SPLITS,
     Corpus,
+    Judgment,
     NormalizationProfile,
     SearchToken,
     exact_match,
@@ -41,22 +44,10 @@ from .corpus import (
     write_canonical,
 )
 from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbortedError
-from .evaluation import Judgment, evaluate_pair, judge, read_report, render_table, write_report
 from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
-from .inference import (
-    DEFAULT_MAX_NEW_TOKENS,
-    DEFAULT_TEMPLATE,
-    PROMPT_STYLES,
-    FewShotPool,
-    GenerationClient,
-    Prediction,
-    ResponseCache,
-    read_predictions,
-    run_corpus,
-    write_predictions,
-)
-from .labeling import build_masked_dataset, read_masked_dataset, write_masked_dataset
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
+from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, PROMPT_STYLES, Prediction
+from .predictions import read_predictions, write_predictions
 
 
 #: How a run reaches the endpoint and where it keeps files, never what it writes:
@@ -287,22 +278,19 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fewshot_pool(config: PipelineConfig) -> FewShotPool | None:
-    if config.prompt_style != "fewshot-balanced":
-        return None
-    if not config.pool_path:
-        raise ConfigError("prompt.pool_path is required for fewshot-balanced prompts")
-    dataset = read_masked_dataset(config.pool_path)
-    return FewShotPool(
-        examples=tuple((ex.question, ex.target) for ex in dataset.examples),
-        seed=config.seed,
-        search_token=config.token.literal,
-    )
-
-
 def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .inference import FewShotPool, GenerationClient, ResponseCache, run_corpus
+
     corpus = _load_split(config, args.split)
-    pool = _fewshot_pool(config)
+    pool = None
+    if config.prompt_style == "fewshot-balanced":
+        if not config.pool_path:
+            raise ConfigError("prompt.pool_path is required for fewshot-balanced prompts")
+        from .labeling import read_masked_dataset
+
+        dataset = read_masked_dataset(config.pool_path)
+        pairs = tuple((ex.question, ex.target) for ex in dataset.examples)
+        pool = FewShotPool(pairs, seed=config.seed, search_token=config.token.literal)
     with ResponseCache(config.cache_dir) as cache, closing(
         GenerationClient(
             config.endpoint_url,
@@ -347,6 +335,8 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_label(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .labeling import build_masked_dataset, write_masked_dataset
+
     corpus, preds = _load_split_and_predictions(config, args)
     if not preds:
         print("label: warning: no predictions; emitting an empty dataset", file=sys.stderr)
@@ -394,6 +384,8 @@ def _parse_adapted(raw: dict) -> tuple[str, str]:
 
 
 def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .evaluation import evaluate_pair, judge, render_table, write_report
+
     if (args.adapted is None) == (args.threshold is None):
         raise ConfigError("evaluate needs exactly one of --adapted or --threshold")
     corpus, base_preds = _load_split_and_predictions(config, args)
@@ -429,6 +421,8 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_tradeoff(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .evaluation import read_report
+
     report = read_report(args.report)
     points = tradeoff_curve(report.c * 100, report.h * 100, report.s * 100, args.ratios)
     out = write_tradeoff_table(
@@ -443,6 +437,8 @@ def cmd_tradeoff(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(config: PipelineConfig, args: argparse.Namespace) -> int:
+    from .evaluation import judge
+
     corpus, preds = _load_split_and_predictions(config, args)
     grouped: dict[str, list[float]] = {cls: [] for cls in args.classes}
     for pred in preds:

@@ -15,8 +15,10 @@ import json
 import string
 import unicodedata
 from dataclasses import dataclass, field
+from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._stopwords import ENGLISH_STOPWORDS, STOPWORDS_VERSION
 from .errors import DataError
@@ -76,6 +78,11 @@ class NormalizationProfile:
         blob = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+    @cached_property
+    def stopword_set(self) -> frozenset[str]:
+        """``stopwords`` as a set, built once; not a field, so no hash sees it."""
+        return frozenset(self.stopwords)
+
 
 DEFAULT_PROFILE = NormalizationProfile()
 
@@ -86,19 +93,36 @@ def _is_punctuation(ch: str) -> bool:
     return ch in _ASCII_PUNCT or unicodedata.category(ch).startswith("P")
 
 
+class _DropTable(dict):
+    """A ``str.translate`` table deleting what ``drop`` accepts; each code point
+    is decided on first sight and the answer kept (None deletes, itself keeps)."""
+
+    def __init__(self, drop: Callable[[str], bool]) -> None:
+        super().__init__()
+        self._drop = drop
+
+    def __missing__(self, code: int) -> int | None:
+        kept = self[code] = None if self._drop(chr(code)) else code
+        return kept
+
+
+_MARKS = _DropTable(lambda ch: unicodedata.category(ch) == "Mn")
+_PUNCTUATION = _DropTable(_is_punctuation)
+
+
 def normalize(text: str, profile: NormalizationProfile = DEFAULT_PROFILE) -> str:
     """Canonicalize ``text`` under ``profile``. Deterministic and idempotent."""
     out = text
-    if profile.unicode_fold:
-        decomposed = unicodedata.normalize("NFKD", out)
-        out = "".join(ch for ch in decomposed if unicodedata.category(ch) != "Mn")
+    # NFKD leaves ASCII as it is, and no ASCII character is a mark (Mn).
+    if profile.unicode_fold and not out.isascii():
+        out = unicodedata.normalize("NFKD", out).translate(_MARKS)
     if profile.lowercase:
         out = out.lower()
     if profile.strip_punctuation:
-        out = "".join(ch for ch in out if not _is_punctuation(ch))
+        out = out.translate(_PUNCTUATION)
     if profile.stopwords:
         # Stopword comparison happens after lowercasing; whole tokens only.
-        drop = frozenset(profile.stopwords)
+        drop = profile.stopword_set
         out = " ".join(tok for tok in out.split() if tok not in drop)
     elif profile.collapse_whitespace:
         out = " ".join(out.split())
@@ -115,6 +139,12 @@ def exact_match(
         raise DataError("exact_match requires a non-empty gold answer list")
     pred = normalize(prediction, profile)
     return any(pred == normalize(g, profile) for g in gold_answers)
+
+
+class Judgment(Enum):
+    CORRECT = "C"
+    HALLUCINATED = "H"
+    SEARCH = "S"
 
 
 #: The output that signals a call to the search tool, unless configured otherwise.

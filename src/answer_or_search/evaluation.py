@@ -19,23 +19,14 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import DEFAULT_PROFILE, NormalizationProfile, QaRecord, SearchToken, exact_match
+from .analysis import RATE_SUM_TOLERANCE
+from .corpus import DEFAULT_PROFILE, Judgment, NormalizationProfile, QaRecord, SearchToken, exact_match
 from .errors import DataError, PairingError
 from .fileio import is_number, read_json, write_json
-
-#: Published rates come with one decimal of rounding, so paired percentages
-#: may miss 100 by a small residue.
-RATE_SUM_TOLERANCE = 0.2
 
 
 def _finite(value: object) -> bool:
     return is_number(value) and math.isfinite(value)
-
-
-class Judgment(Enum):
-    CORRECT = "C"
-    HALLUCINATED = "H"
-    SEARCH = "S"
 
 
 class Cell(Enum):

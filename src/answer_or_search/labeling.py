@@ -30,7 +30,7 @@ from .fileio import (
     write_jsonl,
     write_manifest,
 )
-from .inference import Prediction
+from .predictions import Prediction
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Sequence
 from .corpus import SearchToken
 from .errors import CalibrationError, ConfigError, DataError
 from .fileio import decode_infinity, encode_infinity, is_number, read_json, write_json
-from .inference import Prediction
+from .predictions import Prediction
 
 STRATEGIES = ("max-f1", "target-search-rate")
 

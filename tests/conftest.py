@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from answer_or_search.corpus import Corpus, QaRecord
 from answer_or_search.errors import DataError
-from answer_or_search.inference import CACHE_FILE, GenerationClient, Prediction, ResponseCache
+from answer_or_search.inference import CACHE_FILE, GenerationClient, ResponseCache
+from answer_or_search.predictions import Prediction
 
 #: Any JSON value, a little nested.
 JSON_VALUES = st.recursive(

@@ -11,34 +11,41 @@ import unicodedata
 
 import numpy as np
 
-from answer_or_search._stopwords import ENGLISH_STOPWORDS
+from answer_or_search.corpus import DEFAULT_PROFILE, NormalizationProfile
 
 _ASCII_SYMBOLS = "!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~"
 
 
-def brute_force_normalize(text: str) -> str:
-    """Character-by-character application of the judging rules."""
-    folded_chars = []
-    for ch in unicodedata.normalize("NFKD", text):
-        if unicodedata.category(ch) == "Mn":
-            continue
-        folded_chars.append(ch)
-    lowered = "".join(folded_chars).lower()
-
-    kept = []
-    for ch in lowered:
-        if ch in _ASCII_SYMBOLS:
-            continue
-        if unicodedata.category(ch)[0] == "P":
-            continue
-        kept.append(ch)
-
-    tokens = []
-    for token in "".join(kept).split():
-        if token in set(ENGLISH_STOPWORDS):
-            continue
-        tokens.append(token)
-    return " ".join(tokens)
+def brute_force_normalize(text: str, profile: NormalizationProfile = DEFAULT_PROFILE) -> str:
+    """Character-by-character application of the judging rules ``profile`` turns on."""
+    out = text
+    if profile.unicode_fold:
+        folded_chars = []
+        for ch in unicodedata.normalize("NFKD", out):
+            if unicodedata.category(ch) == "Mn":
+                continue
+            folded_chars.append(ch)
+        out = "".join(folded_chars)
+    if profile.lowercase:
+        out = out.lower()
+    if profile.strip_punctuation:
+        kept = []
+        for ch in out:
+            if ch in _ASCII_SYMBOLS:
+                continue
+            if unicodedata.category(ch)[0] == "P":
+                continue
+            kept.append(ch)
+        out = "".join(kept)
+    # Dropping stopwords splits into tokens, so it collapses whitespace too.
+    if profile.stopwords or profile.collapse_whitespace:
+        tokens = []
+        for token in out.split():
+            if token in set(profile.stopwords):
+                continue
+            tokens.append(token)
+        out = " ".join(tokens)
+    return out
 
 
 def brute_force_match(prediction: str, gold_answers) -> bool:

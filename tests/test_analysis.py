@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from answer_or_search.analysis import (
     HistogramSpec,
     histogram,
-    read_table,
     tradeoff_curve,
     write_histogram_table,
     write_tradeoff_table,
@@ -185,6 +185,13 @@ def test_histogram_matches_numpy(edges, data):
 # ---------------------------------------------------------------------------
 # emitted tables
 # ---------------------------------------------------------------------------
+
+
+def read_table(path) -> list[dict]:
+    """Read back an emitted table, skipping '#' comment lines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        data_lines = [line for line in fh if not line.startswith("#")]
+    return list(csv.DictReader(data_lines))
 
 
 def test_tradeoff_table_round_trip(tmp_path):

@@ -23,8 +23,9 @@ from answer_or_search.errors import (
     RunAbortedError,
 )
 from answer_or_search.evaluation import read_report
-from answer_or_search.inference import CACHE_FILE, DEFAULT_MAX_NEW_TOKENS, ResponseCache
+from answer_or_search.inference import CACHE_FILE, ResponseCache
 from answer_or_search.mock_service import Script, serve
+from answer_or_search.predictions import DEFAULT_MAX_NEW_TOKENS
 
 from conftest import cache_rows, stub_post, write_cache_row
 

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from answer_or_search.corpus import (
@@ -20,6 +21,7 @@ from answer_or_search.corpus import (
 from answer_or_search.errors import DataError
 
 from conftest import ANY_LINE, damaged, make_corpus, make_record, read_or_data_error
+from oracles import brute_force_normalize
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +66,34 @@ def test_normalize_output_is_clean(text):
     assert out == out.strip()
     for tok in out.split():
         assert tok not in DEFAULT_PROFILE.stopwords
+
+
+#: Every setting of the five switches: four flags, and stopwords off or the default list.
+PROFILES = [
+    NormalizationProfile(
+        lowercase=lower, strip_punctuation=punct, collapse_whitespace=collapse,
+        unicode_fold=fold, stopwords=words,
+    )
+    for lower, punct, collapse, fold in itertools.product((False, True), repeat=4)
+    for words in ((), DEFAULT_PROFILE.stopwords)
+]
+
+#: Any text, or text built from pieces each rule acts on: a stopword, an ASCII
+#: symbol that is no Unicode punctuation ("$" is Sc), marks, wide and compatibility forms.
+ANSWERS = st.text() | st.lists(
+    st.sampled_from(["The", "a", "I", " ", "\t", "$", "+", "!", "¿", "é", "e\u0301", "Ａ", "ﬁ", "½"])
+).map("".join)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@given(text=ANSWERS)
+@example(text="Price: $5 + <tax>")
+@settings(max_examples=60, deadline=None)
+def test_normalize_matches_the_oracle_under_every_profile(profile, text):
+    expected = brute_force_normalize(text, profile)
+    assert normalize(text, profile) == expected
+    # Again, now that every character of ``text`` has an entry in the tables.
+    assert normalize(text, profile) == expected
 
 
 def test_normalize_respects_disabled_stages():

@@ -34,13 +34,15 @@ from answer_or_search.inference import (
     FewShotPool,
     GenerationClient,
     IDK_INSTRUCTION,
-    Prediction,
     ResponseCache,
+    prompt_builder,
+    run_corpus,
+)
+from answer_or_search.predictions import (
+    Prediction,
     check_response,
     perplexity,
-    prompt_builder,
     read_predictions,
-    run_corpus,
     write_predictions,
 )
 from answer_or_search.fileio import is_number

@@ -17,7 +17,7 @@ from answer_or_search.errors import (
     DataError,
     TransportError,
 )
-from answer_or_search.inference import perplexity
+from answer_or_search.predictions import perplexity
 from answer_or_search.mock_service import DEFAULT_ENTRY, Script, ScriptEntry, main, serve
 
 from conftest import ANY_LINE, damaged, open_client, read_or_data_error
