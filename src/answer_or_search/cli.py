@@ -344,7 +344,6 @@ def cmd_label(config: PipelineConfig, args: argparse.Namespace) -> int:
     out = write_masked_dataset(
         dataset,
         config.output_dir / f"masked.{args.split}.jsonl",
-        corpus=corpus,
         extra_manifest={"split": args.split, "config_hash": config.config_hash},
     )
     stats = dataset.stats()

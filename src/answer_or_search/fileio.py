@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO, TypeVar
 
@@ -59,18 +59,22 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     The parent directory is created. The tmp file is named
     ``<name>.<pid>.tmp``, so writers in different processes never share one;
     two threads of one process must not write the same path at once. It is
-    removed if the write fails. Newlines are written untranslated, so the
-    bytes are the same on every platform. There is no fsync.
+    removed if the write fails; an ``OSError`` (a full disk, say) becomes a
+    :class:`DataError` naming ``path``. Newlines are written untranslated, so
+    the bytes are the same on every platform. There is no fsync.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise DataError(f"{path} cannot be written: {exc.strerror or exc}") from exc
         raise
 
 

@@ -2,7 +2,7 @@
 
 Generation is delegated to an HTTP completion-style service. Each response
 must meet :func:`check_response` (the text and one finite log-probability
-<= 0 per generated token) before it is cached on disk, keyed by a content
+<= 0 per generated token) before it is cached in one SQLite file under a
 hash of the request, and again when read back. So a warm cache reruns a
 corpus with zero network calls, byte for byte, and no cached entry can abort
 a run: one that breaks the contract is a miss, fetched again and rewritten.
@@ -21,14 +21,13 @@ import hashlib
 import json
 import os
 import random
-import re
 import sqlite3
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -135,9 +134,6 @@ def prompt_builder(
 #: The response cache's database file inside ``cache_dir``.
 CACHE_FILE = "responses.sqlite3"
 
-#: Name of a response file in the one-file-per-response layout of earlier versions.
-_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
-
 #: How long a statement waits for another connection's lock before it fails.
 _BUSY_SECONDS = 5.0
 
@@ -152,11 +148,12 @@ class ResponseCache:
     processes may share a ``cache_dir``, and one connection serves every thread
     of this process, its statements taken in turn under a lock. :meth:`put`
     commits its row at once, so no write lock is held across a request and a
-    killed process keeps every row it put. Response files of the earlier
-    one-file-per-response layout are imported on open and then deleted. Any
-    SQLite failure is a :class:`DataError` naming the file. Use it as a context
-    manager, or call :meth:`close`: the last connection to close folds the
-    write-ahead log back into the file and removes it.
+    killed process keeps every row it put. Nothing else in ``cache_dir`` is
+    read: a ``<key>.json`` file left by the older one-file-per-response layout
+    is ignored, so its prompt is a miss. Any SQLite failure is a
+    :class:`DataError` naming the file. Use it as a context manager, or call
+    :meth:`close`: the last connection to close folds the write-ahead log back
+    into the file and removes it.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -179,7 +176,6 @@ class ResponseCache:
             self._db.execute(
                 "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
             )
-            self._import_legacy()
         except (OSError, sqlite3.Error) as exc:
             self.close()
             raise DataError(f"response cache {self.path} cannot be opened: {exc}") from exc
@@ -200,30 +196,6 @@ class ResponseCache:
                 if "locked" not in str(exc) or time.monotonic() > deadline:
                     raise
                 time.sleep(0.01)
-
-    def _import_legacy(self) -> None:
-        """Move ``<key>.json`` files into the table in one transaction.
-
-        A row already stored wins. A file that another process imported and
-        deleted meanwhile is skipped. Unusable files are imported as they
-        are: :meth:`get` treats them as misses, like any unusable row.
-        """
-        paths = [p for p in self.directory.iterdir() if _LEGACY_ENTRY.fullmatch(p.name)]
-        if not paths:
-            return
-
-        def rows() -> Iterator[tuple[str, str]]:
-            for path in paths:
-                try:
-                    yield path.stem, path.read_text("utf-8", "replace")
-                except FileNotFoundError:
-                    continue
-
-        self._db.execute("BEGIN IMMEDIATE")
-        with self._db:
-            self._db.executemany("INSERT OR IGNORE INTO entries VALUES (?, ?)", rows())
-        for path in paths:
-            path.unlink(missing_ok=True)
 
     def close(self) -> None:
         if self._db is not None:

@@ -91,7 +91,9 @@ def build_masked_dataset(
 ) -> MaskedDataset:
     """One masked example per prediction, ordered by the corpus.
 
-    Predictions must cover a subset of corpus ids with no duplicates.
+    Predictions must cover a subset of corpus ids with no duplicates. A labeled
+    record is refused if a gold answer normalizes like the search token, since
+    its masked target would be judged correct.
     """
     profile = profile if profile is not None else corpus.profile
     by_id: dict[str, Prediction] = {}
@@ -107,13 +109,19 @@ def build_masked_dataset(
         raise DataError(f"predictions mix model tags: {sorted(model_tags)}")
     model_tag = model_tags.pop() if model_tags else ""
 
-    examples = tuple(
-        mask_prediction(by_id[rec.id], rec, profile, token)
-        for rec in corpus
-        if rec.id in by_id
-    )
+    token_norm = normalize(token.literal, profile)
+    examples = []
+    for rec in corpus:
+        if rec.id not in by_id:
+            continue
+        if any(normalize(gold, profile) == token_norm for gold in rec.gold_answers):
+            raise DataError(
+                f"search token {token.literal!r} collides with a gold answer "
+                f"of record {rec.id!r}; labeling refused"
+            )
+        examples.append(mask_prediction(by_id[rec.id], rec, profile, token))
     return MaskedDataset(
-        examples=examples,
+        examples=tuple(examples),
         model_tag=model_tag,
         corpus_name=corpus.name,
         profile=profile,
@@ -121,32 +129,12 @@ def build_masked_dataset(
     )
 
 
-def _check_token_collisions(dataset: MaskedDataset, corpus: Corpus) -> None:
-    token_norm = normalize(dataset.token.literal, dataset.profile)
-    for ex in dataset.examples:
-        record = corpus[ex.record_id]
-        for gold in record.gold_answers:
-            if normalize(gold, dataset.profile) == token_norm:
-                raise DataError(
-                    f"search token {dataset.token.literal!r} collides with a gold answer "
-                    f"of record {record.id!r}; emission refused"
-                )
-
-
 def write_masked_dataset(
     dataset: MaskedDataset,
     path: str | Path,
-    corpus: Corpus | None = None,
     extra_manifest: dict | None = None,
 ) -> Path:
-    """Emit the dataset as line-delimited records plus a sidecar manifest.
-
-    When ``corpus`` is given, refuses to emit if the search token collides
-    with any normalized gold answer of a labeled record (such a dataset
-    would judge masked outputs as correct).
-    """
-    if corpus is not None:
-        _check_token_collisions(dataset, corpus)
+    """Emit the dataset as line-delimited records plus a sidecar manifest."""
     path = write_jsonl(
         path,
         (

@@ -276,37 +276,6 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert progress["failed"] == "d2"
 
 
-def test_infer_reuses_a_cache_in_the_old_one_file_per_response_layout(workspace):
-    run(workspace, "ingest")
-    run(workspace, "infer", "--split", "dev")
-    predictions = workspace["out"] / "predictions.dev.jsonl"
-    first = predictions.read_bytes()
-    cache = workspace["tmp"] / "cache"
-    # What earlier versions left: one <key>.json per response, holding a copy
-    # of the request as well.
-    rows, old_entries = cache_rows(cache), {}
-    for question, *_ in DEV_ROWS:
-        key = ResponseCache.key("mock-small", question, DEFAULT_MAX_NEW_TOKENS)
-        request = {
-            "model_tag": "mock-small",
-            "prompt": question,
-            "max_new_tokens": DEFAULT_MAX_NEW_TOKENS,
-            "decoding": "greedy",
-        }
-        response = json.loads(rows[key])["response"]
-        old_entries[key] = json.dumps({"request": request, "response": response}, ensure_ascii=False)
-        (cache / f"{key}.json").write_text(old_entries[key], encoding="utf-8")
-    (cache / CACHE_FILE).unlink()
-    predictions.unlink()
-    calls = len(workspace["service"].request_log)
-
-    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
-    assert len(workspace["service"].request_log) == calls
-    assert predictions.read_bytes() == first
-    assert os.listdir(cache) == [CACHE_FILE]
-    assert cache_rows(cache) == old_entries  # imported as they are, and read as hits
-
-
 def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, capsys):
     run(workspace, "ingest")
     path = workspace["tmp"] / "cache" / CACHE_FILE
@@ -484,6 +453,18 @@ def test_label_reports_mask_rate(workspace, capsys):
     assert manifest["provenance"]["normalization_profile_hash"]
 
 
+def test_label_refuses_a_search_token_that_normalizes_to_a_gold_answer(workspace, capsys):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    capsys.readouterr()
+    # "<Jupiter>" normalizes to "jupiter", the gold answer of d3.
+    rewrite_config(workspace, lambda c: c.update(search_token="<Jupiter>"))
+    assert run(workspace, "label", "--split", "dev") == EXIT_DATA
+    assert "'d3'" in capsys.readouterr().err
+    assert not (workspace["out"] / "masked.dev.jsonl").exists()
+    assert not (workspace["out"] / "masked.dev.jsonl.manifest.json").exists()
+
+
 def test_label_empty_predictions_warns(workspace, capsys):
     run(workspace, "ingest")
     empty = workspace["tmp"] / "empty.jsonl"
@@ -507,6 +488,16 @@ def test_calibrate_writes_threshold_manifest(workspace, capsys):
     assert manifest["strategy"] == "max-f1"
     assert 1.3 < manifest["tau"] < 4.4  # between correct and wrong perplexities
     assert "config_hash" in manifest
+
+
+def test_an_output_that_cannot_be_written_exits_data_naming_it(workspace, capsys):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    target = workspace["out"] / "threshold.json"
+    target.mkdir()
+    assert run(workspace, "calibrate", "--split", "dev") == EXIT_DATA
+    assert str(target) in capsys.readouterr().err
+    assert list(workspace["out"].glob("*.tmp")) == []
 
 
 def test_evaluate_identity_policy(workspace):

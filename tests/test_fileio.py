@@ -11,6 +11,7 @@ from answer_or_search.fileio import (
     manifest_path_for,
     read_json,
     read_jsonl,
+    write_json,
     write_jsonl,
     write_manifest,
 )
@@ -30,6 +31,13 @@ def test_failed_write_keeps_previous_file_and_leaves_no_tmp(tmp_path):
 def test_atomic_write_creates_parent_directory(tmp_path):
     path = write_jsonl(tmp_path / "a" / "b" / "rows.jsonl", [{"x": "é"}])
     assert path.read_text(encoding="utf-8") == '{"x": "é"}\n'
+
+
+def test_an_os_error_while_writing_is_a_data_error_naming_the_path(tmp_path):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "doc.json"
+    with pytest.raises(DataError, match=f"{target} cannot be written"):
+        write_json(target, {})
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):

@@ -367,17 +367,6 @@ UNUSABLE_ENTRIES = {
 
 
 @pytest.mark.parametrize("content", UNUSABLE_ENTRIES.values(), ids=UNUSABLE_ENTRIES.keys())
-def test_cache_unusable_entry_is_a_miss(tmp_path, content):
-    # Written as a file of the earlier one-file-per-response layout, imported on open.
-    key = ResponseCache.key("m", "p", 32)
-    (tmp_path / f"{key}.json").write_bytes(content)
-    with ResponseCache(tmp_path) as cache:
-        assert key in cache
-        assert cache.get(key) is None
-    assert os.listdir(tmp_path) == [CACHE_FILE]
-
-
-@pytest.mark.parametrize("content", UNUSABLE_ENTRIES.values(), ids=UNUSABLE_ENTRIES.keys())
 def test_cache_unusable_row_is_a_miss(tmp_path, content):
     key = ResponseCache.key("m", "p", 32)
     with ResponseCache(tmp_path) as cache:
@@ -388,25 +377,17 @@ def test_cache_unusable_row_is_a_miss(tmp_path, content):
         assert cache.get(key)["text"] == "x"
 
 
-def test_cache_imports_legacy_files_once_and_deletes_them(tmp_path):
-    stored, legacy_only = ResponseCache.key("m", "p", 32), ResponseCache.key("m", "q", 32)
+def test_cache_ignores_a_file_of_the_one_file_per_response_layout(tmp_path):
+    key = ResponseCache.key("m", "p", 32)
+    stray = tmp_path / f"{key}.json"
+    stray.write_text('{"response": {"text": "file", "token_logprobs": [-1.0]}}')
+    before = stray.read_bytes()
     with ResponseCache(tmp_path) as cache:
-        cache.put(stored, {"text": "row", "token_logprobs": [-1.0]})
-    file_text = '{"response": {"text": "file", "token_logprobs": [-1.0]}}'
-    (tmp_path / f"{stored}.json").write_text(file_text)
-    legacy_text = '{"response": {"text": "caf\u00e9", "token_logprobs": [-2.0]}}'
-    (tmp_path / f"{legacy_only}.json").write_text(legacy_text, encoding="utf-8")
-    # Only <64 hex digits>.json is a legacy entry; nothing else is touched.
-    keep = ["notes.json", f"{legacy_only}.json.123.tmp", f"{legacy_only.upper()}.json"]
-    for name in keep:
-        (tmp_path / name).write_text("{}")
-
-    with ResponseCache(tmp_path) as cache:
-        assert cache.get(stored)["text"] == "row"  # a stored row wins
-        assert cache.get(legacy_only)["text"] == "caf\u00e9"
-    assert sorted(os.listdir(tmp_path)) == sorted([CACHE_FILE, *keep])
-    assert cache_rows(tmp_path)[legacy_only] == legacy_text
-    assert len(cache_rows(tmp_path)) == 2
+        assert key not in cache
+        assert cache.get(key) is None
+        assert len(cache) == 0
+    assert stray.read_bytes() == before
+    assert cache_rows(tmp_path) == {}
 
 
 def test_cache_close_leaves_only_the_database_file(tmp_path):

@@ -144,14 +144,14 @@ def test_mask_rate_equals_hallucination_rate_by_construction(correct_flags):
 def test_emit_then_read_round_trips(tmp_path):
     corpus, preds = _corpus_and_preds(2, 5)
     dataset = build_masked_dataset(preds, corpus)
-    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl", corpus=corpus)
+    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl")
     assert read_masked_dataset(path) == dataset
 
 
 def test_emit_writes_manifest_stats(tmp_path):
     corpus, preds = _corpus_and_preds(1, 2)
     dataset = build_masked_dataset(preds, corpus)
-    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl", corpus=corpus)
+    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl")
     manifest = json.loads(manifest_path_for(path).read_text())
     assert manifest["records"] == 2
     assert manifest["stats"] == {"n_total": 2, "n_answer": 1, "n_masked": 1}
@@ -161,23 +161,14 @@ def test_emit_writes_manifest_stats(tmp_path):
 
 def test_emit_refuses_token_gold_collision(tmp_path):
     # "<search>" normalizes to "search", as does this gold answer, so masked
-    # targets would be judged correct; emission must refuse and name the record.
+    # targets would be judged correct; labeling must refuse and name the record.
     corpus = make_corpus(
         make_record("q0", "safe question?", ["fine"]),
         make_record("q1", "what does the tool do?", ["Search!"]),
     )
     preds = [make_prediction("q0", "wrong"), make_prediction("q1", "wrong")]
-    dataset = build_masked_dataset(preds, corpus)
     with pytest.raises(DataError, match="q1"):
-        write_masked_dataset(dataset, tmp_path / "masked.jsonl", corpus=corpus)
-    assert not (tmp_path / "masked.jsonl").exists()
-
-
-def test_emit_without_corpus_skips_collision_check(tmp_path):
-    corpus, preds = _corpus_and_preds(1, 2)
-    dataset = build_masked_dataset(preds, corpus)
-    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl")
-    assert path.exists()
+        build_masked_dataset(preds, corpus)
 
 
 # ---------------------------------------------------------------------------
