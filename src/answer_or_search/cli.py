@@ -241,7 +241,7 @@ def _load_split(config: PipelineConfig, split: str) -> Corpus:
     path = corpus_path(config, split)
     if not path.exists():
         raise DataError(f"canonical corpus for split {split!r} not found at {path}; run 'ingest'")
-    corpus = ingest(path, "canonical-jsonl", split, profile=config.profile)
+    corpus = ingest(path, "canonical-jsonl", split)
     check_manifest(path, len(corpus))
     return corpus
 
@@ -263,7 +263,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
     seen: dict[str, str] = {}
     corpora: dict[str, Corpus] = {}
     for split, meta in config.corpus.items():
-        corpora[split] = ingest(meta["path"], meta["format"], split, profile=config.profile)
+        corpora[split] = ingest(meta["path"], meta["format"], split)
         for rec in corpora[split]:
             if rec.id in seen:
                 raise DataError(
@@ -289,6 +289,12 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
         from .labeling import read_masked_dataset
 
         dataset = read_masked_dataset(config.pool_path)
+        if dataset.token != config.token:
+            raise DataError(
+                f"few-shot pool {config.pool_path} was labeled with search token "
+                f"{dataset.token.literal!r}, not {config.token.literal!r}; rerun 'label' "
+                "under this config"
+            )
         pairs = tuple((ex.question, ex.target) for ex in dataset.examples)
         pool = FewShotPool(pairs, seed=config.seed, search_token=config.token.literal)
     with ResponseCache(config.cache_dir) as cache, closing(

@@ -198,7 +198,6 @@ class Corpus:
 
     name: str
     records: tuple[QaRecord, ...]
-    profile: NormalizationProfile = DEFAULT_PROFILE
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
@@ -258,7 +257,6 @@ def ingest(
     fmt: str = "canonical-jsonl",
     split: str = "train",
     name: str | None = None,
-    profile: NormalizationProfile = DEFAULT_PROFILE,
 ) -> Corpus:
     """Read a corpus file into a :class:`Corpus`, preserving file order.
 
@@ -266,7 +264,8 @@ def ingest(
     ``id``, ``question``, ``answers``, optional ``split``) or ``tsv-pairs``
     (``question<TAB>answer1|answer2|...``). Records without ids get
     sequential ones derived from their line number. Malformed lines raise
-    :class:`DataError` naming the offending line.
+    :class:`DataError` naming the offending line. A corpus holds no
+    normalization profile: judging takes the profile as its own argument.
     """
     if split not in SPLITS:
         raise DataError(f"unknown split {split!r}")
@@ -274,7 +273,7 @@ def ingest(
         raise DataError(f"unknown corpus format {fmt!r}")
     parse = _parse_canonical_line if fmt == "canonical-jsonl" else _parse_tsv_line
     records = read_lines(path, lambda line, line_no: parse(line, line_no, split), "corpus file")
-    return Corpus(name=name or Path(path).stem, records=tuple(records), profile=profile)
+    return Corpus(name=name or Path(path).stem, records=tuple(records))
 
 
 def write_canonical(corpus: Corpus, path: str | Path) -> Path:

@@ -14,8 +14,8 @@ avoids hallucinating (lambda >= 1 weights hallucinations).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -27,13 +27,6 @@ from .fileio import is_number, read_json, write_json
 
 def _finite(value: object) -> bool:
     return is_number(value) and math.isfinite(value)
-
-
-class Cell(Enum):
-    TP = "TP"
-    FP = "FP"
-    TN = "TN"
-    FN = "FN"
 
 
 def judge(
@@ -48,17 +41,6 @@ def judge(
     if exact_match(output, record.gold_answers, profile):
         return Judgment.CORRECT
     return Judgment.HALLUCINATED
-
-
-def confusion_cell(base: Judgment, adapted: Judgment) -> Cell:
-    """Map a (base, adapted) judgment pair to its confusion cell."""
-    if base is Judgment.SEARCH:
-        raise DataError("base-model judgments cannot be Search")
-    if adapted is Judgment.CORRECT:
-        return Cell.TP
-    if adapted is Judgment.HALLUCINATED:
-        return Cell.FP
-    return Cell.FN if base is Judgment.CORRECT else Cell.TN
 
 
 @dataclass(frozen=True)
@@ -170,7 +152,11 @@ def evaluate_pair(
     base_ids: Sequence[str] | None = None,
     adapted_ids: Sequence[str] | None = None,
 ) -> EvalReport:
-    """Compare aligned per-record judgments of a (base, adapted) model pair."""
+    """Compare aligned per-record judgments of a (base, adapted) model pair.
+
+    The pairs are tallied once and every rate, retention share and confusion
+    cell is read from that table. A base judgment of Search is refused.
+    """
     if not lam >= 1.0:
         raise DataError(f"lambda must be >= 1, got {lam}")
     if len(base) != len(adapted):
@@ -186,29 +172,19 @@ def evaluate_pair(
             if bid != aid:
                 raise PairingError(f"record ids diverge at position {pos}: {bid!r} vs {aid!r}")
 
+    if Judgment.SEARCH in base:
+        raise DataError("base-model judgments cannot be Search")
     n = len(base)
-    cells = {Cell.TP: 0, Cell.FP: 0, Cell.TN: 0, Cell.FN: 0}
-    base_c_n = base_h_n = 0
-    kept_c = kept_h = 0
-    c_n = h_n = s_n = 0
-    for b, a in zip(base, adapted):
-        cells[confusion_cell(b, a)] += 1
-        if b is Judgment.CORRECT:
-            base_c_n += 1
-            kept_c += a is Judgment.CORRECT
-        else:
-            base_h_n += 1
-            kept_h += a is Judgment.HALLUCINATED
-        if a is Judgment.CORRECT:
-            c_n += 1
-        elif a is Judgment.HALLUCINATED:
-            h_n += 1
-        else:
-            s_n += 1
-
-    confusion = ConfusionCounts(
-        tp=cells[Cell.TP], fp=cells[Cell.FP], tn=cells[Cell.TN], fn=cells[Cell.FN]
-    )
+    pairs = Counter(zip(base, adapted))
+    C, H, S = Judgment.CORRECT, Judgment.HALLUCINATED, Judgment.SEARCH
+    base_c_n = pairs[C, C] + pairs[C, H] + pairs[C, S]
+    base_h_n = n - base_c_n
+    c_n = pairs[C, C] + pairs[H, C]
+    h_n = pairs[C, H] + pairs[H, H]
+    s_n = n - c_n - h_n
+    # Table 1: adapted C -> TP, adapted H -> FP, base C searched -> FN,
+    # base H searched -> TN.
+    confusion = ConfusionCounts(tp=c_n, fp=h_n, tn=pairs[H, S], fn=pairs[C, S])
     try:
         f1 = f1_score(confusion)
     except DataError:
@@ -222,8 +198,8 @@ def evaluate_pair(
         c=c_n / n,
         h=h_rate,
         s=s_rate,
-        retention_c=(kept_c / base_c_n) if base_c_n else None,
-        retention_h=(kept_h / base_h_n) if base_h_n else None,
+        retention_c=(pairs[C, C] / base_c_n) if base_c_n else None,
+        retention_h=(pairs[H, H] / base_h_n) if base_h_n else None,
         confusion=confusion,
         f1=f1,
         budget_cost=s_rate + lam * h_rate,

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import (
+    DEFAULT_PROFILE,
     Corpus,
     NormalizationProfile,
     QaRecord,
@@ -86,16 +87,16 @@ def mask_prediction(
 def build_masked_dataset(
     predictions: Sequence[Prediction],
     corpus: Corpus,
-    profile: NormalizationProfile | None = None,
+    profile: NormalizationProfile = DEFAULT_PROFILE,
     token: SearchToken = SearchToken(),
 ) -> MaskedDataset:
     """One masked example per prediction, ordered by the corpus.
 
-    Predictions must cover a subset of corpus ids with no duplicates. A labeled
-    record is refused if a gold answer normalizes like the search token, since
-    its masked target would be judged correct.
+    Predictions must cover a subset of corpus ids with no duplicates. Answers
+    are matched under ``profile``, the same default as :func:`mask_prediction`.
+    A labeled record is refused if a gold answer normalizes like the search
+    token, since its masked target would be judged correct.
     """
-    profile = profile if profile is not None else corpus.profile
     by_id: dict[str, Prediction] = {}
     for pred in predictions:
         if pred.record_id in by_id:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
@@ -22,11 +21,6 @@ from .fileio import decode_infinity, encode_infinity, is_number, read_json, writ
 from .predictions import Prediction
 
 STRATEGIES = ("max-f1", "target-search-rate")
-
-
-class Decision(Enum):
-    ANSWER = "answer"
-    SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -121,26 +115,15 @@ def calibrate(
     return PplThreshold(tau=best_tau, calibration=strategy, fitted_on=fitted_on)
 
 
-def decide(prediction: Prediction, threshold: PplThreshold) -> Decision:
-    """Route to search iff perplexity strictly exceeds tau."""
-    if not math.isfinite(prediction.perplexity):
-        raise DataError(
-            f"record {prediction.record_id}: perplexity must be finite, "
-            f"got {prediction.perplexity}"
-        )
-    return Decision.SEARCH if prediction.perplexity > threshold.tau else Decision.ANSWER
-
-
 def apply_threshold(
     predictions: Sequence[Prediction],
     threshold: PplThreshold,
     token: SearchToken = SearchToken(),
 ) -> list[str]:
-    """Map predictions to output strings: the text unchanged, or the token."""
-    return [
-        token.literal if decide(p, threshold) is Decision.SEARCH else p.text
-        for p in predictions
-    ]
+    """Map predictions to output strings: the token where perplexity strictly
+    exceeds tau, else the text unchanged. A ``+inf`` perplexity is searched at
+    every finite tau and answered only at ``tau = +inf`` (never search)."""
+    return [token.literal if p.perplexity > threshold.tau else p.text for p in predictions]
 
 
 def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None = None) -> Path:

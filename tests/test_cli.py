@@ -390,6 +390,24 @@ def test_infer_with_a_pool_too_small_for_fewshot_k_exits_data_before_any_request
     assert "too few answered examples: need 4, have 3" in capsys.readouterr().err
 
 
+def test_infer_with_a_pool_labeled_under_another_search_token_exits_data(workspace, capsys):
+    # The pool holds 3 masked examples, but their target is "<search>", not "<tool>".
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    pool = str(workspace["out"] / "masked.dev.jsonl")
+    rewrite_config(workspace, lambda c: c.update(search_token="<tool>"))
+    rewrite_config(
+        workspace,
+        lambda c: c["prompt"].update(style="fewshot-balanced", pool_path=pool, fewshot_k=2),
+    )
+    with serve(Script()) as fewshot_endpoint:
+        argv = ("infer", "--split", "dev", "--endpoint-url", fewshot_endpoint.url)
+        assert run(workspace, *argv) == EXIT_DATA
+        assert fewshot_endpoint.request_log == []
+    err = capsys.readouterr().err
+    assert pool in err and "'<search>'" in err and "'<tool>'" in err
+
+
 def test_warm_infer_never_loads_the_http_stack(workspace):
     rewrite_config(workspace, lambda c: c.update(max_in_flight=4))
     run(workspace, "ingest")
@@ -579,6 +597,25 @@ def test_evaluate_with_threshold_routes_by_perplexity(workspace):
     assert report.f1 == 1.0
     # structural guarantee of threshold routing: FN = base C - adapted C
     assert report.confusion.fn == round((report.base_c - report.c) * 6)
+
+
+def test_evaluate_with_threshold_searches_an_infinite_perplexity(workspace):
+    from answer_or_search.ppl_threshold import PplThreshold, save_threshold
+
+    # "Paris" is correct, but a log-prob of -1000 gives it perplexity +inf.
+    script = Script()
+    for question, _, answer, logprob in DEV_ROWS:
+        script.add_question(question, answer, (-1000.0 if answer == "Paris" else logprob,))
+    assert run(workspace, "ingest") == EXIT_OK
+    with serve(script) as endpoint:
+        assert run(workspace, "infer", "--split", "dev", "--endpoint-url", endpoint.url) == EXIT_OK
+    threshold = workspace["out"] / "threshold.json"
+    save_threshold(PplThreshold(tau=2.0, calibration="max-f1", fitted_on="test"), threshold)
+    assert run(workspace, "evaluate", "--split", "dev", "--threshold", str(threshold)) == EXIT_OK
+    report = read_report(workspace["out"] / "eval_report.json")
+    # the three wrong answers and the infinite-perplexity "Paris" are searched
+    assert report.confusion.to_dict() == {"tp": 2, "fp": 0, "tn": 3, "fn": 1}
+    assert report.s == pytest.approx(4 / 6)
 
 
 def test_evaluate_requires_exactly_one_policy_source(workspace):

@@ -11,10 +11,8 @@ from answer_or_search.corpus import SearchToken
 from answer_or_search.errors import DataError, PairingError
 from answer_or_search.fileio import is_number
 from answer_or_search.evaluation import (
-    Cell,
     ConfusionCounts,
     Judgment,
-    confusion_cell,
     confusion_from_rates,
     evaluate_pair,
     f1_score,
@@ -70,21 +68,23 @@ def test_judge_honours_custom_token():
 @pytest.mark.parametrize(
     "base,adapted,cell",
     [
-        (C, C, Cell.TP),
-        (H, C, Cell.TP),
-        (C, H, Cell.FP),
-        (H, H, Cell.FP),
-        (C, S, Cell.FN),
-        (H, S, Cell.TN),
+        (C, C, "tp"),
+        (H, C, "tp"),
+        (C, H, "fp"),
+        (H, H, "fp"),
+        (C, S, "fn"),
+        (H, S, "tn"),
     ],
+    ids=lambda value: f"Cell.{value.upper()}" if isinstance(value, str) else None,
 )
 def test_confusion_cell_mapping(base, adapted, cell):
-    assert confusion_cell(base, adapted) is cell
+    counts = evaluate_pair([base], [adapted]).confusion.to_dict()
+    assert counts == {name: int(name == cell) for name in ("tp", "fp", "tn", "fn")}
 
 
 def test_confusion_cell_rejects_search_base():
-    with pytest.raises(DataError):
-        confusion_cell(S, C)
+    with pytest.raises(DataError, match="cannot be Search"):
+        evaluate_pair([C, S], [C, C])
 
 
 def test_f1_small_integer_counts():
@@ -189,7 +189,7 @@ def test_empty_base_c_reports_undefined_retention():
 def test_partition_and_rate_identities(pairs):
     base = [b for b, _ in pairs]
     adapted = [a for _, a in pairs]
-    report = evaluate_pair(base, adapted)
+    report = evaluate_pair(base, adapted, lam=2.5)
     n = len(pairs)
     confusion = report.confusion
     # every item lands in exactly one cell
@@ -200,6 +200,19 @@ def test_partition_and_rate_identities(pairs):
     assert confusion.tn + confusion.fn == sum(1 for a in adapted if a is S)
     # exact rate sum for per-item evaluations
     assert abs(report.c + report.h + report.s - 1.0) < 1e-9
+    # every other field against a plain loop over the pairs
+    base_c = sum(1 for b in base if b is C)
+    base_h = sum(1 for b in base if b is H)
+    kept_c = sum(1 for b, a in pairs if b is C and a is C)
+    kept_h = sum(1 for b, a in pairs if b is H and a is H)
+    assert (report.base_c, report.base_h) == (base_c / n, base_h / n)
+    assert report.retention_c == (kept_c / base_c if base_c else None)
+    assert report.retention_h == (kept_h / base_h if base_h else None)
+    assert confusion.fn == sum(1 for b, a in pairs if b is C and a is S)
+    assert confusion.tn == sum(1 for b, a in pairs if b is H and a is S)
+    searched = sum(1 for a in adapted if a is S)
+    hallucinated = sum(1 for a in adapted if a is H)
+    assert report.budget_cost == searched / n + 2.5 * (hallucinated / n)
 
 
 @given(judgment_pairs, st.floats(min_value=1.0, max_value=8.0))

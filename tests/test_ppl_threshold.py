@@ -14,12 +14,10 @@ from answer_or_search.corpus import SearchToken
 from answer_or_search.errors import CalibrationError, ConfigError, DataError
 from answer_or_search.fileio import is_number
 from answer_or_search.ppl_threshold import (
-    Decision,
     STRATEGIES,
     PplThreshold,
     apply_threshold,
     calibrate,
-    decide,
     load_threshold,
     save_threshold,
 )
@@ -117,11 +115,11 @@ def test_target_rate_zero_answers_everything():
     scored = [(p.perplexity, i == 0) for i, p in enumerate(preds)]
     threshold = calibrate(scored, "target-search-rate", target_rate=0.0)
     assert threshold.tau == pytest.approx(3.0)
-    assert all(decide(p, threshold) is Decision.ANSWER for p in preds)
+    assert apply_threshold(preds, threshold) == [p.text for p in preds]
 
 
 # ---------------------------------------------------------------------------
-# decide
+# apply_threshold
 # ---------------------------------------------------------------------------
 
 
@@ -130,16 +128,26 @@ def _tau(value: float) -> PplThreshold:
 
 
 def test_decide_below_threshold_answers():
-    assert decide(_pred_with_ppl("q1", 1.5), _tau(2.5)) is Decision.ANSWER
+    assert apply_threshold([_pred_with_ppl("q1", 1.5, "Paris")], _tau(2.5)) == ["Paris"]
 
 
 def test_decide_above_threshold_searches():
-    assert decide(_pred_with_ppl("q1", 3.5), _tau(2.5)) is Decision.SEARCH
+    assert apply_threshold([_pred_with_ppl("q1", 3.5, "Paris")], _tau(2.5)) == ["<search>"]
 
 
 def test_decide_at_threshold_answers_exceeds_is_strict():
-    pred = make_prediction("q1", "x", (-math.log(2.5),))
-    assert decide(pred, _tau(pred.perplexity)) is Decision.ANSWER
+    pred = make_prediction("q1", "Paris", (-math.log(2.5),))
+    assert apply_threshold([pred], _tau(pred.perplexity)) == ["Paris"]
+
+
+@pytest.mark.parametrize(
+    "tau,routed",
+    [(1.0, "<search>"), (1e300, "<search>"), (-math.inf, "<search>"), (math.inf, "Paris")],
+)
+def test_infinite_perplexity_searches_at_every_finite_tau(tau, routed):
+    pred = make_prediction("q1", "Paris", (-1000.0,))
+    assert pred.perplexity == math.inf
+    assert apply_threshold([pred], _tau(tau)) == [routed]
 
 
 @given(
@@ -151,8 +159,8 @@ def test_decide_at_threshold_answers_exceeds_is_strict():
 def test_raising_tau_never_increases_searches(ppls, tau, bump):
     preds = [_pred_with_ppl(f"q{i}", p) for i, p in enumerate(ppls)]
     low, high = _tau(tau), _tau(tau + bump)
-    searches_low = sum(decide(p, low) is Decision.SEARCH for p in preds)
-    searches_high = sum(decide(p, high) is Decision.SEARCH for p in preds)
+    searches_low = apply_threshold(preds, low).count("<search>")
+    searches_high = apply_threshold(preds, high).count("<search>")
     assert searches_high <= searches_low
 
 
