@@ -59,7 +59,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     The parent directory is created. The tmp file is named
     ``<name>.<pid>.tmp``, so writers in different processes never share one;
     two threads of one process must not write the same path at once. It is
-    removed if the write fails; an ``OSError`` (a full disk, say) becomes a
+    removed if the write fails. An ``OSError`` (a full disk, say) or a
+    ``ValueError`` (a NaN, which standard JSON cannot hold, say) becomes a
     :class:`DataError` naming ``path``. Newlines are written untranslated, so
     the bytes are the same on every platform. There is no fsync.
     """
@@ -75,6 +76,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
             tmp.unlink()
         if isinstance(exc, OSError):
             raise DataError(f"{path} cannot be written: {exc.strerror or exc}") from exc
+        if isinstance(exc, ValueError):
+            raise DataError(f"{path} cannot be written: {exc}") from exc
         raise
 
 
@@ -82,14 +85,14 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
     """Write one compact JSON object per line, non-ASCII kept verbatim."""
     with atomic_write(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n")
     return Path(path)
 
 
 def write_json(path: str | Path, doc: dict) -> Path:
     """Write one JSON document with sorted keys and two-space indents."""
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return Path(path)
 

@@ -2,10 +2,10 @@
 
 Generation is delegated to an HTTP completion-style service. Each response
 must meet :func:`check_response` (the text and one finite log-probability
-<= 0 per generated token) before it is cached in one SQLite file under a
-hash of the request, and again when read back. So a warm cache reruns a
-corpus with zero network calls, byte for byte, and no cached entry can abort
-a run: one that breaks the contract is a miss, fetched again and rewritten.
+<= 0 per generated token) before it is cached under the request's sha256
+digest, and again when read back. So a warm cache reruns a corpus with zero
+network calls, byte for byte, and no cached entry can abort a run: one that
+breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it resolves every cached record in the
 calling thread and hands only misses to a thread pool, at most
@@ -27,7 +27,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -142,9 +142,10 @@ class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
 
     Keys cover everything that can change a greedy completion: model tag,
-    prompt, and decoding parameters. Each entry is one row of JSON text,
-    ``{"response": {...}}``; one an earlier version wrote also holds a copy of
-    the request, which is not read. The file is in WAL mode, so several
+    prompt, and decoding parameters. Each response is one row of JSON text in
+    ``responses``, a ``WITHOUT ROWID`` table clustered on the 32-byte key, so
+    no separate index stores the key again; an earlier layout is moved in when
+    the file is opened (:meth:`_migrate`). The file is in WAL mode, so several
     processes may share a ``cache_dir``, and one connection serves every thread
     of this process, its statements taken in turn under a lock. :meth:`put`
     commits its row at once, so no write lock is held across a request and a
@@ -173,9 +174,7 @@ class ResponseCache:
             # each commit; a fixed 256 KiB page cache bounds memory.
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("PRAGMA cache_size=-256")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
-            )
+            self._migrate()
         except (OSError, sqlite3.Error) as exc:
             self.close()
             raise DataError(f"response cache {self.path} cannot be opened: {exc}") from exc
@@ -197,6 +196,28 @@ class ResponseCache:
                     raise
                 time.sleep(0.01)
 
+    def _migrate(self) -> None:
+        """Create ``responses``; move in, once, the ``entries`` rows of earlier versions.
+
+        Only the rows their ``get`` served are moved, and a row already in
+        ``responses`` wins. One write transaction: a process opening the file
+        at once waits, then finds nothing to move, and a failure rolls back.
+        """
+        with self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS responses "
+                "(key BLOB PRIMARY KEY, response TEXT NOT NULL) WITHOUT ROWID"
+            )
+            if self._db.execute(
+                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
+            ).fetchone():
+                self._db.executemany(
+                    "INSERT OR IGNORE INTO responses VALUES (?, ?)",
+                    _moved_rows(self._db.execute("SELECT key, entry FROM entries")),
+                )
+                self._db.execute("DROP TABLE entries")
+
     def close(self) -> None:
         if self._db is not None:
             db, self._db = self._db, None
@@ -216,11 +237,11 @@ class ResponseCache:
             raise DataError(f"response cache {self.path}: {exc}") from exc
 
     @staticmethod
-    def key(model_tag: str, prompt: str, max_new_tokens: int) -> str:
-        """The key of a request: a hash of its fields.
+    def key(model_tag: str, prompt: str, max_new_tokens: int) -> bytes:
+        """The key of a request: the sha256 digest of its fields.
 
         "decoding" stays among them so that caches written when it was a
-        parameter keep their keys.
+        parameter keep their keys, which earlier versions stored in hex.
         """
         request = {
             "model_tag": model_tag,
@@ -229,40 +250,68 @@ class ResponseCache:
             "decoding": "greedy",
         }
         blob = json.dumps(request, sort_keys=True, ensure_ascii=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return hashlib.sha256(blob.encode("utf-8")).digest()
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: bytes) -> bool:
         """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
         with self._lock:
-            return bool(self._query("SELECT 1 FROM entries WHERE key = ?", (key,)))
+            return bool(self._query("SELECT 1 FROM responses WHERE key = ?", (key,)))
 
     def __len__(self) -> int:
         with self._lock:
-            return self._query("SELECT COUNT(*) FROM entries")[0][0]
+            return self._query("SELECT COUNT(*) FROM responses")[0][0]
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: bytes) -> dict | None:
         """The stored response, or None when it is missing or unusable.
 
-        An entry that is not JSON, or whose ``response`` breaks the response
-        contract (a truncated or hand-edited one, say), is a miss, so the
-        caller fetches again and ``put`` replaces it. Every response returned
-        therefore builds a :class:`Prediction`.
+        A row that is not JSON, or that breaks the response contract (a
+        truncated or hand-edited one, say), is a miss, so the caller fetches
+        again and ``put`` replaces it. Every response returned therefore
+        builds a :class:`Prediction`.
         """
         with self._lock:
-            rows = self._query("SELECT entry FROM entries WHERE key = ?", (key,))
+            rows = self._query("SELECT response FROM responses WHERE key = ?", (key,))
         if not rows:
             return None
         try:
-            response = json.loads(rows[0][0])["response"]
+            response = json.loads(rows[0][0])
             check_response(response)
-        except (ValueError, KeyError, TypeError, RecursionError, DataError):
+        except _UNUSABLE:
             return None
         return response
 
-    def put(self, key: str, response: dict) -> None:
-        text = json.dumps({"response": response}, ensure_ascii=False)
+    def put(self, key: bytes, response: dict) -> None:
+        """Store ``response`` under ``key``; a NaN, which JSON cannot hold, is a DataError."""
+        try:
+            text = _row_text(response)
+        except ValueError as exc:
+            raise DataError(f"response cache {self.path}: {exc}") from exc
         with self._lock:
-            self._query("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, text))
+            self._query("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, text))
+
+
+#: What reading a row that breaks the response contract raises: see :meth:`ResponseCache.get`.
+_UNUSABLE = (ValueError, KeyError, TypeError, RecursionError, DataError)
+
+
+def _row_text(response: dict) -> str:
+    """The JSON text a row stores; a response JSON cannot hold (a NaN, say) raises ValueError."""
+    return json.dumps(response, ensure_ascii=False, allow_nan=False)
+
+
+def _moved_rows(entries: Iterable[tuple]) -> Iterator[tuple[bytes, str]]:
+    """``(digest, row text)`` of each ``entries`` row ``(key, entry)`` that earlier
+    versions served: a usable ``entry["response"]`` under a 64-character hex key."""
+    for key, entry in entries:
+        try:
+            digest = bytes.fromhex(key)
+            response = json.loads(entry)["response"]
+            check_response(response)
+            text = _row_text(response)
+        except _UNUSABLE:
+            continue
+        if len(key) == 64 and digest.hex() == key:
+            yield digest, text
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +401,7 @@ class GenerationClient:
         for conn in self._opened:
             conn.close()
 
-    def generate(self, prompt: str, key: str | None = None) -> dict:
+    def generate(self, prompt: str, key: bytes | None = None) -> dict:
         """Return ``{"text", "token_logprobs"}`` for ``prompt``, from cache when possible.
 
         ``key`` is the :meth:`ResponseCache.key` of ``prompt``, passed by a
@@ -533,7 +582,7 @@ def run_corpus(
     failure: tuple[int, Exception] | None = None
     pending: dict[Future, int] = {}
 
-    def fetch(index: int, prompt: str, key: str) -> Prediction:
+    def fetch(index: int, prompt: str, key: bytes) -> Prediction:
         response = client.generate(prompt, key)
         return Prediction(
             record_id=records[index].id,

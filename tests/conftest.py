@@ -182,13 +182,29 @@ def open_client(url: str, cache_dir: str | Path, **options) -> Iterator[Generati
         yield client
 
 
-def cache_rows(cache_dir: str | Path) -> dict[str, str | bytes]:
-    """Every row of the response cache in ``cache_dir``: key -> stored entry."""
+def cache_rows(cache_dir: str | Path) -> dict[bytes, str | bytes]:
+    """Every row of the response cache in ``cache_dir``: key -> stored response text."""
     with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
-        return dict(db.execute("SELECT key, entry FROM entries"))
+        return dict(db.execute("SELECT key, response FROM responses"))
 
 
-def write_cache_row(cache_dir: str | Path, key: str, entry: str | bytes) -> None:
-    """Store ``entry`` under ``key`` as it is, bypassing :class:`ResponseCache`."""
+def write_cache_row(cache_dir: str | Path, key: bytes, response: str | bytes) -> None:
+    """Store ``response`` under ``key`` as it is, bypassing :class:`ResponseCache`."""
     with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db, db:
-        db.execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, entry))
+        db.execute("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, response))
+
+
+def write_old_layout_cache(cache_dir: str | Path, rows: dict[str, str | bytes]) -> None:
+    """A response cache as earlier versions wrote it: ``entries`` rows, key -> entry."""
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db, db:
+        db.execute("PRAGMA journal_mode=WAL")
+        db.execute("CREATE TABLE entries (key TEXT PRIMARY KEY, entry TEXT NOT NULL)")
+        db.executemany("INSERT INTO entries VALUES (?, ?)", rows.items())
+
+
+def table_names(cache_dir: str | Path) -> list[str]:
+    """The tables of the response cache in ``cache_dir``."""
+    with closing(sqlite3.connect(Path(cache_dir) / CACHE_FILE)) as db:
+        rows = db.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        return [name for (name,) in rows]

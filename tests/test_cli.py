@@ -27,7 +27,7 @@ from answer_or_search.inference import CACHE_FILE, ResponseCache
 from answer_or_search.mock_service import Script, serve
 from answer_or_search.predictions import DEFAULT_MAX_NEW_TOKENS
 
-from conftest import cache_rows, stub_post, write_cache_row
+from conftest import cache_rows, stub_post, write_cache_row, write_old_layout_cache
 
 # (question, gold, model answer, logprob): 3 correct with low perplexity,
 # 3 wrong with high perplexity, so PPL-t separates them cleanly.
@@ -220,7 +220,7 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
         replacement.close()
 
 
-def _cache_key(workspace, question: str) -> str:
+def _cache_key(workspace, question: str) -> bytes:
     """The key of the cached response to ``question``'s prompt."""
     key = ResponseCache.key("mock-small", question, DEFAULT_MAX_NEW_TOKENS)
     assert key in cache_rows(workspace["tmp"] / "cache"), f"no cache entry for {question!r}"
@@ -237,7 +237,7 @@ def test_infer_refetches_corrupt_cache_entries(workspace):
     no_logprobs = _cache_key(workspace, DEV_ROWS[3][0])
     originals = {key: cache_rows(cache)[key] for key in (truncated, no_logprobs)}
     write_cache_row(cache, truncated, originals[truncated][:20])
-    write_cache_row(cache, no_logprobs, json.dumps({"response": {"text": "x"}}))
+    write_cache_row(cache, no_logprobs, json.dumps({"text": "x"}))
     calls = len(workspace["service"].request_log)
 
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
@@ -259,7 +259,7 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     key = _cache_key(workspace, DEV_ROWS[1][0])
     original = cache_rows(cache)[key]
     poisoned = json.loads(original)
-    poisoned["response"]["token_logprobs"] = [0.5]
+    poisoned["token_logprobs"] = [0.5]
     write_cache_row(cache, key, json.dumps(poisoned))
     calls = len(workspace["service"].request_log)
 
@@ -276,6 +276,23 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert progress["failed"] == "d2"
 
 
+def test_infer_on_a_cache_of_the_earlier_layout_writes_the_same_predictions(workspace):
+    run(workspace, "ingest")
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = predictions.read_bytes()
+    # The same responses as earlier versions stored them: hex keys, wrapped rows.
+    rows = cache_rows(workspace["tmp"] / "cache")
+    old = workspace["tmp"] / "old_cache"
+    write_old_layout_cache(old, {key.hex(): f'{{"response": {row}}}' for key, row in rows.items()})
+    rewrite_config(workspace, lambda c: c.update(cache_dir=str(old)))
+    predictions.unlink()
+    workspace["service"].close()
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert predictions.read_bytes() == first
+    assert cache_rows(old) == rows
+
+
 def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, capsys):
     run(workspace, "ingest")
     path = workspace["tmp"] / "cache" / CACHE_FILE
@@ -286,8 +303,20 @@ def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, caps
     assert workspace["service"].request_log == []
 
 
-def test_two_infer_processes_can_share_one_cache_dir(workspace):
-    # Two splits of 100 questions each, which the mock answers "UNKNOWN".
+@pytest.mark.parametrize("old_rows", [0, 50], ids=["new-cache", "earlier-layout-cache"])
+def test_two_infer_processes_can_share_one_cache_dir(workspace, old_rows):
+    # Two splits of 100 questions each, which the mock answers "UNKNOWN". The
+    # first old_rows of each split are cached in the earlier layout, which both
+    # processes find unmigrated when they open the file at once; with none,
+    # both create the file.
+    if old_rows:
+        cached = '{"response": {"text": "cached", "token_logprobs": [-0.5]}}'
+        keys = [
+            ResponseCache.key("mock-small", f"{split} question {i}?", DEFAULT_MAX_NEW_TOKENS)
+            for split in ("dev", "test")
+            for i in range(old_rows)
+        ]
+        write_old_layout_cache(workspace["tmp"] / "cache", {key.hex(): cached for key in keys})
     for split in ("dev", "test"):
         path = workspace["tmp"] / "data" / f"{split}.jsonl"
         with path.open("w") as fh:
@@ -314,9 +343,10 @@ def test_two_infer_processes_can_share_one_cache_dir(workspace):
         assert proc.returncode == EXIT_OK, err
     for split in ("dev", "test"):
         lines = (workspace["out"] / f"predictions.{split}.jsonl").read_text().splitlines()
-        assert len(lines) == 100
+        texts = [json.loads(line)["text"] for line in lines]
+        assert texts == ["cached"] * old_rows + ["UNKNOWN"] * (100 - old_rows)
     assert len(cache_rows(workspace["tmp"] / "cache")) == 200
-    assert len(workspace["service"].request_log) == 200
+    assert len(workspace["service"].request_log) == 200 - 2 * old_rows
     # Two connections closing at the same instant can each see the other and
     # leave the write-ahead log in place; the next process to close removes it.
     ResponseCache(workspace["tmp"] / "cache").close()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,23 @@ def test_an_os_error_while_writing_is_a_data_error_naming_the_path(tmp_path):
     target = tmp_path / "file" / "doc.json"
     with pytest.raises(DataError, match=f"{target} cannot be written"):
         write_json(target, {})
+
+
+WRITERS = {
+    "write_json": lambda path, value: write_json(path, {"x": value}),
+    "write_jsonl": lambda path, value: write_jsonl(path, [{"x": 1.0}, {"x": value}]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("writer", WRITERS.values(), ids=WRITERS.keys())
+def test_a_value_standard_json_cannot_hold_is_a_data_error_and_writes_nothing(
+    tmp_path, writer, value
+):
+    target = tmp_path / "out.json"
+    with pytest.raises(DataError, match=f"{target} cannot be written"):
+        writer(target, value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_read_jsonl_skips_blank_lines(tmp_path):

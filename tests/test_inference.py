@@ -61,7 +61,9 @@ from conftest import (
     ok_response,
     open_client,
     stub_post,
+    table_names,
     write_cache_row,
+    write_old_layout_cache,
 )
 
 logprob_lists = st.lists(
@@ -299,10 +301,10 @@ def test_cache_keys_separate_every_request_dimension():
 
 def test_cache_key_is_unchanged_for_existing_caches():
     # Digest of ("m", "p", 32) from before decoding stopped being a parameter.
-    assert (
-        ResponseCache.key("m", "p", 32)
-        == "b132ec9f31ab53ea7a8c4edbf62201e8f014ecd836341bdfe46ffd54e4435055"
-    )
+    # Earlier versions stored it in hex; it is now kept as the raw 32 bytes.
+    key = ResponseCache.key("m", "p", 32)
+    assert key.hex() == "b132ec9f31ab53ea7a8c4edbf62201e8f014ecd836341bdfe46ffd54e4435055"
+    assert len(key) == 32
 
 
 def test_cache_round_trip(tmp_path):
@@ -313,13 +315,52 @@ def test_cache_round_trip(tmp_path):
         assert cache.get(key) == {"text": "x", "token_logprobs": [-1.0]}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_cache_put_of_a_value_standard_json_cannot_hold_is_a_data_error(tmp_path, value):
+    with ResponseCache(tmp_path) as cache:
+        with pytest.raises(DataError, match=str(tmp_path / CACHE_FILE)):
+            cache.put(b"k", {"text": "x", "token_logprobs": [value]})
+        assert len(cache) == 0
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not standard JSON")
+
+
+@st.composite
+def accepted_responses(draw) -> dict:
+    """A response that :func:`check_response` accepts. Lone surrogates are left
+    out of the text: SQLite cannot store them as UTF-8."""
+    logprob = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False) | st.integers(
+        max_value=0
+    )
+    return {
+        "text": draw(st.text(st.characters(blacklist_categories=("Cs",)))),
+        "token_logprobs": draw(st.lists(logprob, min_size=1, max_size=6)),
+    }
+
+
+@given(response=accepted_responses())
+@settings(max_examples=200, deadline=None)
+def test_any_accepted_response_is_stored_as_standard_json_and_read_back_unchanged(
+    shared_cache, response
+):
+    check_response(response)
+    key = uuid.uuid4().bytes
+    shared_cache.put(key, response)
+    assert shared_cache.get(key) == response
+    assert json.loads(cache_rows(shared_cache.directory)[key], parse_constant=_reject_constant) == (
+        response
+    )
+
+
 def test_each_put_is_committed_at_once(tmp_path):
     response = {"text": "x", "token_logprobs": [-1.0]}
     with ResponseCache(tmp_path) as cache:
-        cache.put("k", response)
+        cache.put(b"k", response)
         # Another connection reads the row while the cache is still open.
-        assert cache_rows(tmp_path) == {"k": json.dumps({"response": response})}
-        assert "k" in cache and len(cache) == 1
+        assert cache_rows(tmp_path) == {b"k": json.dumps(response)}
+        assert b"k" in cache and len(cache) == 1
 
 
 def test_a_process_killed_without_close_keeps_every_row_it_put(tmp_path):
@@ -328,7 +369,7 @@ def test_a_process_killed_without_close_keeps_every_row_it_put(tmp_path):
         "from answer_or_search.inference import ResponseCache\n"
         "cache = ResponseCache(sys.argv[1])\n"
         "for i in range(5):\n"
-        "    cache.put(str(i), {'text': 't', 'token_logprobs': [-1.0]})\n"
+        "    cache.put(bytes([i]), {'text': 't', 'token_logprobs': [-1.0]})\n"
         "os._exit(0)\n"
     )
     src = str(Path(inference.__file__).parents[1])
@@ -336,32 +377,32 @@ def test_a_process_killed_without_close_keeps_every_row_it_put(tmp_path):
     subprocess.run(
         [sys.executable, "-c", program, str(tmp_path)], env=env, check=True, timeout=60
     )
-    assert sorted(cache_rows(tmp_path)) == ["0", "1", "2", "3", "4"]
+    assert sorted(cache_rows(tmp_path)) == [bytes([i]) for i in range(5)]
 
 
 def test_another_connection_commits_while_the_cache_holds_rows(tmp_path):
     with ResponseCache(tmp_path) as cache:
-        cache.put("mine", {"text": "x", "token_logprobs": [-1.0]})
+        cache.put(b"mine", {"text": "x", "token_logprobs": [-1.0]})
         # No busy wait allowed: the stored row holds no lock on the file.
         with closing(sqlite3.connect(tmp_path / CACHE_FILE, timeout=0)) as other, other:
-            other.execute("INSERT INTO entries VALUES ('theirs', '{}')")
-        assert "theirs" in cache
-    assert sorted(cache_rows(tmp_path)) == ["mine", "theirs"]
+            other.execute("INSERT INTO responses VALUES (X'7468656972', '{}')")
+        assert b"their" in cache
+    assert sorted(cache_rows(tmp_path)) == [b"mine", b"their"]
 
 
 UNUSABLE_ENTRIES = {
-    "truncated": b'{"response": {"text": "Paris", "token_log',
+    "truncated": b'{"text": "Paris", "token_log',
     "not-utf8": b"\xff\xfe",
     "not-an-object": b"[1, 2]",
-    "no-logprobs": b'{"response": {"text": "x"}}',
-    "text-not-a-string": b'{"response": {"text": 1, "token_logprobs": [-1.0]}}',
-    "positive-logprob": b'{"response": {"text": "x", "token_logprobs": [0.5]}}',
-    "nan-logprob": b'{"response": {"text": "x", "token_logprobs": [NaN]}}',
-    "minus-infinity-logprob": b'{"response": {"text": "x", "token_logprobs": [-Infinity]}}',
+    "no-logprobs": b'{"text": "x"}',
+    "text-not-a-string": b'{"text": 1, "token_logprobs": [-1.0]}',
+    "positive-logprob": b'{"text": "x", "token_logprobs": [0.5]}',
+    "nan-logprob": b'{"text": "x", "token_logprobs": [NaN]}',
+    "minus-infinity-logprob": b'{"text": "x", "token_logprobs": [-Infinity]}',
     # How an earlier version cached a "-1" string of log-probabilities.
-    "string-split-into-characters": b'{"response": {"text": "x", "token_logprobs": ["-", "1"]}}',
-    "bool-logprob": b'{"response": {"text": "x", "token_logprobs": [true]}}',
-    "no-tokens": b'{"response": {"text": "x", "token_logprobs": []}}',
+    "string-split-into-characters": b'{"text": "x", "token_logprobs": ["-", "1"]}',
+    "bool-logprob": b'{"text": "x", "token_logprobs": [true]}',
+    "no-tokens": b'{"text": "x", "token_logprobs": []}',
     "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
@@ -392,12 +433,12 @@ def test_cache_ignores_a_file_of_the_one_file_per_response_layout(tmp_path):
 
 def test_cache_close_leaves_only_the_database_file(tmp_path):
     cache = ResponseCache(tmp_path)
-    cache.put("k", {"text": "x", "token_logprobs": [-1.0]})
+    cache.put(b"k", {"text": "x", "token_logprobs": [-1.0]})
     assert sorted(os.listdir(tmp_path)) == [CACHE_FILE, f"{CACHE_FILE}-shm", f"{CACHE_FILE}-wal"]
     cache.close()
     assert os.listdir(tmp_path) == [CACHE_FILE]
     with ResponseCache(tmp_path) as reopened:
-        assert reopened.get("k")["text"] == "x"
+        assert reopened.get(b"k")["text"] == "x"
 
 
 def test_cache_file_that_is_not_a_database_is_a_data_error_naming_it(tmp_path):
@@ -445,7 +486,7 @@ def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
     def worker(start: int) -> None:
         try:
             for i in range(start, 400, 8):
-                key = str(i)
+                key = str(i).encode()
                 if cache.get(key) is None:
                     cache.put(key, entry(i))
                 assert key in cache
@@ -463,7 +504,7 @@ def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert errors == []
-            assert all(cache.get(str(i)) == entry(i) for i in range(400))
+            assert all(cache.get(str(i).encode()) == entry(i) for i in range(400))
     finally:
         sys.setswitchinterval(interval)
     assert len(cache_rows(tmp_path)) == 400
@@ -720,7 +761,7 @@ def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
         response = client.generate("q?")
     assert response == {"text": "x", "token_logprobs": [-0.5, 0]}
     (entry,) = cache_rows(tmp_path).values()
-    assert json.loads(entry)["response"] == {"text": "x", "token_logprobs": [-0.5, 0]}
+    assert json.loads(entry) == {"text": "x", "token_logprobs": [-0.5, 0]}
 
 
 def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_path, monkeypatch):
@@ -728,12 +769,10 @@ def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_pa
     with ResponseCache(tmp_path) as cache:
         GenerationClient("http://stub", "m", cache).generate("q \u00e9?")
     ((key, entry),) = cache_rows(tmp_path).items()
-    # The key earlier versions gave this request; the row holds only the
-    # response, non-ASCII kept.
-    assert key == "310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993"
-    assert entry.encode("utf-8") == (
-        b'{"response": {"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}}'
-    )
+    # The digest earlier versions gave this request, as raw bytes; the row
+    # holds only the bare response, non-ASCII kept.
+    assert key == bytes.fromhex("310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993")
+    assert entry.encode("utf-8") == b'{"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}'
 
 
 #: The row an earlier version wrote for ("m", "q \u00e9?", 32): a copy of the request, too.
@@ -743,15 +782,60 @@ OLD_ROW = (
 ).decode("utf-8")
 
 
-def test_generate_reads_a_row_of_an_earlier_version_as_a_hit_and_leaves_it(tmp_path, monkeypatch):
+def test_opening_a_cache_of_the_earlier_layout_moves_every_row_it_served(
+    tmp_path, monkeypatch
+):
     posts = stub_post(monkeypatch, 200, b'{"text": "new", "token_logprobs": [-1.0]}')
-    key = ResponseCache.key("m", "q \u00e9?", 32)
+    key, old_key = ResponseCache.key("m", "p", 32), ResponseCache.key("m", "q \u00e9?", 32)
+    write_old_layout_cache(
+        tmp_path,
+        {
+            key.hex(): '{"response": {"text": "x", "token_logprobs": [-1.0]}}',
+            old_key.hex(): OLD_ROW,
+            ResponseCache.key("m", "cut", 32).hex(): '{"response": {"text": "x", "token_lo',
+            "not-a-hex-key": '{"response": {"text": "y", "token_logprobs": [-1.0]}}',
+        },
+    )
     with ResponseCache(tmp_path) as cache:
-        write_cache_row(tmp_path, key, OLD_ROW)
-        response = GenerationClient("http://stub", "m", cache).generate("q \u00e9?")
-    assert response == {"text": "Caf\u00e9", "token_logprobs": [-0.5, 0]}
+        client = GenerationClient("http://stub", "m", cache)
+        assert client.generate("p") == {"text": "x", "token_logprobs": [-1.0]}
+        assert client.generate("q \u00e9?") == {"text": "Caf\u00e9", "token_logprobs": [-0.5, 0]}
     assert posts == []
-    assert cache_rows(tmp_path) == {key: OLD_ROW}
+    assert table_names(tmp_path) == ["responses"]
+    moved = cache_rows(tmp_path)
+    assert moved == {
+        key: '{"text": "x", "token_logprobs": [-1.0]}',
+        old_key: '{"text": "Caf\u00e9", "token_logprobs": [-0.5, 0]}',
+    }
+    ResponseCache(tmp_path).close()
+    assert table_names(tmp_path) == ["responses"]
+    assert cache_rows(tmp_path) == moved
+
+
+def test_a_row_already_in_the_cache_wins_over_the_earlier_layouts_row(tmp_path):
+    key = ResponseCache.key("m", "p", 32)
+    with ResponseCache(tmp_path) as cache:
+        cache.put(key, {"text": "mine", "token_logprobs": [-1.0]})
+    # An earlier version opening the file makes its own table again and writes there.
+    write_old_layout_cache(
+        tmp_path, {key.hex(): '{"response": {"text": "theirs", "token_logprobs": [-1.0]}}'}
+    )
+    with ResponseCache(tmp_path) as cache:
+        assert cache.get(key)["text"] == "mine"
+        assert len(cache) == 1
+    assert table_names(tmp_path) == ["responses"]
+
+
+def test_a_migration_that_fails_rolls_back_and_is_a_data_error_naming_the_file(tmp_path):
+    row = '{"response": {"text": "x", "token_logprobs": [-1.0]}}'
+    write_old_layout_cache(tmp_path, {ResponseCache.key("m", "p", 32).hex(): row})
+    with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db, db:
+        # A view by the new table's name: the rows cannot be inserted into it.
+        db.execute("CREATE VIEW responses AS SELECT key, entry AS response FROM entries")
+    with pytest.raises(DataError, match=str(tmp_path / CACHE_FILE)):
+        ResponseCache(tmp_path)
+    with closing(sqlite3.connect(tmp_path / CACHE_FILE)) as db:
+        assert list(db.execute("SELECT entry FROM entries")) == [(row,)]
 
 
 NUMBERS = st.floats() | st.integers() | st.booleans()
@@ -956,7 +1040,7 @@ def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     key = ResponseCache.key("m", "second question?", 32)
     original = cache_rows(tmp_path)[key]
     poisoned = json.loads(original)
-    poisoned["response"]["token_logprobs"] = [0.5]
+    poisoned["token_logprobs"] = [0.5]
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
         first = run_corpus(corpus, "zeroshot-qa", client)
         write_cache_row(tmp_path, key, json.dumps(poisoned))
