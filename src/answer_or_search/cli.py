@@ -295,8 +295,7 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
                 f"{dataset.token.literal!r}, not {config.token.literal!r}; rerun 'label' "
                 "under this config"
             )
-        pairs = tuple((ex.question, ex.target) for ex in dataset.examples)
-        pool = FewShotPool(pairs, seed=config.seed, search_token=config.token.literal)
+        pool = FewShotPool(dataset.examples, seed=config.seed)
     with ResponseCache(config.cache_dir) as cache, closing(
         GenerationClient(
             config.endpoint_url,
@@ -350,7 +349,8 @@ def cmd_label(config: PipelineConfig, args: argparse.Namespace) -> int:
     out = write_masked_dataset(
         dataset,
         config.output_dir / f"masked.{args.split}.jsonl",
-        extra_manifest={"split": args.split, "config_hash": config.config_hash},
+        split=args.split,
+        **config.provenance,
     )
     stats = dataset.stats()
     rate = (stats["n_masked"] / stats["n_total"] * 100) if stats["n_total"] else 0.0

@@ -55,25 +55,6 @@ class NormalizationProfile:
             "stopwords_version": self.stopwords_version,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "NormalizationProfile":
-        """The profile :meth:`to_dict` wrote; a value of the wrong type is a :class:`DataError`."""
-        flags = ("lowercase", "strip_punctuation", "collapse_whitespace", "unicode_fold")
-        for name in flags:
-            if not isinstance(raw[name], bool):
-                raise DataError(f"normalization {name} must be true or false, got {raw[name]!r}")
-        stopwords = raw["stopwords"]
-        if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
-            raise DataError(f"normalization stopwords must be a list of strings, got {stopwords!r}")
-        version = raw.get("stopwords_version", STOPWORDS_VERSION)
-        if not isinstance(version, str):
-            raise DataError(f"normalization stopwords_version must be a string, got {version!r}")
-        return cls(
-            stopwords=tuple(stopwords),
-            stopwords_version=version,
-            **{name: raw[name] for name in flags},
-        )
-
     def fingerprint(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -33,7 +33,9 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 if TYPE_CHECKING:
     import http.client
 
-from .corpus import DEFAULT_SEARCH_TOKEN, Corpus
+    from .labeling import MaskedExample
+
+from .corpus import Corpus
 from .errors import (
     BalanceError,
     CapabilityError,
@@ -67,16 +69,13 @@ _PLACEHOLDER = "{q}"
 
 @dataclass(frozen=True)
 class FewShotPool:
-    """Demonstration pool for balanced few-shot prompts.
-
-    An example whose target equals ``search_token`` counts as masked;
-    anything else counts as answered. Selection under a fixed seed is
+    """Demonstration pool for balanced few-shot prompts: the examples of a
+    masked dataset, split on ``was_masked``. Selection under a fixed seed is
     deterministic.
     """
 
-    examples: tuple[tuple[str, str], ...]
+    examples: tuple[MaskedExample, ...]
     seed: int
-    search_token: str = DEFAULT_SEARCH_TOKEN
 
 
 def prompt_builder(
@@ -112,8 +111,8 @@ def prompt_builder(
     if fewshot_k <= 0 or fewshot_k % 2 != 0:
         raise ConfigError(f"k must be an even positive integer, got {fewshot_k}")
     need = fewshot_k // 2
-    answered = [ex for ex in pool.examples if ex[1] != pool.search_token]
-    masked = [ex for ex in pool.examples if ex[1] == pool.search_token]
+    answered = [ex for ex in pool.examples if not ex.was_masked]
+    masked = [ex for ex in pool.examples if ex.was_masked]
     if len(answered) < need:
         raise BalanceError("answered", need, len(answered))
     if len(masked) < need:
@@ -122,7 +121,7 @@ def prompt_builder(
     rng = random.Random(pool.seed)
     chosen = rng.sample(answered, need) + rng.sample(masked, need)
     rng.shuffle(chosen)
-    demonstrations = "".join(f"Q: {q}\nA: {t}\n\n" for q, t in chosen)
+    demonstrations = "".join(f"Q: {ex.question}\nA: {ex.target}\n\n" for ex in chosen)
     return lambda question: f"{demonstrations}Q: {question}\nA:"
 
 

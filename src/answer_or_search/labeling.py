@@ -48,8 +48,6 @@ class MaskedExample:
 class MaskedDataset:
     examples: tuple[MaskedExample, ...]
     model_tag: str
-    corpus_name: str
-    profile: NormalizationProfile
     token: SearchToken
 
     @property
@@ -121,21 +119,12 @@ def build_masked_dataset(
                 f"of record {rec.id!r}; labeling refused"
             )
         examples.append(mask_prediction(by_id[rec.id], rec, profile, token))
-    return MaskedDataset(
-        examples=tuple(examples),
-        model_tag=model_tag,
-        corpus_name=corpus.name,
-        profile=profile,
-        token=token,
-    )
+    return MaskedDataset(tuple(examples), model_tag, token)
 
 
-def write_masked_dataset(
-    dataset: MaskedDataset,
-    path: str | Path,
-    extra_manifest: dict | None = None,
-) -> Path:
-    """Emit the dataset as line-delimited records plus a sidecar manifest."""
+def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> Path:
+    """Emit the dataset as line-delimited records plus a sidecar manifest,
+    which holds its stats, model tag and search token besides ``fields``."""
     path = write_jsonl(
         path,
         (
@@ -152,14 +141,9 @@ def write_masked_dataset(
         path,
         dataset.n_total,
         stats=dataset.stats(),
-        provenance={
-            "model_tag": dataset.model_tag,
-            "corpus": dataset.corpus_name,
-            "normalization_profile": dataset.profile.to_dict(),
-            "normalization_profile_hash": dataset.profile.fingerprint(),
-            "search_token": dataset.token.literal,
-        },
-        **(extra_manifest or {}),
+        model_tag=dataset.model_tag,
+        search_token=dataset.token.literal,
+        **fields,
     )
     return path
 
@@ -183,17 +167,10 @@ def read_masked_dataset(path: str | Path) -> MaskedDataset:
     examples = tuple(read_jsonl(path, _parse_example, "masked dataset"))
 
     def parse_manifest(manifest: dict) -> tuple[MaskedDataset, dict]:
-        provenance = manifest["provenance"]
-        if not isinstance(provenance["model_tag"], str) or not isinstance(provenance["corpus"], str):
-            raise DataError("provenance model_tag and corpus must be strings")
-        dataset = MaskedDataset(
-            examples=examples,
-            model_tag=provenance["model_tag"],
-            corpus_name=provenance["corpus"],
-            profile=NormalizationProfile.from_dict(provenance["normalization_profile"]),
-            token=SearchToken(provenance["search_token"]),
-        )
-        return dataset, manifest["stats"]
+        model_tag, token = manifest["model_tag"], SearchToken(manifest["search_token"])
+        if not isinstance(model_tag, str):
+            raise DataError(f"model_tag must be a string, got {model_tag!r}")
+        return MaskedDataset(examples, model_tag, token), manifest["stats"]
 
     dataset, stats = read_json(manifest_path_for(path), parse_manifest, "masked dataset manifest")
     check_manifest(path, len(examples))

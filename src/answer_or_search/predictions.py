@@ -45,13 +45,20 @@ def perplexity(token_logprobs: Sequence[float]) -> float:
 def check_response(response: object) -> float:
     """The response contract; returns the perplexity of a response that meets it.
 
-    A response is a JSON object with a string ``text`` and ``token_logprobs``
-    as :func:`perplexity` takes them. A breach raises :class:`DataError`.
+    A response is a JSON object with a string ``text`` that encodes as UTF-8
+    (no lone surrogate, which no file or cache row could hold) and
+    ``token_logprobs`` as :func:`perplexity` takes them. A breach raises
+    :class:`DataError`.
     """
     if not isinstance(response, dict):
         raise DataError("response is not a JSON object")
-    if not isinstance(response.get("text"), str):
+    text = response.get("text")
+    if not isinstance(text, str):
         raise DataError("response 'text' is missing or not a string")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"response 'text' is not valid UTF-8: {exc.reason}") from None
     return perplexity(response.get("token_logprobs"))
 
 
@@ -114,7 +121,17 @@ def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> Pa
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:
-    """Read a predictions file, checked against its sidecar manifest if any."""
-    preds = read_jsonl(path, Prediction.from_dict, "predictions file")
+    """Read a predictions file, checked against its sidecar manifest if any;
+    a record id met twice is a :class:`DataError` naming the file and line."""
+    seen: set[str] = set()
+
+    def parse(raw: dict) -> Prediction:
+        pred = Prediction.from_dict(raw)
+        if pred.record_id in seen:
+            raise DataError(f"duplicate prediction for record {pred.record_id!r}")
+        seen.add(pred.record_id)
+        return pred
+
+    preds = read_jsonl(path, parse, "predictions file")
     check_manifest(path, len(preds))
     return preds

@@ -364,6 +364,24 @@ def test_infer_response_that_breaks_the_contract_exits_transport_and_caches_noth
     assert not (workspace["out"] / "predictions.dev.jsonl").exists()
 
 
+def test_infer_answer_with_a_lone_surrogate_exits_transport_and_caches_nothing(workspace):
+    # The mock sends the text as the JSON escape "x\ud800", which no UTF-8 file can hold.
+    run(workspace, "ingest")
+    workspace["service"].close()
+    replacement = serve(Script().add_question(DEV_ROWS[0][0], "x\ud800", (-0.1,)))
+    rewrite_config(
+        workspace,
+        lambda c: (c["endpoint"].update(url=replacement.url), c.update(max_in_flight=1)),
+    )
+    try:
+        assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
+        assert replacement.request_log == [DEV_ROWS[0][0]]  # not retried
+    finally:
+        replacement.close()
+    assert cache_rows(workspace["tmp"] / "cache") == {}
+    assert not (workspace["out"] / "predictions.dev.jsonl").exists()
+
+
 def test_infer_on_a_redirect_exits_transport_naming_the_status_and_location(
     workspace, monkeypatch, capsys
 ):
@@ -438,6 +456,28 @@ def test_infer_with_a_pool_labeled_under_another_search_token_exits_data(workspa
     assert pool in err and "'<search>'" in err and "'<tool>'" in err
 
 
+def test_infer_with_a_pool_of_the_earlier_manifest_layout_exits_data(workspace, capsys):
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    pool = workspace["out"] / "masked.dev.jsonl"
+    manifest_path = workspace["out"] / "masked.dev.jsonl.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    # How earlier versions wrote it: the labeling fields nested under "provenance".
+    nested = ("model_tag", "search_token", "normalization_profile", "normalization_profile_hash")
+    manifest["provenance"] = {key: manifest.pop(key) for key in nested}
+    manifest["provenance"]["corpus"] = "corpus.dev"
+    manifest_path.write_text(json.dumps(manifest))
+    rewrite_config(
+        workspace,
+        lambda c: c["prompt"].update(style="fewshot-balanced", pool_path=str(pool), fewshot_k=2),
+    )
+    with serve(Script()) as fewshot_endpoint:
+        argv = ("infer", "--split", "dev", "--endpoint-url", fewshot_endpoint.url)
+        assert run(workspace, *argv) == EXIT_DATA
+        assert fewshot_endpoint.request_log == []
+    assert f"malformed masked dataset manifest in {manifest_path}" in capsys.readouterr().err
+
+
 def test_warm_infer_never_loads_the_http_stack(workspace):
     rewrite_config(workspace, lambda c: c.update(max_in_flight=4))
     run(workspace, "ingest")
@@ -493,12 +533,22 @@ def test_label_reports_mask_rate(workspace, capsys):
     masked = (workspace["out"] / "masked.dev.jsonl").read_text().splitlines()
     assert len(masked) == 6
     assert json.loads(masked[2])["target"] == "<search>"
-    # The profile is written once, under provenance, beside the config hash.
+    # The profile is written once, at the top level, beside the config hash.
     manifest = json.loads((workspace["out"] / "masked.dev.jsonl.manifest.json").read_text())
-    assert "normalization_profile" not in manifest
-    assert "normalization_profile_hash" not in manifest
+    assert "provenance" not in manifest
     assert manifest["config_hash"] == load_config(workspace["config"]).config_hash
-    assert manifest["provenance"]["normalization_profile_hash"]
+    assert manifest["normalization_profile_hash"]
+    assert manifest["model_tag"] == "mock-small" and manifest["search_token"] == "<search>"
+
+
+def test_label_manifest_carries_the_provenance_of_the_predictions_manifest(workspace):
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    read = lambda name: json.loads((workspace["out"] / f"{name}.manifest.json").read_text())
+    masked, predictions = read("masked.dev.jsonl"), read("predictions.dev.jsonl")
+    assert "provenance" not in masked
+    shared = ("config_hash", "normalization_profile", "normalization_profile_hash", "split")
+    assert {key: masked[key] for key in shared} == {key: predictions[key] for key in shared}
 
 
 def test_label_refuses_a_search_token_that_normalizes_to_a_gold_answer(workspace, capsys):
@@ -511,6 +561,33 @@ def test_label_refuses_a_search_token_that_normalizes_to_a_gold_answer(workspace
     assert "'d3'" in capsys.readouterr().err
     assert not (workspace["out"] / "masked.dev.jsonl").exists()
     assert not (workspace["out"] / "masked.dev.jsonl.manifest.json").exists()
+
+
+DUPLICATE_STAGES = {
+    "label": ("label",),
+    "calibrate": ("calibrate",),
+    "evaluate": ("evaluate", "--threshold", "THRESHOLD", "--base"),
+    "histogram": ("histogram", "--edges", "0", "1", "4"),
+}
+
+
+@pytest.mark.parametrize("argv", DUPLICATE_STAGES.values(), ids=DUPLICATE_STAGES.keys())
+def test_a_predictions_file_with_a_repeated_record_exits_data_in_every_stage(
+    workspace, capsys, argv
+):
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("calibrate", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    rows = (workspace["out"] / "predictions.dev.jsonl").read_text().splitlines(keepends=True)
+    repeated = workspace["tmp"] / "repeated.jsonl"
+    repeated.write_text("".join(rows + rows[1:2]))
+    capsys.readouterr()
+    threshold = str(workspace["out"] / "threshold.json")
+    argv = [threshold if arg == "THRESHOLD" else arg for arg in argv]
+    if argv[-1] != "--base":
+        argv.append("--predictions")
+    assert run(workspace, *argv, str(repeated), "--split", "dev") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{repeated} at line 7: duplicate prediction for record 'd2'" in err
 
 
 def test_label_empty_predictions_warns(workspace, capsys):

@@ -313,29 +313,6 @@ def test_canonical_round_trip_preserves_unicode(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_profile_round_trips_through_dict():
-    profile = NormalizationProfile(stopwords=("a", "the"))
-    assert NormalizationProfile.from_dict(profile.to_dict()) == profile
-
-
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"lowercase": "no"},
-        {"strip_punctuation": 1},
-        {"collapse_whitespace": None},
-        {"unicode_fold": []},
-        {"stopwords": "abc"},
-        {"stopwords": ["a", 5]},
-        {"stopwords_version": 7},
-    ],
-    ids=lambda change: f"{next(iter(change))}={next(iter(change.values()))!r}",
-)
-def test_profile_from_dict_checks_each_type(change):
-    with pytest.raises(DataError, match=f"normalization {next(iter(change))} must be"):
-        NormalizationProfile.from_dict({**DEFAULT_PROFILE.to_dict(), **change})
-
-
 def test_profile_fingerprint_tracks_content():
     assert DEFAULT_PROFILE.fingerprint() == NormalizationProfile().fingerprint()
     changed = NormalizationProfile(lowercase=False)

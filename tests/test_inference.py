@@ -46,6 +46,7 @@ from answer_or_search.predictions import (
     write_predictions,
 )
 from answer_or_search.fileio import is_number
+from answer_or_search.labeling import MaskedExample
 from answer_or_search.mock_service import Script, serve
 
 from conftest import (
@@ -148,7 +149,9 @@ def test_prediction_rejects_a_string_of_logprobs_without_splitting_it():
         Prediction.from_dict(row)
 
 
-@pytest.mark.parametrize("text, logprobs", [(5, (0.0,)), ("x", ()), ("x", (False,))])
+@pytest.mark.parametrize(
+    "text, logprobs", [(5, (0.0,)), ("x", ()), ("x", (False,)), ("x\ud800", (0.0,))]
+)
 def test_prediction_checks_the_response_contract(text, logprobs):
     with pytest.raises(DataError, match="record q1"):
         Prediction(
@@ -196,6 +199,25 @@ def test_read_predictions_null_id_names_file_and_line(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (
+            [{"id": "q1"}, {"id": "q2"}, {"id": "q1"}],
+            "at line 3: duplicate prediction for record 'q1'",
+        ),
+        ([{"text": "x\ud800"}], "at line 1: record q1: response 'text' is not valid UTF-8"),
+    ],
+    ids=["repeated-id", "lone-surrogate"],
+)
+def test_read_predictions_refuses_a_row_naming_file_and_line(tmp_path, rows, error):
+    path = tmp_path / "preds.jsonl"
+    base = make_prediction("q1", "Paris").to_dict()
+    path.write_text("".join(json.dumps({**base, **row}) + "\n" for row in rows))
+    with pytest.raises(DataError, match=f"{path} {error}"):
+        read_predictions(path)
+
+
 # ---------------------------------------------------------------------------
 # prompt builders
 # ---------------------------------------------------------------------------
@@ -217,8 +239,14 @@ def test_zeroshot_rejects_double_placeholder():
 
 
 def _pool(n_answered: int, n_masked: int, seed: int = 7) -> FewShotPool:
-    examples = [(f"answered question {i}?", f"answer {i}") for i in range(n_answered)]
-    examples += [(f"masked question {i}?", "<search>") for i in range(n_masked)]
+    examples = [
+        MaskedExample(f"a{i}", f"answered question {i}?", f"answer {i}", was_masked=False)
+        for i in range(n_answered)
+    ]
+    examples += [
+        MaskedExample(f"m{i}", f"masked question {i}?", "<search>", was_masked=True)
+        for i in range(n_masked)
+    ]
     return FewShotPool(examples=tuple(examples), seed=seed)
 
 
@@ -262,7 +290,8 @@ def test_fewshot_deterministic_under_seed():
 
 def test_fewshot_prompt_is_the_blank_line_joined_demonstrations_then_the_question():
     # The bytes earlier versions gave this prompt: cached few-shot responses are keyed by them.
-    pool = FewShotPool(examples=(("a?", "x"), ("b?", "<search>")), seed=0)
+    examples = (MaskedExample("1", "a?", "x", False), MaskedExample("2", "b?", "<search>", True))
+    pool = FewShotPool(examples=examples, seed=0)
     assert _fewshot(pool, 2) == "Q: b?\nA: <search>\n\nQ: a?\nA: x\n\nQ: target question?\nA:"
 
 
@@ -329,8 +358,8 @@ def _reject_constant(name: str) -> None:
 
 @st.composite
 def accepted_responses(draw) -> dict:
-    """A response that :func:`check_response` accepts. Lone surrogates are left
-    out of the text: SQLite cannot store them as UTF-8."""
+    """A response that :func:`check_response` accepts: its text holds no lone
+    surrogate, which the contract refuses."""
     logprob = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False) | st.integers(
         max_value=0
     )
@@ -403,6 +432,7 @@ UNUSABLE_ENTRIES = {
     "string-split-into-characters": b'{"text": "x", "token_logprobs": ["-", "1"]}',
     "bool-logprob": b'{"text": "x", "token_logprobs": [true]}',
     "no-tokens": b'{"text": "x", "token_logprobs": []}',
+    "lone-surrogate": b'{"text": "x\\ud800", "token_logprobs": [-1.0]}',
     "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
@@ -732,6 +762,7 @@ BREACHES = {
     "positive-logprob": (b'{"text": "x", "token_logprobs": [0.5]}', TransportError),
     "bool-logprob": (b'{"text": "x", "token_logprobs": [true]}', TransportError),
     "no-tokens": (b'{"text": "x", "token_logprobs": []}', TransportError),
+    "lone-surrogate": (b'{"text": "x\\ud800", "token_logprobs": [-0.1]}', TransportError),
     "not-an-object": (b"5", TransportError),
     "nested-too-deep": (b"[" * 100_000 + b"]" * 100_000, TransportError),
     "no-text": (b'{"token_logprobs": [-0.1]}', TransportError),

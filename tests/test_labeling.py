@@ -151,12 +151,16 @@ def test_emit_then_read_round_trips(tmp_path):
 def test_emit_writes_manifest_stats(tmp_path):
     corpus, preds = _corpus_and_preds(1, 2)
     dataset = build_masked_dataset(preds, corpus)
-    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl")
+    path = write_masked_dataset(dataset, tmp_path / "masked.jsonl", split="dev", config_hash="c")
     manifest = json.loads(manifest_path_for(path).read_text())
-    assert manifest["records"] == 2
-    assert manifest["stats"] == {"n_total": 2, "n_answer": 1, "n_masked": 1}
-    assert manifest["provenance"]["search_token"] == "<search>"
-    assert manifest["provenance"]["model_tag"] == "mock-model"
+    assert manifest == {
+        "records": 2,
+        "stats": {"n_total": 2, "n_answer": 1, "n_masked": 1},
+        "model_tag": "mock-model",
+        "search_token": "<search>",
+        "split": "dev",
+        "config_hash": "c",
+    }
 
 
 def test_emit_refuses_token_gold_collision(tmp_path):
@@ -189,36 +193,11 @@ ROWS, MANIFEST = _written_dataset()
 
 
 def test_read_masked_dataset_rejects_a_search_token_that_is_not_a_string(tmp_path):
-    manifest = {**MANIFEST, "provenance": {**MANIFEST["provenance"], "search_token": 5}}
+    manifest = {**MANIFEST, "search_token": 5}
     path = tmp_path / "m.jsonl"
     path.write_text("".join(json.dumps(row) + "\n" for row in ROWS))
     manifest_path_for(path).write_text(json.dumps(manifest))
     with pytest.raises(DataError, match="search token"):
-        read_masked_dataset(path)
-
-
-def test_read_masked_dataset_rejects_a_profile_of_the_wrong_types(tmp_path):
-    profile = {
-        "lowercase": "no",
-        "strip_punctuation": 1,
-        "stopwords": "abc",
-        "collapse_whitespace": None,
-        "unicode_fold": [],
-        "stopwords_version": 7,
-    }
-    manifest = {
-        **MANIFEST, "provenance": {**MANIFEST["provenance"], "normalization_profile": profile}
-    }
-    path = tmp_path / "m.jsonl"
-    path.write_text("".join(json.dumps(row) + "\n" for row in ROWS))
-    manifest_path_for(path).write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match="normalization lowercase must be true or false"):
-        read_masked_dataset(path)
-    manifest["provenance"]["normalization_profile"] = {
-        **DEFAULT_PROFILE.to_dict(), "stopwords": "abc"
-    }
-    manifest_path_for(path).write_text(json.dumps(manifest))
-    with pytest.raises(DataError, match=f"{manifest_path_for(path)}: normalization stopwords"):
         read_masked_dataset(path)
 
 
@@ -242,7 +221,7 @@ def test_read_masked_dataset_gives_a_dataset_or_a_data_error(lines, manifest):
     if dataset is None:
         return
     assert isinstance(dataset.token.literal, str)
-    assert isinstance(dataset.model_tag, str) and isinstance(dataset.corpus_name, str)
+    assert isinstance(dataset.model_tag, str)
     for ex in dataset.examples:
         assert isinstance(ex.question, str) and isinstance(ex.target, str)
         assert isinstance(ex.was_masked, bool)
