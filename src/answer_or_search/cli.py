@@ -279,7 +279,7 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
-    from .inference import FewShotPool, GenerationClient, ResponseCache, run_corpus
+    from .inference import FewShotPool, GenerationClient, ResponseCache, prompt_builder, run_corpus
 
     corpus = _load_split(config, args.split)
     pool = None
@@ -296,6 +296,9 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
                 "under this config"
             )
         pool = FewShotPool(dataset.examples, seed=config.seed)
+    # Bad prompt settings fail here, before cache_dir is created or a request sent.
+    prompt_for = prompt_builder(config.prompt_style, config.template, pool, config.fewshot_k)
+    progress = config.output_dir / f"progress.{args.split}.json"
     with ResponseCache(config.cache_dir) as cache, closing(
         GenerationClient(
             config.endpoint_url,
@@ -307,19 +310,10 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
         )
     ) as client:
         try:
-            predictions = run_corpus(
-                corpus,
-                config.prompt_style,
-                client,
-                template=config.template,
-                pool=pool,
-                fewshot_k=config.fewshot_k,
-                max_in_flight=config.max_in_flight,
-            )
+            predictions = run_corpus(corpus, prompt_for, client, max_in_flight=config.max_in_flight)
         except RunAbortedError as exc:
-            progress = write_json(
-                config.output_dir / f"progress.{args.split}.json",
-                {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance},
+            write_json(
+                progress, {"done": exc.completed_ids, "failed": exc.failed_id, **config.provenance}
             )
             print(
                 f"infer: aborted at record {exc.failed_id}; progress -> {progress}", file=sys.stderr
@@ -335,6 +329,11 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
         prompt_style=config.prompt_style,
         **config.provenance,
     )
+    # The progress an aborted run left is stale once every prediction is written.
+    try:
+        progress.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"{progress} cannot be removed: {exc.strerror}") from exc
     print(f"infer: split={args.split} predictions={len(predictions)} -> {out}")
     return EXIT_OK
 

@@ -26,7 +26,7 @@ T = TypeVar("T")
 #: too deep is a RecursionError; a missing field is a KeyError; a value of the
 #: wrong JSON type is usually a TypeError; an integer too large for a float is
 #: an OverflowError; a value the object's own checks refuse is a DataError.
-_PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError, DataError)
+PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError, DataError)
 
 
 def is_number(value: object) -> bool:
@@ -120,7 +120,7 @@ def read_lines(path: str | Path, parse: Callable[[str, int], T], what: str) -> l
             for line_no, line in enumerate(fh, start=1):
                 if line.strip():
                     rows.append(parse(line.rstrip("\n"), line_no))
-        except _PARSE_ERRORS as exc:
+        except PARSE_ERRORS as exc:
             raise DataError(f"malformed {what} in {path} at line {line_no}: {exc}") from exc
     return rows
 
@@ -136,7 +136,7 @@ def read_json(path: str | Path, parse: Callable[[Any], T], what: str) -> T:
     with _open(path, what) as fh:
         try:
             return parse(json.load(fh))
-        except _PARSE_ERRORS as exc:
+        except PARSE_ERRORS as exc:
             raise DataError(f"malformed {what} in {path}: {exc}") from exc
 
 

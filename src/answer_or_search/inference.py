@@ -45,6 +45,7 @@ from .errors import (
     TemplateError,
     TransportError,
 )
+from .fileio import PARSE_ERRORS
 from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, Prediction, check_response
 
 # Held here by name only for perfbench/tracing.py, which wraps them as "inference.*".
@@ -275,7 +276,7 @@ class ResponseCache:
         try:
             response = json.loads(rows[0][0])
             check_response(response)
-        except _UNUSABLE:
+        except PARSE_ERRORS:
             return None
         return response
 
@@ -287,10 +288,6 @@ class ResponseCache:
             raise DataError(f"response cache {self.path}: {exc}") from exc
         with self._lock:
             self._query("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, text))
-
-
-#: What reading a row that breaks the response contract raises: see :meth:`ResponseCache.get`.
-_UNUSABLE = (ValueError, KeyError, TypeError, RecursionError, DataError)
 
 
 def _row_text(response: dict) -> str:
@@ -307,7 +304,7 @@ def _moved_rows(entries: Iterable[tuple]) -> Iterator[tuple[bytes, str]]:
             response = json.loads(entry)["response"]
             check_response(response)
             text = _row_text(response)
-        except _UNUSABLE:
+        except PARSE_ERRORS:
             continue
         if len(key) == 64 and digest.hex() == key:
             yield digest, text
@@ -547,22 +544,21 @@ class GenerationClient:
 
 def run_corpus(
     corpus: Corpus,
-    prompt_style: str,
+    prompt_for: Callable[[str], str],
     client: GenerationClient,
     *,
-    template: str = DEFAULT_TEMPLATE,
-    pool: FewShotPool | None = None,
-    fewshot_k: int = 16,
     max_in_flight: int = 4,
 ) -> list[Prediction]:
     """Collect one prediction per record, in corpus order.
 
-    The prompt settings go to :func:`prompt_builder` first, so a bad one
-    fails before any request is sent, even on an empty corpus. Records are
-    visited in corpus order. A cached record is built in the calling thread;
-    a miss goes to a worker thread through ``client.generate``, with at most
-    ``max_in_flight`` misses outstanding. Output order always equals corpus
-    order.
+    ``prompt_for`` is the run's ``question -> prompt`` function, as
+    :func:`prompt_builder` returns it: the caller checks the prompt settings
+    by building it, before it opens the cache or sends any request. Each
+    prediction holds only its record's answer; the model tag and prompt
+    style are the run's, for the caller to record once. A cached record is
+    built in the calling thread; a miss goes to a worker thread through
+    ``client.generate``, with at most ``max_in_flight`` misses outstanding.
+    Output order always equals corpus order.
 
     If any miss fails (still failing after the client's retries, or answered
     with a response that breaks the contract), no further record is started
@@ -574,7 +570,6 @@ def run_corpus(
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
 
-    prompt_for = prompt_builder(prompt_style, template, pool, fewshot_k)
     records = list(corpus)
 
     results: list[Prediction | None] = [None] * len(records)
@@ -583,13 +578,7 @@ def run_corpus(
 
     def fetch(index: int, prompt: str, key: bytes) -> Prediction:
         response = client.generate(prompt, key)
-        return Prediction(
-            record_id=records[index].id,
-            text=response["text"],
-            token_logprobs=response["token_logprobs"],
-            model_tag=client.model_tag,
-            prompt_style=prompt_style,
-        )
+        return Prediction(records[index].id, response["text"], response["token_logprobs"])
 
     def fail(index: int, exc: Exception) -> None:
         nonlocal failure

@@ -47,7 +47,6 @@ class MaskedExample:
 @dataclass(frozen=True)
 class MaskedDataset:
     examples: tuple[MaskedExample, ...]
-    model_tag: str
     token: SearchToken
 
     @property
@@ -103,11 +102,6 @@ def build_masked_dataset(
             raise DataError(f"prediction for unknown record {pred.record_id!r}")
         by_id[pred.record_id] = pred
 
-    model_tags = {pred.model_tag for pred in predictions}
-    if len(model_tags) > 1:
-        raise DataError(f"predictions mix model tags: {sorted(model_tags)}")
-    model_tag = model_tags.pop() if model_tags else ""
-
     token_norm = normalize(token.literal, profile)
     examples = []
     for rec in corpus:
@@ -119,12 +113,12 @@ def build_masked_dataset(
                 f"of record {rec.id!r}; labeling refused"
             )
         examples.append(mask_prediction(by_id[rec.id], rec, profile, token))
-    return MaskedDataset(tuple(examples), model_tag, token)
+    return MaskedDataset(tuple(examples), token)
 
 
 def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> Path:
     """Emit the dataset as line-delimited records plus a sidecar manifest,
-    which holds its stats, model tag and search token besides ``fields``."""
+    which holds its stats and search token besides ``fields``."""
     path = write_jsonl(
         path,
         (
@@ -141,7 +135,6 @@ def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> 
         path,
         dataset.n_total,
         stats=dataset.stats(),
-        model_tag=dataset.model_tag,
         search_token=dataset.token.literal,
         **fields,
     )
@@ -163,14 +156,12 @@ def _parse_example(raw: dict) -> MaskedExample:
 
 
 def read_masked_dataset(path: str | Path) -> MaskedDataset:
-    """Re-ingest an emitted dataset (with its manifest) exactly."""
+    """Re-ingest an emitted dataset (with its manifest) exactly; the
+    ``model_tag`` that manifests of earlier versions hold is ignored."""
     examples = tuple(read_jsonl(path, _parse_example, "masked dataset"))
 
     def parse_manifest(manifest: dict) -> tuple[MaskedDataset, dict]:
-        model_tag, token = manifest["model_tag"], SearchToken(manifest["search_token"])
-        if not isinstance(model_tag, str):
-            raise DataError(f"model_tag must be a string, got {model_tag!r}")
-        return MaskedDataset(examples, model_tag, token), manifest["stats"]
+        return MaskedDataset(examples, SearchToken(manifest["search_token"])), manifest["stats"]
 
     dataset, stats = read_json(manifest_path_for(path), parse_manifest, "masked dataset manifest")
     check_manifest(path, len(examples))

@@ -65,22 +65,15 @@ def check_response(response: object) -> float:
 @dataclass(frozen=True)
 class Prediction:
     """A model's answer, checked by :func:`check_response`, which also gives
-    its ``perplexity``."""
+    its ``perplexity``. The model tag and prompt style are the run's, kept
+    once in the predictions manifest."""
 
     record_id: str
     text: str
     token_logprobs: tuple[float, ...]
     perplexity: float = field(init=False)
-    model_tag: str
-    prompt_style: str
 
     def __post_init__(self) -> None:
-        if self.prompt_style not in PROMPT_STYLES:
-            raise DataError(
-                f"record {self.record_id}: unknown prompt style {self.prompt_style!r}"
-            )
-        if not isinstance(self.model_tag, str):
-            raise DataError(f"record {self.record_id}: model_tag {self.model_tag!r} is not a string")
         try:
             ppl = check_response({"text": self.text, "token_logprobs": self.token_logprobs})
         except DataError as exc:
@@ -94,19 +87,13 @@ class Prediction:
             "text": self.text,
             "token_logprobs": list(self.token_logprobs),
             "perplexity": encode_infinity(self.perplexity),
-            "model_tag": self.model_tag,
-            "prompt_style": self.prompt_style,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Prediction":
-        pred = cls(
-            record_id=parse_record_id(raw["id"]),
-            text=raw["text"],
-            token_logprobs=raw["token_logprobs"],
-            model_tag=raw["model_tag"],
-            prompt_style=raw["prompt_style"],
-        )
+        """The prediction a row holds; the ``model_tag`` and ``prompt_style``
+        that rows of earlier versions repeat are ignored."""
+        pred = cls(parse_record_id(raw["id"]), raw["text"], raw["token_logprobs"])
         stored = decode_infinity(raw["perplexity"])
         if not is_number(stored) or not math.isclose(stored, pred.perplexity, rel_tol=1e-9):
             raise DataError(

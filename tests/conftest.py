@@ -65,14 +65,8 @@ def make_corpus(*records: QaRecord, name: str = "fixture") -> Corpus:
     return Corpus(name=name, records=tuple(records))
 
 
-def make_prediction(
-    rec_id: str,
-    text: str,
-    logprobs: tuple[float, ...] = (-0.5,),
-    model_tag: str = "mock-model",
-    prompt_style: str = "zeroshot-qa",
-) -> Prediction:
-    return Prediction(rec_id, text, logprobs, model_tag, prompt_style)
+def make_prediction(rec_id: str, text: str, logprobs: tuple[float, ...] = (-0.5,)) -> Prediction:
+    return Prediction(rec_id, text, logprobs)
 
 
 def stub_post(monkeypatch, status: int, body: bytes, headers: dict | None = None) -> list[str]:

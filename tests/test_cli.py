@@ -145,8 +145,10 @@ def test_infer_writes_one_prediction_per_record(workspace):
     first = json.loads(lines[0])
     assert first["id"] == "d1"
     assert first["text"] == "Paris"
-    assert first["model_tag"] == "mock-small"
-    assert first["prompt_style"] == "zeroshot-qa"
+    # The run's model tag and prompt style are written once, in the manifest.
+    manifest = json.loads((workspace["out"] / "predictions.dev.jsonl.manifest.json").read_text())
+    assert manifest["model_tag"] == "mock-small"
+    assert manifest["prompt_style"] == "zeroshot-qa"
 
 
 def _out_files(workspace) -> dict[str, bytes]:
@@ -218,6 +220,47 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
         assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
     finally:
         replacement.close()
+
+
+def test_infer_after_an_aborted_run_removes_its_stale_progress(workspace):
+    run(workspace, "ingest")
+    failing, healthy = Script(), Script()
+    for i, (question, _, answer, logprob) in enumerate(DEV_ROWS):
+        failing.add_question(question, answer, (logprob,), fault="http-error" if i == 1 else None)
+        healthy.add_question(question, answer, (logprob,))
+    progress = workspace["out"] / "progress.dev.json"
+    infer = ("infer", "--split", "dev", "--endpoint-url")
+    with serve(failing) as endpoint:
+        assert run(workspace, *infer, endpoint.url) == EXIT_TRANSPORT
+    assert json.loads(progress.read_text())["failed"] == "d2"
+    with serve(healthy) as endpoint:
+        assert run(workspace, *infer, endpoint.url) == EXIT_OK
+    assert not progress.exists()
+    assert len((workspace["out"] / "predictions.dev.jsonl").read_text().splitlines()) == 6
+
+
+#: Prompt settings that fail (config keys under "prompt", exit code); "POOL"
+#: stands for the masked dataset of the workspace, 3 answered and 3 masked.
+BAD_PROMPT_SETTINGS = {
+    "template-without-a-slot": ({"template": "no slot"}, EXIT_CONFIG),
+    "unbalanceable-pool": (
+        {"style": "fewshot-balanced", "pool_path": "POOL", "fewshot_k": 8}, EXIT_DATA
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "settings, code", BAD_PROMPT_SETTINGS.values(), ids=BAD_PROMPT_SETTINGS.keys()
+)
+def test_infer_with_bad_prompt_settings_exits_before_making_the_cache(workspace, settings, code):
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    pool = str(workspace["out"] / "masked.dev.jsonl")
+    settings = {key: pool if value == "POOL" else value for key, value in settings.items()}
+    rewrite_config(workspace, lambda c: c["prompt"].update(settings))
+    fresh = workspace["tmp"] / "fresh_cache"
+    assert run(workspace, "infer", "--split", "dev", "--cache-dir", str(fresh)) == code
+    assert not fresh.exists()
 
 
 def _cache_key(workspace, question: str) -> bytes:
@@ -463,9 +506,9 @@ def test_infer_with_a_pool_of_the_earlier_manifest_layout_exits_data(workspace, 
     manifest_path = workspace["out"] / "masked.dev.jsonl.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     # How earlier versions wrote it: the labeling fields nested under "provenance".
-    nested = ("model_tag", "search_token", "normalization_profile", "normalization_profile_hash")
+    nested = ("search_token", "normalization_profile", "normalization_profile_hash")
     manifest["provenance"] = {key: manifest.pop(key) for key in nested}
-    manifest["provenance"]["corpus"] = "corpus.dev"
+    manifest["provenance"].update(model_tag="mock-small", corpus="corpus.dev")
     manifest_path.write_text(json.dumps(manifest))
     rewrite_config(
         workspace,
@@ -476,6 +519,28 @@ def test_infer_with_a_pool_of_the_earlier_manifest_layout_exits_data(workspace, 
         assert run(workspace, *argv) == EXIT_DATA
         assert fewshot_endpoint.request_log == []
     assert f"malformed masked dataset manifest in {manifest_path}" in capsys.readouterr().err
+
+
+def test_infer_with_a_pool_whose_manifest_holds_a_model_tag_uses_the_pool(workspace):
+    for stage in (("ingest",), ("infer", "--split", "dev"), ("label", "--split", "dev")):
+        assert run(workspace, *stage) == EXIT_OK
+    pool = workspace["out"] / "masked.dev.jsonl"
+    manifest_path = workspace["out"] / "masked.dev.jsonl.manifest.json"
+    # Earlier versions also wrote the predictions' model tag here.
+    manifest = {**json.loads(manifest_path.read_text()), "model_tag": "mock-small"}
+    manifest_path.write_text(json.dumps(manifest))
+    rewrite_config(
+        workspace,
+        lambda c: c["prompt"].update(style="fewshot-balanced", pool_path=str(pool), fewshot_k=2),
+    )
+    with serve(Script()) as fewshot_endpoint:
+        argv = ("infer", "--split", "dev", "--endpoint-url", fewshot_endpoint.url)
+        assert run(workspace, *argv) == EXIT_OK
+        prompts = fewshot_endpoint.request_log
+    # Two demonstrations, then the question; misses are sent in any order.
+    assert all(prompt.count("Q: ") == 3 for prompt in prompts)
+    asked = sorted(prompt.rpartition("Q: ")[2] for prompt in prompts)
+    assert asked == sorted(f"{question}\nA:" for question, *_ in DEV_ROWS)
 
 
 def test_warm_infer_never_loads_the_http_stack(workspace):
@@ -538,7 +603,7 @@ def test_label_reports_mask_rate(workspace, capsys):
     assert "provenance" not in manifest
     assert manifest["config_hash"] == load_config(workspace["config"]).config_hash
     assert manifest["normalization_profile_hash"]
-    assert manifest["model_tag"] == "mock-small" and manifest["search_token"] == "<search>"
+    assert manifest["search_token"] == "<search>" and "model_tag" not in manifest
 
 
 def test_label_manifest_carries_the_provenance_of_the_predictions_manifest(workspace):
@@ -549,6 +614,29 @@ def test_label_manifest_carries_the_provenance_of_the_predictions_manifest(works
     assert "provenance" not in masked
     shared = ("config_hash", "normalization_profile", "normalization_profile_hash", "split")
     assert {key: masked[key] for key in shared} == {key: predictions[key] for key in shared}
+
+
+def test_stages_on_a_predictions_file_of_the_earlier_layout_write_the_same_bytes(workspace):
+    threshold = str(workspace["out"] / "threshold.json")
+    stages = [
+        ("label", "--split", "dev"),
+        ("calibrate", "--split", "dev"),
+        ("evaluate", "--split", "dev", "--threshold", threshold),
+        ("histogram", "--split", "dev", "--edges", "0", "1", "10"),
+    ]
+    for stage in (("ingest",), ("infer", "--split", "dev"), *stages):
+        assert run(workspace, *stage) == EXIT_OK
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = _out_files(workspace)
+    # Earlier versions repeated the run's model tag and prompt style in every row.
+    earlier = {"model_tag": "mock-small", "prompt_style": "zeroshot-qa"}
+    rows = [json.loads(line) for line in predictions.read_text().splitlines()]
+    predictions.write_text("".join(json.dumps({**row, **earlier}) + "\n" for row in rows))
+    for stage in stages:
+        assert run(workspace, *stage) == EXIT_OK
+    second = _out_files(workspace)
+    assert second.pop(predictions.name) != first.pop(predictions.name)
+    assert second == first
 
 
 def test_label_refuses_a_search_token_that_normalizes_to_a_gold_answer(workspace, capsys):
@@ -838,7 +926,6 @@ CONTRACT_BREAKING_ROWS = {
     "no-tokens": {"token_logprobs": [], "perplexity": 1.0},
     "bool-logprob": {"token_logprobs": [False], "perplexity": 1.0},
     "bool-perplexity": {"token_logprobs": [0.0], "perplexity": True},
-    "model-tag-not-a-string": {"model_tag": [1]},
 }
 
 

@@ -45,7 +45,7 @@ from answer_or_search.predictions import (
     read_predictions,
     write_predictions,
 )
-from answer_or_search.fileio import is_number
+from answer_or_search.fileio import PARSE_ERRORS, is_number
 from answer_or_search.labeling import MaskedExample
 from answer_or_search.mock_service import Script, serve
 
@@ -154,19 +154,29 @@ def test_prediction_rejects_a_string_of_logprobs_without_splitting_it():
 )
 def test_prediction_checks_the_response_contract(text, logprobs):
     with pytest.raises(DataError, match="record q1"):
-        Prediction(
-            record_id="q1",
-            text=text,
-            token_logprobs=logprobs,
-            model_tag="m",
-            prompt_style="zeroshot-qa",
-        )
+        Prediction(record_id="q1", text=text, token_logprobs=logprobs)
 
 
 def test_predictions_file_round_trip(tmp_path):
     preds = [make_prediction("q1", "Paris", (-0.1, -0.2)), make_prediction("q2", "Lyon")]
     path = write_predictions(preds, tmp_path / "preds.jsonl")
     assert read_predictions(path) == preds
+
+
+def test_a_predictions_row_holds_only_the_records_answer(tmp_path):
+    path = write_predictions([make_prediction("q1", "Paris", (-0.1,))], tmp_path / "preds.jsonl")
+    (row,) = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert list(row) == ["id", "text", "token_logprobs", "perplexity"]
+
+
+def test_a_row_of_the_earlier_layout_reads_to_the_same_prediction(tmp_path):
+    pred = make_prediction("q1", "Paris", (-0.1, -0.2))
+    # Earlier versions repeated the run's model tag and prompt style in every row.
+    row = {**pred.to_dict(), "model_tag": "m", "prompt_style": "zeroshot-qa"}
+    assert Prediction.from_dict(row) == pred
+    path = tmp_path / "preds.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    assert read_predictions(path) == [pred]
 
 
 def _refuse_constant(name: str):
@@ -446,6 +456,18 @@ def test_cache_unusable_row_is_a_miss(tmp_path, content):
         assert cache.get(key) is None
         cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
         assert cache.get(key)["text"] == "x"
+
+
+@pytest.mark.parametrize("error", PARSE_ERRORS, ids=lambda error: error.__name__)
+def test_cache_row_whose_check_raises_any_parse_error_is_a_miss(tmp_path, monkeypatch, error):
+    def refuse(response):
+        raise error("refused")
+
+    key = ResponseCache.key("m", "p", 32)
+    with ResponseCache(tmp_path) as cache:
+        cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
+        monkeypatch.setattr(inference, "check_response", refuse)
+        assert cache.get(key) is None
 
 
 def test_cache_ignores_a_file_of_the_one_file_per_response_layout(tmp_path):
@@ -933,12 +955,16 @@ def test_read_predictions_gives_predictions_or_a_data_error(lines):
         expected = check_response({"text": pred.text, "token_logprobs": pred.token_logprobs})
         assert is_number(pred.perplexity)
         assert math.isclose(pred.perplexity, expected, rel_tol=1e-9)
-        assert isinstance(pred.model_tag, str)
+        assert isinstance(pred.text, str)
 
 
 # ---------------------------------------------------------------------------
 # run_corpus
 # ---------------------------------------------------------------------------
+
+
+#: The prompt function of the default zero-shot style: the bare question.
+ZEROSHOT = prompt_builder("zeroshot-qa")
 
 
 def _three_record_corpus():
@@ -961,18 +987,17 @@ def _scripted_service():
 
 def test_run_corpus_preserves_corpus_order(tmp_path):
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
-        preds = run_corpus(_three_record_corpus(), "zeroshot-qa", client, max_in_flight=3)
+        preds = run_corpus(_three_record_corpus(), ZEROSHOT, client, max_in_flight=3)
     assert [p.record_id for p in preds] == ["q1", "q2", "q3"]
     assert [p.text for p in preds] == ["one", "two", "three"]
-    assert all(p.prompt_style == "zeroshot-qa" for p in preds)
 
 
 def test_run_corpus_warm_cache_is_deterministic_and_offline(tmp_path):
     corpus = _three_record_corpus()
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
-        first = run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        first = run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
         calls_after_first = len(service.request_log)
-        second = run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        second = run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
         assert len(service.request_log) == calls_after_first
     assert first == second
 
@@ -988,7 +1013,7 @@ def test_run_corpus_aborts_with_partial_progress_manifest(tmp_path):
         service.url, tmp_path, max_retries=0, backoff_seconds=0.01, timeout=5
     ) as client:
         with pytest.raises(RunAbortedError) as excinfo:
-            run_corpus(_three_record_corpus(), "zeroshot-qa", client, max_in_flight=1)
+            run_corpus(_three_record_corpus(), ZEROSHOT, client, max_in_flight=1)
     assert excinfo.value.failed_id == "q2"
     assert excinfo.value.completed_ids == ["q1"]
 
@@ -1005,14 +1030,14 @@ def test_run_corpus_hashes_each_prompt_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ResponseCache, "key", staticmethod(counted_key))
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
-        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
         assert len(service.request_log) == 1
     assert sorted(hashed) == ["first question?", "second question?", "third question?"]
 
 
-def test_run_corpus_rejects_unknown_style(tmp_path):
-    with open_client("http://127.0.0.1:1", tmp_path) as client, pytest.raises(ConfigError):
-        run_corpus(_three_record_corpus(), "sampling", client)
+def test_prompt_builder_rejects_unknown_style():
+    with pytest.raises(ConfigError, match="unknown prompt style 'sampling'"):
+        prompt_builder("sampling")
 
 
 def test_run_corpus_draws_the_fewshot_demonstrations_once(tmp_path, monkeypatch):
@@ -1025,10 +1050,8 @@ def test_run_corpus_draws_the_fewshot_demonstrations_once(tmp_path, monkeypatch)
 
     monkeypatch.setattr(inference, "random", SimpleNamespace(Random=CountedRandom))
     with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
-        run_corpus(
-            _three_record_corpus(), "fewshot-balanced", client, pool=_pool(4, 4), fewshot_k=4,
-            max_in_flight=1,
-        )
+        prompt_for = prompt_builder("fewshot-balanced", pool=_pool(4, 4), fewshot_k=4)
+        run_corpus(_three_record_corpus(), prompt_for, client, max_in_flight=1)
         prompts = service.request_log
     assert draws == [7]
     questions = ["first question?", "second question?", "third question?"]
@@ -1040,7 +1063,7 @@ def test_run_corpus_draws_the_fewshot_demonstrations_once(tmp_path, monkeypatch)
 def _warm(tmp_path, corpus) -> None:
     """Store the responses of ``_scripted_service`` for ``corpus`` in the cache in ``tmp_path``."""
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
-        run_corpus(corpus, "zeroshot-qa", client)
+        run_corpus(corpus, ZEROSHOT, client)
 
 
 def test_run_corpus_abort_lists_cached_records_after_the_failure(tmp_path):
@@ -1058,7 +1081,7 @@ def test_run_corpus_abort_lists_cached_records_after_the_failure(tmp_path):
         service.url, tmp_path, max_retries=0, timeout=5
     ) as client:
         with pytest.raises(RunAbortedError) as excinfo:
-            run_corpus(corpus, "zeroshot-qa", client, max_in_flight=1)
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
         assert service.request_log == ["second question?"]
     assert excinfo.value.failed_id == "q2"
     assert isinstance(excinfo.value.cause, TransportError)
@@ -1073,9 +1096,9 @@ def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     poisoned = json.loads(original)
     poisoned["token_logprobs"] = [0.5]
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
-        first = run_corpus(corpus, "zeroshot-qa", client)
+        first = run_corpus(corpus, ZEROSHOT, client)
         write_cache_row(tmp_path, key, json.dumps(poisoned))
-        assert run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2) == first
+        assert run_corpus(corpus, ZEROSHOT, client, max_in_flight=2) == first
         assert service.request_log == ["second question?"]
     assert cache_rows(tmp_path)[key] == original
 
@@ -1083,7 +1106,7 @@ def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     with open_client(
         "http://127.0.0.1:1", tmp_path, max_retries=0, timeout=0.5
     ) as client, pytest.raises(RunAbortedError) as excinfo:
-        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
     assert excinfo.value.failed_id == "q2"
     assert isinstance(excinfo.value.cause, TransportError)
     assert excinfo.value.completed_ids == ["q1"]
@@ -1105,7 +1128,7 @@ def test_run_corpus_worker_threads_never_share_a_connection(tmp_path, monkeypatc
     monkeypatch.setattr(http.client.HTTPConnection, "request", recording_request)
     corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(8)))
     with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
-        run_corpus(corpus, "zeroshot-qa", client, max_in_flight=2)
+        run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
     connections_by_thread: dict[int, set[int]] = {}
     for thread, connection in posts:
         connections_by_thread.setdefault(thread, set()).add(id(connection))

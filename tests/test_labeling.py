@@ -156,7 +156,6 @@ def test_emit_writes_manifest_stats(tmp_path):
     assert manifest == {
         "records": 2,
         "stats": {"n_total": 2, "n_answer": 1, "n_masked": 1},
-        "model_tag": "mock-model",
         "search_token": "<search>",
         "split": "dev",
         "config_hash": "c",
@@ -221,7 +220,6 @@ def test_read_masked_dataset_gives_a_dataset_or_a_data_error(lines, manifest):
     if dataset is None:
         return
     assert isinstance(dataset.token.literal, str)
-    assert isinstance(dataset.model_tag, str)
     for ex in dataset.examples:
         assert isinstance(ex.question, str) and isinstance(ex.target, str)
         assert isinstance(ex.was_masked, bool)
