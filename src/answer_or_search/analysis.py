@@ -109,14 +109,9 @@ def histogram(values: Sequence[float], spec: HistogramSpec) -> HistogramResult:
     return HistogramResult(spec=spec, counts=tuple(counts), out_of_range=out_of_range)
 
 
-def write_tradeoff_table(
-    points: Sequence[TradeoffPoint],
-    path: str | Path,
-    comments: Sequence[str] = (),
-) -> Path:
-    """Emit a plot-ready table with ratio,c,h rows ('#' lines carry provenance)."""
+def write_tradeoff_table(points: Sequence[TradeoffPoint], path: str | Path) -> Path:
+    """Emit a plot-ready CSV table: a ratio,c,h header, then one row per point."""
     with atomic_write(path) as fh:
-        fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(["ratio", "c", "h"])
         for pt in points:
@@ -124,14 +119,9 @@ def write_tradeoff_table(
     return Path(path)
 
 
-def write_histogram_table(
-    results: dict[str, HistogramResult],
-    path: str | Path,
-    comments: Sequence[str] = (),
-) -> Path:
-    """Emit per-class bin counts: one row per (class, bin) plus out-of-range rows."""
+def write_histogram_table(results: dict[str, HistogramResult], path: str | Path) -> Path:
+    """Emit per-class bin counts as CSV: one row per (class, bin) plus out-of-range rows."""
     with atomic_write(path) as fh:
-        fh.writelines(f"# {comment}\n" for comment in comments)
         writer = csv.writer(fh)
         writer.writerow(["class", "bin_lo", "bin_hi", "count"])
         for cls, result in results.items():

@@ -2,8 +2,9 @@
 
 Stages communicate only through files in the configured output directory, so
 each one can be re-run independently. With a warm response cache every
-subcommand is idempotent: rerunning it produces byte-identical outputs. All
-emitted files carry the config hash and normalization-profile hash.
+subcommand is idempotent: rerunning it produces byte-identical outputs. Each
+emitted file holds only its data; its provenance (record count, config hash,
+normalization profile) is in a sidecar ``<name>.manifest.json`` written after it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbo
 from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, PROMPT_STYLES, Prediction
-from .predictions import read_predictions, write_predictions
+from .predictions import FEWSHOT_BALANCED, ZEROSHOT_QA, read_predictions, write_predictions
 
 
 #: How a run reaches the endpoint and where it keeps files, never what it writes:
@@ -90,16 +91,13 @@ class PipelineConfig:
 
     @property
     def provenance(self) -> dict:
-        # The full profile rides along with every emitted report so results
+        # The full profile rides along in every sidecar manifest so results
         # can be reproduced bit-for-bit, not just compared by hash.
         return {
             "config_hash": self.config_hash,
             "normalization_profile": self.profile.to_dict(),
             "normalization_profile_hash": self.profile.fingerprint(),
         }
-
-    def comments(self) -> list[str]:
-        return [f"{key}={value}" for key, value in self.provenance.items() if key.endswith("_hash")]
 
 
 #: YAML types accepted for each kind of config value, and how the error names
@@ -209,7 +207,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         token=SearchToken(
             _get(raw, "search_token", str, DEFAULT_SEARCH_TOKEN, str.strip, "non-empty")
         ),
-        prompt_style=_get(raw, "prompt.style", str, "zeroshot-qa", PROMPT_STYLES),
+        prompt_style=_get(raw, "prompt.style", str, ZEROSHOT_QA, PROMPT_STYLES),
         template=_get(raw, "prompt.template", str, DEFAULT_TEMPLATE),
         fewshot_k=_get(
             raw, "prompt.fewshot_k", int, 16, lambda k: k > 0 and k % 2 == 0, "even and positive"
@@ -283,9 +281,9 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
 
     corpus = _load_split(config, args.split)
     pool = None
-    if config.prompt_style == "fewshot-balanced":
+    if config.prompt_style == FEWSHOT_BALANCED:
         if not config.pool_path:
-            raise ConfigError("prompt.pool_path is required for fewshot-balanced prompts")
+            raise ConfigError(f"prompt.pool_path is required for {FEWSHOT_BALANCED} prompts")
         from .labeling import read_masked_dataset
 
         dataset = read_masked_dataset(config.pool_path)
@@ -366,13 +364,9 @@ def cmd_calibrate(config: PipelineConfig, args: argparse.Namespace) -> int:
         (p.perplexity, exact_match(p.text, corpus[p.record_id].gold_answers, config.profile))
         for p in preds
     ]
-    threshold = calibrate(
-        scored,
-        strategy=config.ppl_strategy,
-        target_rate=config.ppl_target_rate,
-        fitted_on=f"model={config.model_tag} corpus={corpus.name} split={args.split}",
-    )
-    out = save_threshold(threshold, config.output_dir / "threshold.json", extra=config.provenance)
+    threshold = calibrate(scored, strategy=config.ppl_strategy, target_rate=config.ppl_target_rate)
+    out = save_threshold(threshold, config.output_dir / "threshold.json")
+    write_manifest(out, 1, split=args.split, **config.provenance)
     print(
         f"calibrate: strategy={threshold.calibration} tau={threshold.tau:g} "
         f"items={len(scored)} -> {out}"
@@ -414,11 +408,13 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
         base_ids=base_ids,
         adapted_ids=[rid for rid, _ in adapted],
     )
-    json_path = write_report(report, config.output_dir / "eval_report.json", extra=config.provenance)
+    json_path = write_report(report, config.output_dir / "eval_report.json")
+    write_manifest(json_path, 1, split=args.split, **config.provenance)
     table = render_table(report, title=f"split={args.split} lambda={config.lam:g}")
-    with atomic_write(config.output_dir / "eval_report.txt") as fh:
-        fh.writelines(f"# {comment}\n" for comment in config.comments())
+    txt_path = config.output_dir / "eval_report.txt"
+    with atomic_write(txt_path) as fh:
         fh.write(table)
+    write_manifest(txt_path, 1, split=args.split, **config.provenance)
     print(table, end="")
     print(f"evaluate: report -> {json_path}")
     return EXIT_OK
@@ -429,11 +425,8 @@ def cmd_tradeoff(config: PipelineConfig, args: argparse.Namespace) -> int:
 
     report = read_report(args.report)
     points = tradeoff_curve(report.c * 100, report.h * 100, report.s * 100, args.ratios)
-    out = write_tradeoff_table(
-        points,
-        config.output_dir / "tradeoff.csv",
-        comments=config.comments() + [f"source={args.report}"],
-    )
+    out = write_tradeoff_table(points, config.output_dir / "tradeoff.csv")
+    write_manifest(out, len(points), source=args.report, **config.provenance)
     for pt in points:
         print(f"tradeoff: ratio={pt.ratio:.2f} c={pt.c:.1f} h={pt.h:.1f}")
     print(f"tradeoff: table -> {out}")
@@ -456,9 +449,9 @@ def cmd_histogram(config: PipelineConfig, args: argparse.Namespace) -> int:
         )
         for cls, values in grouped.items()
     }
-    out = write_histogram_table(
-        results, config.output_dir / "histogram.csv", comments=config.comments()
-    )
+    out = write_histogram_table(results, config.output_dir / "histogram.csv")
+    rows = sum(len(result.counts) + 1 for result in results.values())  # + out-of-range
+    write_manifest(out, rows, split=args.split, **config.provenance)
     for cls, result in results.items():
         print(f"histogram: class={cls} in_range={sum(result.counts)} out_of_range={result.out_of_range}")
     print(f"histogram: table -> {out}")
@@ -514,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="base predictions file (default: infer output)",
     )
     p_eval.add_argument("--adapted", help="adapted outputs file ({id, output} lines)")
-    p_eval.add_argument("--threshold", help="threshold manifest to route base predictions")
+    p_eval.add_argument("--threshold", help="threshold file to route base predictions")
 
     p_trade = stage("tradeoff", cmd_tradeoff, "search-quality trade-off table")
     p_trade.add_argument("--report", required=True, help="evaluation report JSON")

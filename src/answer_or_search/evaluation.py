@@ -303,10 +303,11 @@ def render_table(report: EvalReport, title: str = "evaluation") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, json_path: str | Path, extra: dict | None = None) -> Path:
-    """Serialize a report as JSON, with ``extra`` provenance fields merged in."""
-    return write_json(json_path, {**report.to_dict(), **(extra or {})})
+def write_report(report: EvalReport, json_path: str | Path) -> Path:
+    """Serialize a report as JSON; its provenance goes in the sidecar manifest."""
+    return write_json(json_path, report.to_dict())
 
 
 def read_report(path: str | Path) -> EvalReport:
+    # from_dict ignores other keys, such as the provenance earlier versions embedded.
     return read_json(path, EvalReport.from_dict, "evaluation report")

@@ -3,9 +3,9 @@
 Writers go through :func:`atomic_write`: the text lands in a tmp file next to
 the target and is moved into place with ``os.replace``, so a reader sees the
 old file or the new one, never half of one. Readers turn every decoding or
-parsing failure into a :class:`DataError` naming the file and line. A
-line-delimited output carries a sidecar ``<name>.manifest.json`` whose
-``records`` field lets readers reject a truncated or stale file.
+parsing failure into a :class:`DataError` naming the file and line. Every
+output has a sidecar ``<name>.manifest.json``, written after it, whose
+``records`` (its data rows; 1 for one document) lets readers reject a stale file.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def read_json(path: str | Path, parse: Callable[[Any], T], what: str) -> T:
 
 
 def manifest_path_for(path: str | Path) -> Path:
-    """The sidecar manifest of a line-delimited file: ``<name>.manifest.json``."""
+    """The sidecar manifest of an output file: ``<name>.manifest.json``."""
     path = Path(path)
     return path.with_name(path.name + ".manifest.json")
 

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .fileio import PARSE_ERRORS
 from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, Prediction, check_response
+from .predictions import FEWSHOT_BALANCED, INSTRUCT_IDK, ZEROSHOT_QA
 
 # Held here by name only for perfbench/tracing.py, which wraps them as "inference.*".
 from .predictions import read_predictions, write_predictions  # noqa: F401
@@ -96,22 +97,30 @@ def prompt_builder(
       that cannot supply both halves raises :class:`BalanceError` rather than
       warn. The sample is drawn once, so every prompt of a run shares it.
     """
-    if prompt_style == "zeroshot-qa":
-        n = template.count(_PLACEHOLDER)
-        if n != 1:
-            raise TemplateError(
-                f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
-            )
-        return lambda question: template.replace(_PLACEHOLDER, question)
-    if prompt_style == "instruct-idk":
-        return lambda question: f"{IDK_INSTRUCTION}\n{question}"
-    if prompt_style != "fewshot-balanced":
+    if prompt_style not in _BUILDERS:
         raise ConfigError(f"unknown prompt style {prompt_style!r}")
+    return _BUILDERS[prompt_style](template, pool, fewshot_k)
+
+
+def _zeroshot(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
+    n = template.count(_PLACEHOLDER)
+    if n != 1:
+        raise TemplateError(
+            f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
+        )
+    return lambda question: template.replace(_PLACEHOLDER, question)
+
+
+def _instruct(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
+    return lambda question: f"{IDK_INSTRUCTION}\n{question}"
+
+
+def _fewshot(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
     if pool is None:
-        raise ConfigError("fewshot-balanced prompts require a demonstration pool")
-    if fewshot_k <= 0 or fewshot_k % 2 != 0:
-        raise ConfigError(f"k must be an even positive integer, got {fewshot_k}")
-    need = fewshot_k // 2
+        raise ConfigError(f"{FEWSHOT_BALANCED} prompts require a demonstration pool")
+    if k <= 0 or k % 2 != 0:
+        raise ConfigError(f"k must be an even positive integer, got {k}")
+    need = k // 2
     answered = [ex for ex in pool.examples if not ex.was_masked]
     masked = [ex for ex in pool.examples if ex.was_masked]
     if len(answered) < need:
@@ -124,6 +133,10 @@ def prompt_builder(
     rng.shuffle(chosen)
     demonstrations = "".join(f"Q: {ex.question}\nA: {ex.target}\n\n" for ex in chosen)
     return lambda question: f"{demonstrations}Q: {question}\nA:"
+
+
+#: The builder of each name in ``predictions.PROMPT_STYLES``.
+_BUILDERS = {ZEROSHOT_QA: _zeroshot, INSTRUCT_IDK: _instruct, FEWSHOT_BALANCED: _fewshot}
 
 
 # ---------------------------------------------------------------------------

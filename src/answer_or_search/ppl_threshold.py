@@ -29,12 +29,12 @@ class PplThreshold:
 
     ``tau`` may be ``+inf`` (never search) or ``-inf`` (always search):
     those are the sentinel candidates the calibrator scans in addition to
-    the midpoints between consecutive distinct perplexities.
+    the midpoints between consecutive distinct perplexities. Where it was
+    fitted, and under which config, is the sidecar manifest's to say.
     """
 
     tau: float
     calibration: str
-    fitted_on: str
     target_rate: float | None = None
 
     def __post_init__(self) -> None:
@@ -42,8 +42,6 @@ class PplThreshold:
             raise DataError(f"threshold tau must be a number, got {self.tau!r}")
         if self.calibration not in STRATEGIES:
             raise DataError(f"unknown calibration strategy {self.calibration!r}")
-        if not isinstance(self.fitted_on, str) or not self.fitted_on:
-            raise DataError("threshold provenance (fitted_on) must be a non-empty string")
         if self.target_rate is None:
             if self.calibration == "target-search-rate":
                 raise DataError("target-search-rate requires a target_rate")
@@ -53,12 +51,15 @@ class PplThreshold:
 
 def _quantile(ordered: Sequence[float], q: float) -> float:
     """``q`` quantile of an ascending sequence, bit-identical to numpy's
-    default ``linear`` method (which interpolates from ``b`` when t >= 0.5)."""
+    default ``linear`` method (which interpolates from ``b`` when t >= 0.5),
+    except that it is ``a`` where ``b`` is +inf and interpolating gives NaN."""
     pos = (len(ordered) - 1) * q
     lo = math.floor(pos)
     if lo >= len(ordered) - 1:
         return ordered[-1]
     a, b = ordered[lo], ordered[lo + 1]
+    if b == math.inf:
+        return a
     t = pos - lo
     return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
@@ -67,7 +68,6 @@ def calibrate(
     scored: Sequence[tuple[float, bool]],
     strategy: str = "max-f1",
     target_rate: float | None = None,
-    fitted_on: str = "unspecified",
 ) -> PplThreshold:
     """Derive a routing threshold from (perplexity, correct) pairs.
 
@@ -75,12 +75,13 @@ def calibrate(
     scans -inf, the midpoint after each run of equal perplexities and +inf,
     keeping the tau maximizing F1 of the induced answer/search decisions
     (ties toward the smaller tau). ``target-search-rate`` places tau at the
-    (1 - target_rate) quantile of the observed perplexities.
+    (1 - target_rate) quantile of the observed perplexities. A ``+inf``
+    perplexity is accepted; a NaN is refused.
     """
     if not scored:
         raise CalibrationError("cannot calibrate a threshold on an empty set")
-    if any(math.isnan(p) or math.isinf(p) for p, _ in scored):
-        raise CalibrationError("perplexities must be finite")
+    if any(math.isnan(p) for p, _ in scored):
+        raise CalibrationError("perplexities must not be NaN")
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown calibration strategy {strategy!r}")
     ordered = sorted(scored, key=lambda pair: pair[0])
@@ -91,28 +92,31 @@ def calibrate(
         if not 0.0 <= target_rate <= 1.0:
             raise ConfigError("target_rate must lie in [0, 1]")
         tau = _quantile([p for p, _ in ordered], 1.0 - target_rate)
-        return PplThreshold(
-            tau=tau, calibration=strategy, fitted_on=fitted_on, target_rate=target_rate
-        )
+        return PplThreshold(tau=tau, calibration=strategy, target_rate=target_rate)
 
     # max-f1: answering the n smallest perplexities yields, per Table-1-style
     # accounting, tp = correct among answered, fp = wrong among answered,
     # fn = correct among searched, so 2*tp + fp + fn = answered + all correct.
     # Tau = -inf answers nothing and scores 0; the last run's tau is +inf.
+    # A perplexity equal to tau is answered, so where the midpoint reaches
+    # +inf (the next run is +inf) the run's own perplexity stands in for it.
     total_correct = sum(1 for _, correct in ordered if correct)
     best_tau = -math.inf
     best_f1 = 0.0
     tp = 0
     for n_answered, (ppl, correct) in enumerate(ordered, start=1):
         tp += bool(correct)
-        following = ordered[n_answered][0] if n_answered < len(ordered) else math.inf
-        if following == ppl:
+        if n_answered == len(ordered):
+            tau = math.inf
+        elif ordered[n_answered][0] == ppl:
             continue
+        else:
+            tau = (ppl + ordered[n_answered][0]) / 2.0
+            tau = tau if tau < math.inf else ppl
         f1 = 2 * tp / (n_answered + total_correct)
         if f1 > best_f1:
-            best_f1 = f1
-            best_tau = (ppl + following) / 2.0
-    return PplThreshold(tau=best_tau, calibration=strategy, fitted_on=fitted_on)
+            best_f1, best_tau = f1, tau
+    return PplThreshold(tau=best_tau, calibration=strategy)
 
 
 def apply_threshold(
@@ -126,25 +130,21 @@ def apply_threshold(
     return [token.literal if p.perplexity > threshold.tau else p.text for p in predictions]
 
 
-def save_threshold(threshold: PplThreshold, path: str | Path, extra: dict | None = None) -> Path:
-    """Persist the threshold manifest: {tau, strategy, target_rate, fitted_on}."""
-    manifest = {
-        "tau": encode_infinity(threshold.tau),
-        "strategy": threshold.calibration,
-        "target_rate": threshold.target_rate,
-        "fitted_on": threshold.fitted_on,
-    }
-    return write_json(path, {**manifest, **(extra or {})})
+def save_threshold(threshold: PplThreshold, path: str | Path) -> Path:
+    """Persist the threshold: {tau, strategy, target_rate}."""
+    tau = encode_infinity(threshold.tau)
+    doc = {"tau": tau, "strategy": threshold.calibration, "target_rate": threshold.target_rate}
+    return write_json(path, doc)
 
 
-def _parse_threshold(manifest: dict) -> PplThreshold:
+def _parse_threshold(doc: dict) -> PplThreshold:
+    # Other keys, such as the provenance that earlier versions embedded, are ignored.
     return PplThreshold(
-        tau=decode_infinity(manifest["tau"]),  # PplThreshold refuses a non-number
-        calibration=manifest["strategy"],
-        fitted_on=manifest["fitted_on"],
-        target_rate=manifest.get("target_rate"),
+        tau=decode_infinity(doc["tau"]),  # PplThreshold refuses a non-number
+        calibration=doc["strategy"],
+        target_rate=doc.get("target_rate"),
     )
 
 
 def load_threshold(path: str | Path) -> PplThreshold:
-    return read_json(path, _parse_threshold, "threshold manifest")
+    return read_json(path, _parse_threshold, "threshold file")

@@ -15,7 +15,9 @@ from .corpus import parse_record_id
 from .errors import DataError
 from .fileio import check_manifest, decode_infinity, encode_infinity, is_number, read_jsonl, write_jsonl
 
+#: The prompt styles ``infer`` can build, named here and nowhere else.
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
+ZEROSHOT_QA, FEWSHOT_BALANCED, INSTRUCT_IDK = PROMPT_STYLES
 
 #: Default zero-shot template: the bare question, for QA-tuned checkpoints.
 DEFAULT_TEMPLATE = "{q}"

@@ -209,7 +209,7 @@ def test_criterion_6_threshold_routing_structural_invariant():
                 (p.perplexity, r.gold_answers[0] == p.text)
                 for p, r in zip(preds, records)
             ]
-            threshold = calibrate(scored, "max-f1", fitted_on="synthetic")
+            threshold = calibrate(scored, "max-f1")
             outputs = apply_threshold(preds, threshold, token)
 
             base = [judge(p.text, r, DEFAULT_PROFILE, token) for p, r in zip(preds, records)]

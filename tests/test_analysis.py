@@ -188,19 +188,18 @@ def test_histogram_matches_numpy(edges, data):
 
 
 def read_table(path) -> list[dict]:
-    """Read back an emitted table, skipping '#' comment lines."""
+    """Read back an emitted table with a plain CSV reader: its first line is the header."""
     with open(path, encoding="utf-8", newline="") as fh:
-        data_lines = [line for line in fh if not line.startswith("#")]
-    return list(csv.DictReader(data_lines))
+        return list(csv.DictReader(fh))
 
 
 def test_tradeoff_table_round_trip(tmp_path):
     points = tradeoff_curve(**LORA_NQ, ratios=[0.0, 0.5, 1.0])
-    path = write_tradeoff_table(points, tmp_path / "tradeoff.csv", comments=["hash=abc"])
+    path = write_tradeoff_table(points, tmp_path / "tradeoff.csv")
     rows = read_table(path)
     assert [float(r["ratio"]) for r in rows] == [0.0, 0.5, 1.0]
     assert float(rows[1]["c"]) == pytest.approx(52.3)
-    assert path.read_text().startswith("# hash=abc\n")
+    assert path.read_text().startswith("ratio,c,h\n")
 
 
 def test_histogram_table_is_per_class(tmp_path):

@@ -697,10 +697,12 @@ def test_calibrate_writes_threshold_manifest(workspace, capsys):
     run(workspace, "ingest")
     run(workspace, "infer", "--split", "dev")
     assert run(workspace, "calibrate", "--split", "dev") == EXIT_OK
-    manifest = json.loads((workspace["out"] / "threshold.json").read_text())
-    assert manifest["strategy"] == "max-f1"
-    assert 1.3 < manifest["tau"] < 4.4  # between correct and wrong perplexities
-    assert "config_hash" in manifest
+    threshold = json.loads((workspace["out"] / "threshold.json").read_text())
+    assert threshold["strategy"] == "max-f1"
+    assert 1.3 < threshold["tau"] < 4.4  # between correct and wrong perplexities
+    manifest = json.loads((workspace["out"] / "threshold.json.manifest.json").read_text())
+    assert manifest["records"] == 1 and manifest["split"] == "dev"
+    assert manifest["config_hash"] == load_config(workspace["config"]).config_hash
 
 
 def test_an_output_that_cannot_be_written_exits_data_naming_it(workspace, capsys):
@@ -805,7 +807,7 @@ def test_evaluate_with_threshold_searches_an_infinite_perplexity(workspace):
     with serve(script) as endpoint:
         assert run(workspace, "infer", "--split", "dev", "--endpoint-url", endpoint.url) == EXIT_OK
     threshold = workspace["out"] / "threshold.json"
-    save_threshold(PplThreshold(tau=2.0, calibration="max-f1", fitted_on="test"), threshold)
+    save_threshold(PplThreshold(tau=2.0, calibration="max-f1"), threshold)
     assert run(workspace, "evaluate", "--split", "dev", "--threshold", str(threshold)) == EXIT_OK
     report = read_report(workspace["out"] / "eval_report.json")
     # the three wrong answers and the infinite-perplexity "Paris" are searched
@@ -836,11 +838,8 @@ def _write_lora_report(workspace) -> Path:
 def test_tradeoff_default_ratios_give_eleven_rows(workspace):
     report_path = _write_lora_report(workspace)
     assert run(workspace, "tradeoff", "--report", str(report_path)) == EXIT_OK
-    rows = [
-        line
-        for line in (workspace["out"] / "tradeoff.csv").read_text().splitlines()
-        if line and not line.startswith("#") and not line.startswith("ratio")
-    ]
+    header, *rows = (workspace["out"] / "tradeoff.csv").read_text().splitlines()
+    assert header == "ratio,c,h"
     assert len(rows) == 11
     assert rows[0].startswith("0,21.3,78.6")
     assert rows[-1].startswith("1,83.3,16.6")
@@ -864,8 +863,8 @@ def test_histogram_splits_classes(workspace):
         workspace, "histogram", "--split", "dev",
         "--edges", "0.0", "1.0", "4.0", "--transform", "log",
     ) == EXIT_OK
-    text = (workspace["out"] / "histogram.csv").read_text()
-    rows = [r for r in text.splitlines() if r and not r.startswith("#")]
+    header, *rows = (workspace["out"] / "histogram.csv").read_text().splitlines()
+    assert header == "class,bin_lo,bin_hi,count"
     # 3 correct perplexities (ln ~0.05..0.2) and 3 wrong (ln 1.5..3.0) in range
     assert "C,0,1,3" in rows
     assert "H,1,4,3" in rows
@@ -953,16 +952,66 @@ def test_label_predictions_row_that_breaks_the_contract_names_file_and_line(
 # ---------------------------------------------------------------------------
 
 
-def test_full_pipeline_outputs_embed_provenance(workspace):
-    run(workspace, "ingest")
-    run(workspace, "infer", "--split", "dev")
-    run(workspace, "calibrate", "--split", "dev")
-    run(workspace, "evaluate", "--split", "dev", "--threshold", str(workspace["out"] / "threshold.json"))
-    report_payload = json.loads((workspace["out"] / "eval_report.json").read_text())
-    assert "config_hash" in report_payload
-    assert "normalization_profile_hash" in report_payload
-    table = (workspace["out"] / "eval_report.txt").read_text()
-    assert table.startswith("# config_hash=")
+def _run_every_stage(workspace) -> None:
+    out = workspace["out"]
+    for argv in (
+        ["ingest"],
+        ["infer", "--split", "dev"],
+        ["label", "--split", "dev"],
+        ["calibrate", "--split", "dev"],
+        ["evaluate", "--split", "dev", "--threshold", str(out / "threshold.json")],
+        ["tradeoff", "--report", str(out / "eval_report.json")],
+        ["histogram", "--split", "dev", "--edges", "0.0", "1.0", "4.0"],
+    ):
+        assert run(workspace, *argv) == EXIT_OK, argv
+
+
+def test_full_pipeline_gives_every_output_a_sidecar_manifest(workspace):
+    _run_every_stage(workspace)
+    out = workspace["out"]
+    config_hash = load_config(workspace["config"]).config_hash
+    manifests = {path for path in out.iterdir() if path.name.endswith(".manifest.json")}
+    data = sorted(set(out.iterdir()) - manifests)
+    assert [path.name for path in data] == [
+        "corpus.dev.jsonl", "eval_report.json", "eval_report.txt", "histogram.csv",
+        "masked.dev.jsonl", "predictions.dev.jsonl", "threshold.json", "tradeoff.csv",
+    ]
+    assert manifests == {path.with_name(path.name + ".manifest.json") for path in data}
+    for path in data:
+        manifest = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+        lines = path.read_text().splitlines()
+        # A JSONL line or a CSV row under the header is a record; a document is one.
+        records = {".jsonl": len(lines), ".csv": len(lines) - 1}.get(path.suffix, 1)
+        assert manifest["records"] == records, path.name
+        assert manifest["config_hash"] == config_hash, path.name
+        assert manifest["normalization_profile_hash"], path.name
+        assert manifest.get("split", "dev") == "dev", path.name
+    # Data files hold only data.
+    embedded = {"config_hash", "normalization_profile", "normalization_profile_hash", "fitted_on"}
+    for name in ("threshold.json", "eval_report.json"):
+        assert not embedded & set(json.loads((out / name).read_text())), name
+    for name in ("tradeoff.csv", "histogram.csv", "eval_report.txt"):
+        assert "config_hash" not in (out / name).read_text(), name
+    tradeoff = json.loads((out / "tradeoff.csv.manifest.json").read_text())
+    assert tradeoff["source"] == str(out / "eval_report.json")
+
+
+def test_a_threshold_and_report_of_the_earlier_layout_give_the_same_outputs(workspace):
+    # Earlier versions embedded their provenance in threshold.json and
+    # eval_report.json; those keys are ignored where the files are read.
+    _run_every_stage(workspace)
+    out, tmp = workspace["out"], workspace["tmp"]
+    first = {name: (out / name).read_bytes() for name in ("eval_report.json", "tradeoff.csv")}
+    provenance = {
+        **load_config(workspace["config"]).provenance,
+        "fitted_on": "model=mock-small corpus=corpus.dev split=dev",
+    }
+    for name in ("threshold.json", "eval_report.json"):
+        (tmp / name).write_text(json.dumps({**json.loads((out / name).read_text()), **provenance}))
+    evaluate = ["evaluate", "--split", "dev", "--threshold", str(tmp / "threshold.json")]
+    assert run(workspace, *evaluate) == EXIT_OK
+    assert run(workspace, "tradeoff", "--report", str(tmp / "eval_report.json")) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in first} == first
 
 
 #: (key, new value, whether the hash stays): the six operational keys, a

@@ -39,6 +39,7 @@ from answer_or_search.inference import (
     run_corpus,
 )
 from answer_or_search.predictions import (
+    PROMPT_STYLES,
     Prediction,
     check_response,
     perplexity,
@@ -324,6 +325,15 @@ def test_instruct_prompts_differ_only_in_question():
     assert a.rsplit("\n", 1)[0] == b.rsplit("\n", 1)[0]
     assert a.rsplit("\n", 1)[1] == "first?"
     assert b.rsplit("\n", 1)[1] == "second?"
+
+
+@pytest.mark.parametrize("style", PROMPT_STYLES)
+def test_every_prompt_style_has_a_builder_and_no_other_name_does(style):
+    prompt = prompt_builder(style, "Q: {q}", _pool(1, 1), fewshot_k=2)("capital of France?")
+    assert "capital of France?" in prompt
+    for unknown in (style.upper(), f"{style}-v2", style.replace("-", "_")):
+        with pytest.raises(ConfigError, match="unknown prompt style"):
+            prompt_builder(unknown, "Q: {q}", _pool(1, 1), fewshot_k=2)
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,55 @@ def test_calibrate_rejects_empty_input():
         calibrate([], "max-f1")
 
 
-def test_calibrate_rejects_non_finite_perplexity():
-    with pytest.raises(CalibrationError):
-        calibrate([(math.inf, True)], "max-f1")
+def test_calibrate_rejects_a_nan_perplexity():
+    for strategy in STRATEGIES:
+        with pytest.raises(CalibrationError, match="NaN"):
+            calibrate([(1.0, True), (math.nan, False)], strategy, target_rate=0.5)
+
+
+def test_calibrate_accepts_an_infinite_perplexity():
+    # Answering 1.0 and searching +inf is perfect; a midpoint of +inf would
+    # answer both, scoring F1 2/3 under apply_threshold.
+    assert calibrate([(1.0, True), (math.inf, False)], "max-f1").tau == 1.0
+    assert calibrate([(1.0, True), (math.inf, True)], "max-f1").tau == math.inf
+    assert calibrate([(math.inf, False), (math.inf, True)], "max-f1").tau == math.inf
+
+
+def _f1(decisions: list[tuple[bool, bool]]) -> float:
+    """F1 of (answered, correct) decisions, 0 where 2*tp + fp + fn is 0."""
+    tp = sum(answered and correct for answered, correct in decisions)
+    fp = sum(answered and not correct for answered, correct in decisions)
+    fn = sum(correct and not answered for answered, correct in decisions)
+    return 2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0
+
+
+def test_max_f1_with_infinite_perplexities_reaches_the_best_f1_of_a_sweep():
+    rng = random.Random(777)
+    for _ in range(200):
+        # A log-probability of -1000 gives perplexity +inf.
+        logprobs = [
+            rng.choice([0.0, -0.5, -1.0, -1000.0, -rng.uniform(0, 2)])
+            for _ in range(rng.randint(1, 30))
+        ]
+        preds = [make_prediction(f"q{i}", "x", (lp,)) for i, lp in enumerate(logprobs)]
+        scored = [(p.perplexity, rng.random() < 0.5) for p in preds]
+        tau = calibrate(scored, "max-f1").tau
+        routed = apply_threshold(preds, _tau(tau))
+        got = _f1([(out == "x", correct) for out, (_, correct) in zip(routed, scored)])
+        candidates = {ppl for ppl, _ in scored} | {-math.inf, math.inf}
+        best = max(
+            _f1([(ppl <= t, correct) for ppl, correct in scored]) for t in candidates
+        )
+        assert got == best, (scored, tau)
+
+
+# Between 2.0 and +inf the quantile is 2.0, where interpolating gives NaN.
+@pytest.mark.parametrize(
+    "q, expected", [(0.0, 1.0), (0.25, 1.5), (0.5, 2.0), (0.75, 2.0), (1.0, math.inf)]
+)
+def test_target_rate_tau_is_never_nan_next_to_an_infinite_perplexity(q, expected):
+    scored = [(1.0, True), (2.0, False), (math.inf, False)]
+    assert calibrate(scored, "target-search-rate", target_rate=1.0 - q).tau == expected
 
 
 def test_calibrate_matches_brute_force_oracle_on_random_sets():
@@ -124,7 +170,7 @@ def test_target_rate_zero_answers_everything():
 
 
 def _tau(value: float) -> PplThreshold:
-    return PplThreshold(tau=value, calibration="max-f1", fitted_on="test")
+    return PplThreshold(tau=value, calibration="max-f1")
 
 
 def test_decide_below_threshold_answers():
@@ -176,27 +222,38 @@ def test_apply_threshold_keeps_answer_text_unchanged():
 
 
 def test_threshold_manifest_round_trip(tmp_path):
-    threshold = PplThreshold(
-        tau=2.75, calibration="target-search-rate", fitted_on="model=m corpus=dev",
-        target_rate=0.4,
-    )
+    threshold = PplThreshold(tau=2.75, calibration="target-search-rate", target_rate=0.4)
     path = save_threshold(threshold, tmp_path / "threshold.json")
+    assert json.loads(path.read_text()) == {
+        "tau": 2.75, "strategy": "target-search-rate", "target_rate": 0.4
+    }
     assert load_threshold(path) == threshold
+
+
+def test_threshold_file_of_the_earlier_layout_still_loads(tmp_path):
+    # Earlier versions embedded their provenance in the document itself.
+    path = tmp_path / "threshold.json"
+    path.write_text(json.dumps({
+        "tau": "+inf", "strategy": "max-f1", "target_rate": None,
+        "fitted_on": "model=m corpus=corpus.dev split=dev", "config_hash": "ab" * 32,
+        "normalization_profile": {"lowercase": True}, "normalization_profile_hash": "cd" * 32,
+    }))
+    assert load_threshold(path) == PplThreshold(tau=math.inf, calibration="max-f1")
 
 
 def test_threshold_manifest_round_trips_infinities(tmp_path):
     for tau in (math.inf, -math.inf):
-        threshold = PplThreshold(tau=tau, calibration="max-f1", fitted_on="t")
+        threshold = PplThreshold(tau=tau, calibration="max-f1")
         path = save_threshold(threshold, tmp_path / "threshold.json")
         assert load_threshold(path).tau == tau
 
 
 def test_threshold_rejects_nan():
     with pytest.raises(DataError):
-        PplThreshold(tau=math.nan, calibration="max-f1", fitted_on="t")
+        PplThreshold(tau=math.nan, calibration="max-f1")
 
 
-THRESHOLD = {"tau": 2.5, "strategy": "target-search-rate", "target_rate": 0.3, "fitted_on": "t"}
+THRESHOLD = {"tau": 2.5, "strategy": "target-search-rate", "target_rate": 0.3}
 
 
 REFUSED_THRESHOLD_FIELDS = {
@@ -206,7 +263,6 @@ REFUSED_THRESHOLD_FIELDS = {
     "tau-beyond-float": {"tau": 10**400},
     "bool-target-rate": {"target_rate": True},
     "no-target-rate": {"target_rate": None},
-    "fitted-on-not-a-string": {"fitted_on": ["t"]},
 }
 
 
@@ -228,5 +284,4 @@ def test_load_threshold_gives_a_threshold_or_a_data_error(text):
         return
     assert is_number(threshold.tau) and not math.isnan(threshold.tau)
     assert threshold.calibration in STRATEGIES
-    assert isinstance(threshold.fitted_on, str)
     assert threshold.target_rate is None or is_number(threshold.target_rate)
