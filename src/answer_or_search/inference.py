@@ -27,7 +27,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -157,14 +157,13 @@ class ResponseCache:
     Keys cover everything that can change a greedy completion: model tag,
     prompt, and decoding parameters. Each response is one row of JSON text in
     ``responses``, a ``WITHOUT ROWID`` table clustered on the 32-byte key, so
-    no separate index stores the key again; an earlier layout is moved in when
-    the file is opened (:meth:`_migrate`). The file is in WAL mode, so several
+    no separate index stores the key again. The file is in WAL mode, so several
     processes may share a ``cache_dir``, and one connection serves every thread
     of this process, its statements taken in turn under a lock. :meth:`put`
     commits its row at once, so no write lock is held across a request and a
-    killed process keeps every row it put. Nothing else in ``cache_dir`` is
-    read: a ``<key>.json`` file left by the older one-file-per-response layout
-    is ignored, so its prompt is a miss. Any SQLite failure is a
+    killed process keeps every row it put. Nothing else is read: an
+    ``entries`` table, or a ``<key>.json`` file, left by an earlier layout is
+    ignored and kept, so its prompt is a miss. Any SQLite failure is a
     :class:`DataError` naming the file. Use it as a context manager, or call
     :meth:`close`: the last connection to close folds the write-ahead log back
     into the file and removes it.
@@ -187,7 +186,10 @@ class ResponseCache:
             # each commit; a fixed 256 KiB page cache bounds memory.
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute("PRAGMA cache_size=-256")
-            self._migrate()
+            self._db.execute(
+                "CREATE TABLE IF NOT EXISTS responses "
+                "(key BLOB PRIMARY KEY, response TEXT NOT NULL) WITHOUT ROWID"
+            )
         except (OSError, sqlite3.Error) as exc:
             self.close()
             raise DataError(f"response cache {self.path} cannot be opened: {exc}") from exc
@@ -208,28 +210,6 @@ class ResponseCache:
                 if "locked" not in str(exc) or time.monotonic() > deadline:
                     raise
                 time.sleep(0.01)
-
-    def _migrate(self) -> None:
-        """Create ``responses``; move in, once, the ``entries`` rows of earlier versions.
-
-        Only the rows their ``get`` served are moved, and a row already in
-        ``responses`` wins. One write transaction: a process opening the file
-        at once waits, then finds nothing to move, and a failure rolls back.
-        """
-        with self._db:
-            self._db.execute("BEGIN IMMEDIATE")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS responses "
-                "(key BLOB PRIMARY KEY, response TEXT NOT NULL) WITHOUT ROWID"
-            )
-            if self._db.execute(
-                "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'entries'"
-            ).fetchone():
-                self._db.executemany(
-                    "INSERT OR IGNORE INTO responses VALUES (?, ?)",
-                    _moved_rows(self._db.execute("SELECT key, entry FROM entries")),
-                )
-                self._db.execute("DROP TABLE entries")
 
     def close(self) -> None:
         if self._db is not None:
@@ -253,8 +233,8 @@ class ResponseCache:
     def key(model_tag: str, prompt: str, max_new_tokens: int) -> bytes:
         """The key of a request: the sha256 digest of its fields.
 
-        "decoding" stays among them so that caches written when it was a
-        parameter keep their keys, which earlier versions stored in hex.
+        "decoding" is no longer a parameter, but it stays among them so that
+        current caches keep their keys.
         """
         request = {
             "model_tag": model_tag,
@@ -296,31 +276,11 @@ class ResponseCache:
     def put(self, key: bytes, response: dict) -> None:
         """Store ``response`` under ``key``; a NaN, which JSON cannot hold, is a DataError."""
         try:
-            text = _row_text(response)
+            text = json.dumps(response, ensure_ascii=False, allow_nan=False)
         except ValueError as exc:
             raise DataError(f"response cache {self.path}: {exc}") from exc
         with self._lock:
             self._query("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, text))
-
-
-def _row_text(response: dict) -> str:
-    """The JSON text a row stores; a response JSON cannot hold (a NaN, say) raises ValueError."""
-    return json.dumps(response, ensure_ascii=False, allow_nan=False)
-
-
-def _moved_rows(entries: Iterable[tuple]) -> Iterator[tuple[bytes, str]]:
-    """``(digest, row text)`` of each ``entries`` row ``(key, entry)`` that earlier
-    versions served: a usable ``entry["response"]`` under a 64-character hex key."""
-    for key, entry in entries:
-        try:
-            digest = bytes.fromhex(key)
-            response = json.loads(entry)["response"]
-            check_response(response)
-            text = _row_text(response)
-        except PARSE_ERRORS:
-            continue
-        if len(key) == 64 and digest.hex() == key:
-            yield digest, text
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +304,8 @@ def _retry_after(value: str | None, cap: float) -> float | None:
     value = value.strip()
     if not (value.isascii() and value.isdigit()):
         return None
-    return min(int(value), cap)
+    # float, not int: int refuses a run of more than 4300 digits.
+    return min(float(value), cap)
 
 
 def _exchange(

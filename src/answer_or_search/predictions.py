@@ -49,8 +49,9 @@ def check_response(response: object) -> float:
 
     A response is a JSON object with a string ``text`` that encodes as UTF-8
     (no lone surrogate, which no file or cache row could hold) and
-    ``token_logprobs`` as :func:`perplexity` takes them. A breach raises
-    :class:`DataError`.
+    ``token_logprobs`` as :func:`perplexity` takes them; a zero-token answer,
+    empty ``text`` and ``token_logprobs``, has perplexity ``+inf``. A breach
+    raises :class:`DataError`.
     """
     if not isinstance(response, dict):
         raise DataError("response is not a JSON object")
@@ -61,6 +62,8 @@ def check_response(response: object) -> float:
         text.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise DataError(f"response 'text' is not valid UTF-8: {exc.reason}") from None
+    if text == "" and response.get("token_logprobs") in ([], ()):
+        return math.inf
     return perplexity(response.get("token_logprobs"))
 
 

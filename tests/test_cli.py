@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,7 @@ from answer_or_search.inference import CACHE_FILE, ResponseCache
 from answer_or_search.mock_service import Script, serve
 from answer_or_search.predictions import DEFAULT_MAX_NEW_TOKENS
 
-from conftest import cache_rows, stub_post, write_cache_row, write_old_layout_cache
+from conftest import cache_rows, stub_post, table_names, write_cache_row, write_old_layout_cache
 
 # (question, gold, model answer, logprob): 3 correct with low perplexity,
 # 3 wrong with high perplexity, so PPL-t separates them cleanly.
@@ -319,20 +321,26 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert progress["failed"] == "d2"
 
 
-def test_infer_on_a_cache_of_the_earlier_layout_writes_the_same_predictions(workspace):
+def test_infer_ignores_and_keeps_the_entries_table_of_the_earlier_layout(workspace):
     run(workspace, "ingest")
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
     predictions = workspace["out"] / "predictions.dev.jsonl"
     first = predictions.read_bytes()
-    # The same responses as earlier versions stored them: hex keys, wrapped rows.
+    # The same responses as versions before the one-table layout stored them:
+    # hex keys, wrapped rows. Each is a miss, fetched again.
     rows = cache_rows(workspace["tmp"] / "cache")
+    entries = {key.hex(): f'{{"response": {row}}}' for key, row in rows.items()}
     old = workspace["tmp"] / "old_cache"
-    write_old_layout_cache(old, {key.hex(): f'{{"response": {row}}}' for key, row in rows.items()})
+    write_old_layout_cache(old, entries)
     rewrite_config(workspace, lambda c: c.update(cache_dir=str(old)))
     predictions.unlink()
-    workspace["service"].close()
+    calls = len(workspace["service"].request_log)
     assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert len(workspace["service"].request_log) == calls + len(DEV_ROWS)
     assert predictions.read_bytes() == first
+    assert sorted(table_names(old)) == ["entries", "responses"]
+    with closing(sqlite3.connect(old / CACHE_FILE)) as db:
+        assert dict(db.execute("SELECT key, entry FROM entries")) == entries
     assert cache_rows(old) == rows
 
 
@@ -346,20 +354,9 @@ def test_infer_on_a_cache_file_that_is_not_a_database_exits_data(workspace, caps
     assert workspace["service"].request_log == []
 
 
-@pytest.mark.parametrize("old_rows", [0, 50], ids=["new-cache", "earlier-layout-cache"])
-def test_two_infer_processes_can_share_one_cache_dir(workspace, old_rows):
-    # Two splits of 100 questions each, which the mock answers "UNKNOWN". The
-    # first old_rows of each split are cached in the earlier layout, which both
-    # processes find unmigrated when they open the file at once; with none,
-    # both create the file.
-    if old_rows:
-        cached = '{"response": {"text": "cached", "token_logprobs": [-0.5]}}'
-        keys = [
-            ResponseCache.key("mock-small", f"{split} question {i}?", DEFAULT_MAX_NEW_TOKENS)
-            for split in ("dev", "test")
-            for i in range(old_rows)
-        ]
-        write_old_layout_cache(workspace["tmp"] / "cache", {key.hex(): cached for key in keys})
+def test_two_infer_processes_can_share_one_cache_dir(workspace):
+    # Two splits of 100 questions each, which the mock answers "UNKNOWN"; both
+    # processes create the cache file at once.
     for split in ("dev", "test"):
         path = workspace["tmp"] / "data" / f"{split}.jsonl"
         with path.open("w") as fh:
@@ -387,9 +384,9 @@ def test_two_infer_processes_can_share_one_cache_dir(workspace, old_rows):
     for split in ("dev", "test"):
         lines = (workspace["out"] / f"predictions.{split}.jsonl").read_text().splitlines()
         texts = [json.loads(line)["text"] for line in lines]
-        assert texts == ["cached"] * old_rows + ["UNKNOWN"] * (100 - old_rows)
+        assert texts == ["UNKNOWN"] * 100
     assert len(cache_rows(workspace["tmp"] / "cache")) == 200
-    assert len(workspace["service"].request_log) == 200 - 2 * old_rows
+    assert len(workspace["service"].request_log) == 200
     # Two connections closing at the same instant can each see the other and
     # leave the write-ahead log in place; the next process to close removes it.
     ResponseCache(workspace["tmp"] / "cache").close()
@@ -813,6 +810,35 @@ def test_evaluate_with_threshold_searches_an_infinite_perplexity(workspace):
     # the three wrong answers and the infinite-perplexity "Paris" are searched
     assert report.confusion.to_dict() == {"tp": 2, "fp": 0, "tn": 3, "fn": 1}
     assert report.s == pytest.approx(4 / 6)
+
+
+def test_a_zero_token_answer_is_cached_and_searched_at_a_finite_tau(workspace):
+    from answer_or_search.ppl_threshold import PplThreshold, save_threshold
+
+    # The endpoint answers the "Paris" question with no token at all, as a
+    # greedy decode that stops at once on EOS does.
+    script = Script()
+    for question, _, answer, logprob in DEV_ROWS:
+        if answer == "Paris":
+            script.add_question(question, "", ())
+        else:
+            script.add_question(question, answer, (logprob,))
+    assert run(workspace, "ingest") == EXIT_OK
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    with serve(script) as endpoint:
+        for _ in range(2):
+            argv = ["infer", "--split", "dev", "--endpoint-url", endpoint.url]
+            assert run(workspace, *argv) == EXIT_OK
+            row = json.loads(predictions.read_text().splitlines()[0])
+            assert row == {"id": "d1", "text": "", "token_logprobs": [], "perplexity": "+inf"}
+        # The rerun is served from the cache.
+        assert len(endpoint.request_log) == len(DEV_ROWS)
+    threshold = workspace["out"] / "threshold.json"
+    save_threshold(PplThreshold(tau=2.0, calibration="max-f1"), threshold)
+    assert run(workspace, "evaluate", "--split", "dev", "--threshold", str(threshold)) == EXIT_OK
+    report = read_report(workspace["out"] / "eval_report.json")
+    # The empty answer is wrong and searched, with the three other wrong answers.
+    assert report.confusion.to_dict() == {"tp": 2, "fp": 0, "tn": 4, "fn": 0}
 
 
 def test_evaluate_requires_exactly_one_policy_source(workspace):
