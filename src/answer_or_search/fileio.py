@@ -28,6 +28,9 @@ T = TypeVar("T")
 #: an OverflowError; a value the object's own checks refuse is a DataError.
 PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError, DataError)
 
+#: One compact JSON row, non-ASCII kept verbatim; a NaN raises ValueError.
+_encode_row = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+
 
 def is_number(value: object) -> bool:
     """Whether JSON decoded ``value`` as a number; a bool is not one."""
@@ -85,7 +88,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
     """Write one compact JSON object per line, non-ASCII kept verbatim."""
     with atomic_write(path) as fh:
         for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, allow_nan=False) + "\n")
+            fh.write(_encode_row(row) + "\n")
     return Path(path)
 
 

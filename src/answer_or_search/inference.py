@@ -7,11 +7,12 @@ digest, and again when read back. So a warm cache reruns a corpus with zero
 network calls, byte for byte, and no cached entry can abort a run: one that
 breaks the contract is a miss, fetched again and rewritten.
 
-:func:`run_corpus` is cache-first: it resolves every cached record in the
-calling thread and hands only misses to a thread pool, at most
-``max_in_flight`` at a time. The HTTP stack (``http.client``) is imported,
-and each worker thread's keep-alive connection opened, on the first miss
-only, so a fully cached run starts no worker thread and never loads it.
+:func:`run_corpus` is cache-first: it reads the cache one query per
+:data:`READ_AHEAD` records, resolves every hit in the calling thread and hands
+only misses to a thread pool, at most ``max_in_flight`` at a time. The pool
+(``concurrent.futures``) and the HTTP stack (``http.client``) are imported, and
+each worker's keep-alive connection opened, on the first miss only, so a fully
+cached run starts no worker thread and loads neither.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ import random
 import sqlite3
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
     import http.client
+    from concurrent.futures import Future
 
     from .labeling import MaskedExample
 
@@ -150,6 +152,13 @@ CACHE_FILE = "responses.sqlite3"
 #: How long a statement waits for another connection's lock before it fails.
 _BUSY_SECONDS = 5.0
 
+#: The request a key digests, byte for byte ``json.dumps`` of its fields with sorted keys
+#: for an int ``max_new_tokens``, which :class:`GenerationClient` checks (``%d`` truncates a float).
+_KEY_TEMPLATE = '{"decoding": "greedy", "max_new_tokens": %d, "model_tag": %s, "prompt": %s}'
+
+#: How many records :func:`run_corpus` looks up in the cache with one query.
+READ_AHEAD = 64
+
 
 class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
@@ -173,6 +182,7 @@ class ResponseCache:
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILE
         self._lock = threading.Lock()
+        self._ahead: dict[bytes, str] = {}
         self._db: sqlite3.Connection | None = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -222,7 +232,7 @@ class ResponseCache:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _query(self, sql: str, params: tuple = ()) -> list[tuple]:
+    def _query(self, sql: str, params: tuple | list = ()) -> list[tuple]:
         """Run one statement; the caller holds the lock."""
         try:
             return self._db.execute(sql, params).fetchall()
@@ -236,19 +246,17 @@ class ResponseCache:
         "decoding" is no longer a parameter, but it stays among them so that
         current caches keep their keys.
         """
-        request = {
-            "model_tag": model_tag,
-            "prompt": prompt,
-            "max_new_tokens": max_new_tokens,
-            "decoding": "greedy",
-        }
-        blob = json.dumps(request, sort_keys=True, ensure_ascii=True)
-        return hashlib.sha256(blob.encode("utf-8")).digest()
+        blob = _KEY_TEMPLATE % (max_new_tokens, _json_string(model_tag), _json_string(prompt))
+        return hashlib.sha256(blob.encode("ascii")).digest()
 
-    def __contains__(self, key: bytes) -> bool:
-        """Whether an entry for ``key`` exists; it is not read (see :meth:`get`)."""
+    def read_ahead(self, keys: list[bytes]) -> set[bytes]:
+        """The keys that have a row, read in one query and held for :meth:`get`
+        in place of any rows an earlier call held."""
+        marks = ",".join("?" * len(keys))
         with self._lock:
-            return bool(self._query("SELECT 1 FROM responses WHERE key = ?", (key,)))
+            rows = self._query(f"SELECT key, response FROM responses WHERE key IN ({marks})", keys)
+            self._ahead = dict(rows)
+            return set(self._ahead)
 
     def __len__(self) -> int:
         with self._lock:
@@ -263,11 +271,14 @@ class ResponseCache:
         builds a :class:`Prediction`.
         """
         with self._lock:
-            rows = self._query("SELECT response FROM responses WHERE key = ?", (key,))
-        if not rows:
+            text = self._ahead.pop(key, None)
+            if text is None:
+                rows = self._query("SELECT response FROM responses WHERE key = ?", (key,))
+                text = rows[0][0] if rows else None
+        if text is None:
             return None
         try:
-            response = json.loads(rows[0][0])
+            response = json.loads(text)
             check_response(response)
         except PARSE_ERRORS:
             return None
@@ -280,6 +291,7 @@ class ResponseCache:
         except ValueError as exc:
             raise DataError(f"response cache {self.path}: {exc}") from exc
         with self._lock:
+            self._ahead.pop(key, None)
             self._query("INSERT OR REPLACE INTO responses VALUES (?, ?)", (key, text))
 
 
@@ -353,8 +365,8 @@ class GenerationClient:
         self.endpoint = endpoint
         self.model_tag = model_tag
         self.cache = cache
-        if max_new_tokens < 1:
-            raise ConfigError("max_new_tokens must be a positive integer")
+        if type(max_new_tokens) is not int or max_new_tokens < 1:
+            raise ConfigError(f"max_new_tokens must be a positive integer, got {max_new_tokens!r}")
         self.max_new_tokens = max_new_tokens
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
@@ -529,9 +541,11 @@ def run_corpus(
     :func:`prompt_builder` returns it: the caller checks the prompt settings
     by building it, before it opens the cache or sends any request. Each
     prediction holds only its record's answer; the model tag and prompt
-    style are the run's, for the caller to record once. A cached record is
-    built in the calling thread; a miss goes to a worker thread through
-    ``client.generate``, with at most ``max_in_flight`` misses outstanding.
+    style are the run's, for the caller to record once. The cache is read
+    with one query per :data:`READ_AHEAD` records. A hit is built in the
+    calling thread; a miss goes to a worker thread through ``client.generate``,
+    with at most ``max_in_flight`` misses outstanding. The pool is made at the
+    first miss, so a fully cached run loads neither it nor the HTTP stack.
     Output order always equals corpus order.
 
     If any miss fails (still failing after the client's retries, or answered
@@ -567,15 +581,21 @@ def run_corpus(
             except Exception as exc:  # any cause aborts the run, recorded by index
                 fail(index, exc)
 
-    # The executor starts its threads on the first submit, so a run whose
-    # every record is cached starts none.
-    with ThreadPoolExecutor(max_workers=max_in_flight) as executor:
+    executor = None
+    try:
         for index in range(len(records)):
             if failure is not None:
                 break
+            if index % READ_AHEAD == 0:
+                # Keys, not prompts: a chunk of few-shot prompts is a megabyte.
+                keys = [
+                    ResponseCache.key(client.model_tag, prompt_for(r.question), client.max_new_tokens)
+                    for r in records[index : index + READ_AHEAD]
+                ]
+                cached = client.cache.read_ahead(keys)
+            key = keys[index % READ_AHEAD]
             prompt = prompt_for(records[index].question)
-            key = ResponseCache.key(client.model_tag, prompt, client.max_new_tokens)
-            if key in client.cache:
+            if key in cached:
                 # Resolved here, never in the pool. An entry that turns out
                 # unusable is fetched again by this same call.
                 try:
@@ -583,6 +603,10 @@ def run_corpus(
                 except Exception as exc:  # same abort path as a pooled miss
                     fail(index, exc)
                 continue
+            if executor is None:
+                # Imported here, like http.client: a fully cached run never loads it.
+                from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+                executor = ThreadPoolExecutor(max_workers=max_in_flight)
             # A failed miss stops the run before another request is sent.
             collect({future for future in pending if future.done()})
             while len(pending) >= max_in_flight:
@@ -591,8 +615,11 @@ def run_corpus(
             if failure is not None:
                 break
             pending[executor.submit(fetch, index, prompt, key)] = index
-        # Outstanding misses drain and still count as done.
-        collect(wait(pending).done)
+    finally:
+        if executor is not None:
+            # Outstanding misses drain and still count as done.
+            executor.shutdown()
+            collect(set(pending))
 
     if failure is not None:
         index, cause = failure

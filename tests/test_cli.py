@@ -549,7 +549,7 @@ def test_warm_infer_never_loads_the_http_stack(workspace):
         "import sys\n"
         "from answer_or_search.cli import main\n"
         f"code = main(['infer', '-c', {str(workspace['config'])!r}, '--split', 'dev'])\n"
-        "print(code, 'http.client' in sys.modules)\n"
+        "print(code, 'http.client' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     src = str(Path(answer_or_search.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -557,7 +557,7 @@ def test_warm_infer_never_loads_the_http_stack(workspace):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False False"
     assert len(workspace["service"].request_log) == calls
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import http.client
 import json
 import math
@@ -34,6 +35,7 @@ from answer_or_search.inference import (
     FewShotPool,
     GenerationClient,
     IDK_INSTRUCTION,
+    READ_AHEAD,
     ResponseCache,
     prompt_builder,
     run_corpus,
@@ -354,12 +356,46 @@ def test_cache_key_is_unchanged_for_existing_caches():
     assert len(key) == 32
 
 
+#: Characters a key's JSON blob must escape, or that only ``ensure_ascii`` escapes.
+KEY_CHARACTERS = st.characters(exclude_categories=()) | st.sampled_from(
+    '"\\/\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'
+)
+
+
+@given(
+    model_tag=st.text(KEY_CHARACTERS, max_size=20),
+    prompt=st.text(KEY_CHARACTERS, max_size=40)
+    | st.text(KEY_CHARACTERS, min_size=1, max_size=8).map(lambda s: (s * 16384)[:16384]),
+    max_new_tokens=st.integers(min_value=1, max_value=2**64),
+)
+@settings(max_examples=300, deadline=None)
+def test_cache_key_is_the_digest_of_the_sorted_request_json(model_tag, prompt, max_new_tokens):
+    request = {
+        "model_tag": model_tag,
+        "prompt": prompt,
+        "max_new_tokens": max_new_tokens,
+        "decoding": "greedy",
+    }
+    blob = json.dumps(request, sort_keys=True, ensure_ascii=True)
+    expected = hashlib.sha256(blob.encode("utf-8")).digest()
+    assert ResponseCache.key(model_tag, prompt, max_new_tokens) == expected
+
+
 def test_cache_round_trip(tmp_path):
     with ResponseCache(tmp_path) as cache:
         key = ResponseCache.key("m", "p", 32)
         assert cache.get(key) is None
         cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
         assert cache.get(key) == {"text": "x", "token_logprobs": [-1.0]}
+
+
+def test_a_put_replaces_the_row_a_read_ahead_holds(tmp_path):
+    with ResponseCache(tmp_path) as cache:
+        key = ResponseCache.key("m", "p", 32)
+        cache.put(key, {"text": "old", "token_logprobs": [-1.0]})
+        assert cache.read_ahead([key, b"absent"]) == {key}
+        cache.put(key, {"text": "new", "token_logprobs": [-1.0]})
+        assert cache.get(key)["text"] == "new"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -407,7 +443,7 @@ def test_each_put_is_committed_at_once(tmp_path):
         cache.put(b"k", response)
         # Another connection reads the row while the cache is still open.
         assert cache_rows(tmp_path) == {b"k": json.dumps(response)}
-        assert b"k" in cache and len(cache) == 1
+        assert cache.read_ahead([b"k"]) == {b"k"} and len(cache) == 1
 
 
 def test_a_process_killed_without_close_keeps_every_row_it_put(tmp_path):
@@ -433,7 +469,7 @@ def test_another_connection_commits_while_the_cache_holds_rows(tmp_path):
         # No busy wait allowed: the stored row holds no lock on the file.
         with closing(sqlite3.connect(tmp_path / CACHE_FILE, timeout=0)) as other, other:
             other.execute("INSERT INTO responses VALUES (X'7468656972', '{}')")
-        assert b"their" in cache
+        assert cache.read_ahead([b"their"]) == {b"their"}
     assert sorted(cache_rows(tmp_path)) == [b"mine", b"their"]
 
 
@@ -460,7 +496,8 @@ def test_cache_unusable_row_is_a_miss(tmp_path, content):
     key = ResponseCache.key("m", "p", 32)
     with ResponseCache(tmp_path) as cache:
         write_cache_row(tmp_path, key, content)
-        assert key in cache
+        # The row is read ahead, and get refuses the row it takes from there.
+        assert cache.read_ahead([key]) == {key}
         assert cache.get(key) is None
         cache.put(key, {"text": "x", "token_logprobs": [-1.0]})
         assert cache.get(key)["text"] == "x"
@@ -484,7 +521,7 @@ def test_cache_ignores_a_file_of_the_one_file_per_response_layout(tmp_path):
     stray.write_text('{"response": {"text": "file", "token_logprobs": [-1.0]}}')
     before = stray.read_bytes()
     with ResponseCache(tmp_path) as cache:
-        assert key not in cache
+        assert cache.read_ahead([key]) == set()
         assert cache.get(key) is None
         assert len(cache) == 0
     assert stray.read_bytes() == before
@@ -549,7 +586,9 @@ def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
                 key = str(i).encode()
                 if cache.get(key) is None:
                     cache.put(key, entry(i))
-                assert key in cache
+                # Another thread's read-ahead may replace this one before get takes it.
+                assert cache.read_ahead([key]) == {key}
+                assert cache.get(key) == entry(i)
         except Exception as exc:  # reported by the test thread below
             errors.append(exc)
 
@@ -580,6 +619,13 @@ def paris_service():
     script = Script().add_exact("capital of France?", "Paris", (-0.1, -0.2))
     with serve(script) as service:
         yield service
+
+
+@pytest.mark.parametrize("value", [0, -1, True, 2.5, 32.0, "32", None])
+def test_client_refuses_max_new_tokens_that_is_not_a_positive_int(tmp_path, value):
+    with ResponseCache(tmp_path) as cache:
+        with pytest.raises(ConfigError, match="max_new_tokens must be a positive integer"):
+            GenerationClient("http://stub", "m", cache, max_new_tokens=value)
 
 
 def test_generate_returns_text_and_logprobs(paris_service, tmp_path):
@@ -1082,3 +1128,69 @@ def test_run_corpus_worker_threads_never_share_a_connection(tmp_path, monkeypatc
     assert len(connections_by_thread) == 2
     assert all(len(connections) == 1 for connections in connections_by_thread.values())
     assert len(set.union(*connections_by_thread.values())) == 2
+
+
+def test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk(tmp_path):
+    n = 2 * READ_AHEAD + 2
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(n)))
+    with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+        first = run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+        calls = len(service.request_log)
+        statements: list[str] = []
+        client.cache._db.set_trace_callback(statements.append)
+        assert run_corpus(corpus, ZEROSHOT, client, max_in_flight=2) == first
+        client.cache._db.set_trace_callback(None)
+        assert len(service.request_log) == calls == n
+    selects = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
+    assert len(selects) <= 3, selects
+
+
+@pytest.fixture(scope="module")
+def chunk_service():
+    """A mock answering "question <i>?" with "answer <i>", for every i a corpus below uses."""
+    script = Script()
+    for i in range(3 * READ_AHEAD):
+        script.add_exact(f"question {i}?", f"answer {i}", (-0.5,))
+    with serve(script) as service:
+        yield service
+
+
+@given(n=st.sampled_from([63, 64, 65, 129]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_run_corpus_resolves_hits_and_misses_across_read_ahead_chunks(chunk_service, n, data):
+    questions = [f"question {i}?" for i in range(n)]
+    # Two records of one chunk ask the same question.
+    first = data.draw(st.integers(0, n - 1), label="first")
+    start = first - first % READ_AHEAD
+    twin = data.draw(
+        st.integers(start, min(start + READ_AHEAD, n) - 1).filter(lambda i: i != first),
+        label="twin",
+    )
+    questions[twin] = questions[first]
+    distinct = sorted(set(questions))
+    cached = data.draw(st.sets(st.sampled_from(distinct)), label="cached")
+    corrupt = data.draw(st.sampled_from(distinct), label="corrupt")
+
+    def response(question: str) -> dict:
+        return {"text": question.replace("question", "answer")[:-1], "token_logprobs": [-0.5]}
+
+    corpus = make_corpus(*(make_record(f"r{i}", q, ["a"]) for i, q in enumerate(questions)))
+    with tempfile.TemporaryDirectory() as tmp:
+        with ResponseCache(tmp) as cache:
+            for question in cached:
+                cache.put(ResponseCache.key("m", question, 32), response(question))
+        corrupt_key = ResponseCache.key("m", corrupt, 32)
+        write_cache_row(tmp, corrupt_key, '{"text": "x", "token_logprobs": [0.5]}')
+        sent = len(chunk_service.request_log)
+        with open_client(chunk_service.url, tmp, timeout=5) as client:
+            preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=3)
+        requests = chunk_service.request_log[sent:]
+        rows = cache_rows(tmp)
+
+    expected = [Prediction(f"r{i}", response(q)["text"], (-0.5,)) for i, q in enumerate(questions)]
+    assert preds == expected
+    misses = (set(distinct) - cached) | {corrupt}
+    # The twins, when both miss, may both be sent before either is stored.
+    assert set(requests) == misses
+    assert len(requests) <= len(misses) + 1
+    assert json.loads(rows[corrupt_key]) == response(corrupt)
