@@ -159,6 +159,9 @@ _KEY_TEMPLATE = '{"decoding": "greedy", "max_new_tokens": %d, "model_tag": %s, "
 #: How many records :func:`run_corpus` looks up in the cache with one query.
 READ_AHEAD = 64
 
+#: One cache row: compact JSON, non-ASCII kept verbatim; a NaN raises ValueError.
+_encode_row = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":")).encode
+
 
 class ResponseCache:
     """Content-addressed response cache: one SQLite file, :data:`CACHE_FILE`.
@@ -166,13 +169,15 @@ class ResponseCache:
     Keys cover everything that can change a greedy completion: model tag,
     prompt, and decoding parameters. Each response is one row of JSON text in
     ``responses``, a ``WITHOUT ROWID`` table clustered on the 32-byte key, so
-    no separate index stores the key again. The file is in WAL mode, so several
-    processes may share a ``cache_dir``, and one connection serves every thread
-    of this process, its statements taken in turn under a lock. :meth:`put`
-    commits its row at once, so no write lock is held across a request and a
-    killed process keeps every row it put. Nothing else is read: an
-    ``entries`` table, or a ``<key>.json`` file, left by an earlier layout is
-    ignored and kept, so its prompt is a miss. Any SQLite failure is a
+    no separate index stores the key again. A row is the compact pair
+    ``["text",[token_logprobs]]``; a ``{"text", "token_logprobs"}`` object,
+    the shape earlier versions wrote, still reads. The file is in WAL mode, so
+    several processes may share a ``cache_dir``, and one connection serves
+    every thread of this process, its statements taken in turn under a lock.
+    :meth:`put` commits its row at once, so no write lock is held across a
+    request and a killed process keeps every row it put. Nothing else is read:
+    an ``entries`` table, or a ``<key>.json`` file, left by an earlier layout
+    is ignored and kept, so its prompt is a miss. Any SQLite failure is a
     :class:`DataError` naming the file. Use it as a context manager, or call
     :meth:`close`: the last connection to close folds the write-ahead log back
     into the file and removes it.
@@ -182,7 +187,7 @@ class ResponseCache:
         self.directory = Path(directory)
         self.path = self.directory / CACHE_FILE
         self._lock = threading.Lock()
-        self._ahead: dict[bytes, str] = {}
+        self._ahead: dict[bytes, str | None] = {}
         self._db: sqlite3.Connection | None = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -250,13 +255,15 @@ class ResponseCache:
         return hashlib.sha256(blob.encode("ascii")).digest()
 
     def read_ahead(self, keys: list[bytes]) -> set[bytes]:
-        """The keys that have a row, read in one query and held for :meth:`get`
-        in place of any rows an earlier call held."""
+        """The keys that have a row, read in one query. Each key's row, or None
+        for a key that has none, is held until :meth:`get` takes it, so a miss
+        costs no second query, even when a worker reads it after the next call."""
         marks = ",".join("?" * len(keys))
         with self._lock:
             rows = self._query(f"SELECT key, response FROM responses WHERE key IN ({marks})", keys)
-            self._ahead = dict(rows)
-            return set(self._ahead)
+            self._ahead.update(dict.fromkeys(keys))
+            self._ahead.update(rows)
+            return {key for key, _ in rows}
 
     def __len__(self) -> int:
         with self._lock:
@@ -265,29 +272,36 @@ class ResponseCache:
     def get(self, key: bytes) -> dict | None:
         """The stored response, or None when it is missing or unusable.
 
-        A row that is not JSON, or that breaks the response contract (a
+        A key :meth:`read_ahead` holds is answered from there, without a
+        query. A row that is not JSON, or that breaks the response contract (a
         truncated or hand-edited one, say), is a miss, so the caller fetches
         again and ``put`` replaces it. Every response returned therefore
         builds a :class:`Prediction`.
         """
         with self._lock:
-            text = self._ahead.pop(key, None)
-            if text is None:
+            if key in self._ahead:
+                text = self._ahead.pop(key)
+            else:
                 rows = self._query("SELECT response FROM responses WHERE key = ?", (key,))
                 text = rows[0][0] if rows else None
         if text is None:
             return None
         try:
             response = json.loads(text)
+            if not isinstance(response, dict):
+                # Unpacked, never indexed: a row of another length raises ValueError.
+                answer, token_logprobs = response
+                response = {"text": answer, "token_logprobs": token_logprobs}
             check_response(response)
         except PARSE_ERRORS:
             return None
         return response
 
     def put(self, key: bytes, response: dict) -> None:
-        """Store ``response`` under ``key``; a NaN, which JSON cannot hold, is a DataError."""
+        """Store ``response`` as its ``[text, token_logprobs]`` pair under ``key``;
+        a NaN, which JSON cannot hold, is a DataError."""
         try:
-            text = json.dumps(response, ensure_ascii=False, allow_nan=False)
+            text = _encode_row([response["text"], response["token_logprobs"]])
         except ValueError as exc:
             raise DataError(f"response cache {self.path}: {exc}") from exc
         with self._lock:

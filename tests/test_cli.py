@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sqlite3
@@ -281,7 +282,8 @@ def test_infer_refetches_corrupt_cache_entries(workspace):
     truncated = _cache_key(workspace, DEV_ROWS[0][0])
     no_logprobs = _cache_key(workspace, DEV_ROWS[3][0])
     originals = {key: cache_rows(cache)[key] for key in (truncated, no_logprobs)}
-    write_cache_row(cache, truncated, originals[truncated][:20])
+    # Cut relative to the row's length, so that a row of any length is corrupt.
+    write_cache_row(cache, truncated, originals[truncated][:-2])
     write_cache_row(cache, no_logprobs, json.dumps({"text": "x"}))
     calls = len(workspace["service"].request_log)
 
@@ -303,8 +305,8 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     cache = workspace["tmp"] / "cache"
     key = _cache_key(workspace, DEV_ROWS[1][0])
     original = cache_rows(cache)[key]
-    poisoned = json.loads(original)
-    poisoned["token_logprobs"] = [0.5]
+    text, _ = json.loads(original)
+    poisoned = [text, [0.5]]
     write_cache_row(cache, key, json.dumps(poisoned))
     calls = len(workspace["service"].request_log)
 
@@ -319,6 +321,26 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
     progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
     assert progress["failed"] == "d2"
+
+
+def test_infer_reads_the_object_rows_of_earlier_versions_and_never_rewrites_them(workspace):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    predictions = workspace["out"] / "predictions.dev.jsonl"
+    first = predictions.read_bytes()
+    cache = workspace["tmp"] / "cache"
+    # Each row as versions before the [text, token_logprobs] pair wrote it.
+    for key, row in cache_rows(cache).items():
+        text, token_logprobs = json.loads(row)
+        response = {"text": text, "token_logprobs": token_logprobs}
+        write_cache_row(cache, key, json.dumps(response, ensure_ascii=False))
+    digest = hashlib.sha256((cache / CACHE_FILE).read_bytes()).hexdigest()
+    calls = len(workspace["service"].request_log)
+
+    assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+    assert len(workspace["service"].request_log) == calls
+    assert predictions.read_bytes() == first
+    assert hashlib.sha256((cache / CACHE_FILE).read_bytes()).hexdigest() == digest
 
 
 def test_infer_ignores_and_keeps_the_entries_table_of_the_earlier_layout(workspace):

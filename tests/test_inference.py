@@ -396,6 +396,9 @@ def test_a_put_replaces_the_row_a_read_ahead_holds(tmp_path):
         assert cache.read_ahead([key, b"absent"]) == {key}
         cache.put(key, {"text": "new", "token_logprobs": [-1.0]})
         assert cache.get(key)["text"] == "new"
+        # So does a put of a key the read-ahead holds as absent.
+        cache.put(b"absent", {"text": "late", "token_logprobs": [-1.0]})
+        assert cache.get(b"absent")["text"] == "late"
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -432,9 +435,9 @@ def test_any_accepted_response_is_stored_as_standard_json_and_read_back_unchange
     key = uuid.uuid4().bytes
     shared_cache.put(key, response)
     assert shared_cache.get(key) == response
-    assert json.loads(cache_rows(shared_cache.directory)[key], parse_constant=_reject_constant) == (
-        response
-    )
+    # The row is a [text, token_logprobs] pair in standard JSON.
+    row = json.loads(cache_rows(shared_cache.directory)[key], parse_constant=_reject_constant)
+    assert row == [response["text"], response["token_logprobs"]]
 
 
 def test_each_put_is_committed_at_once(tmp_path):
@@ -442,7 +445,7 @@ def test_each_put_is_committed_at_once(tmp_path):
     with ResponseCache(tmp_path) as cache:
         cache.put(b"k", response)
         # Another connection reads the row while the cache is still open.
-        assert cache_rows(tmp_path) == {b"k": json.dumps(response)}
+        assert cache_rows(tmp_path) == {b"k": '["x",[-1.0]]'}
         assert cache.read_ahead([b"k"]) == {b"k"} and len(cache) == 1
 
 
@@ -477,6 +480,15 @@ UNUSABLE_ENTRIES = {
     "truncated": b'{"text": "Paris", "token_log',
     "not-utf8": b"\xff\xfe",
     "not-an-object": b"[1, 2]",
+    "scalar": b"1",
+    # Unpacks into the pair ("x", "y"), whose log-probabilities are a string.
+    "two-character-string": b'"xy"',
+    "empty-pair": b"[]",
+    "one-item-pair": b'["x"]',
+    "three-item-pair": b'["x",[-1.0],0]',
+    "pair-positive-logprob": b'["x",[0.5]]',
+    "pair-string-logprobs": b'["x","-1"]',
+    "pair-null-text": b"[null,[-1.0]]",
     "no-logprobs": b'{"text": "x"}',
     "text-not-a-string": b'{"text": 1, "token_logprobs": [-1.0]}',
     "positive-logprob": b'{"text": "x", "token_logprobs": [0.5]}',
@@ -584,9 +596,11 @@ def test_cache_threads_sharing_one_connection_lose_no_entry(tmp_path):
         try:
             for i in range(start, 400, 8):
                 key = str(i).encode()
-                if cache.get(key) is None:
-                    cache.put(key, entry(i))
-                # Another thread's read-ahead may replace this one before get takes it.
+                # Held as absent, and then as found, until get takes it, while
+                # the other threads read ahead keys of their own.
+                assert cache.read_ahead([key]) == set()
+                assert cache.get(key) is None
+                cache.put(key, entry(i))
                 assert cache.read_ahead([key]) == {key}
                 assert cache.get(key) == entry(i)
         except Exception as exc:  # reported by the test thread below
@@ -869,7 +883,7 @@ def test_generate_caches_a_valid_response_as_received(tmp_path, monkeypatch):
         response = client.generate("q?")
     assert response == {"text": "x", "token_logprobs": [-0.5, 0]}
     (entry,) = cache_rows(tmp_path).values()
-    assert json.loads(entry) == {"text": "x", "token_logprobs": [-0.5, 0]}
+    assert json.loads(entry) == ["x", [-0.5, 0]]
 
 
 def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_path, monkeypatch):
@@ -878,9 +892,9 @@ def test_generate_writes_the_entry_under_the_same_key_and_bytes_as_before(tmp_pa
         GenerationClient("http://stub", "m", cache).generate("q \u00e9?")
     ((key, entry),) = cache_rows(tmp_path).items()
     # The digest earlier versions gave this request, as raw bytes; the row
-    # holds only the bare response, non-ASCII kept.
+    # holds only the compact [text, token_logprobs] pair, non-ASCII kept.
     assert key == bytes.fromhex("310632dfb19ac71b34793d459593d70645f3940498890408b1d1db31a8bd1993")
-    assert entry.encode("utf-8") == b'{"text": "Caf\xc3\xa9", "token_logprobs": [-0.5, 0]}'
+    assert entry.encode("utf-8") == b'["Caf\xc3\xa9",[-0.5,0]]'
 
 
 NUMBERS = st.floats() | st.integers() | st.booleans()
@@ -1085,8 +1099,8 @@ def test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract(tmp_path):
     _warm(tmp_path, corpus)
     key = ResponseCache.key("m", "second question?", 32)
     original = cache_rows(tmp_path)[key]
-    poisoned = json.loads(original)
-    poisoned["token_logprobs"] = [0.5]
+    text, _ = json.loads(original)
+    poisoned = [text, [0.5]]
     with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
         first = run_corpus(corpus, ZEROSHOT, client)
         write_cache_row(tmp_path, key, json.dumps(poisoned))
@@ -1133,16 +1147,20 @@ def test_run_corpus_worker_threads_never_share_a_connection(tmp_path, monkeypatc
 def test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk(tmp_path):
     n = 2 * READ_AHEAD + 2
     corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(n)))
+    cold: list[str] = []
+    warm: list[str] = []
     with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+        # Cold, a miss is answered by the read-ahead that found it absent.
+        client.cache._db.set_trace_callback(cold.append)
         first = run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
         calls = len(service.request_log)
-        statements: list[str] = []
-        client.cache._db.set_trace_callback(statements.append)
+        client.cache._db.set_trace_callback(warm.append)
         assert run_corpus(corpus, ZEROSHOT, client, max_in_flight=2) == first
         client.cache._db.set_trace_callback(None)
         assert len(service.request_log) == calls == n
-    selects = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
-    assert len(selects) <= 3, selects
+    for statements in (cold, warm):
+        selects = [sql for sql in statements if sql.lstrip().upper().startswith("SELECT")]
+        assert len(selects) <= 3, selects
 
 
 @pytest.fixture(scope="module")
@@ -1193,4 +1211,4 @@ def test_run_corpus_resolves_hits_and_misses_across_read_ahead_chunks(chunk_serv
     # The twins, when both miss, may both be sent before either is stored.
     assert set(requests) == misses
     assert len(requests) <= len(misses) + 1
-    assert json.loads(rows[corrupt_key]) == response(corrupt)
+    assert json.loads(rows[corrupt_key]) == [response(corrupt)["text"], [-0.5]]
