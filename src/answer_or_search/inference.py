@@ -8,11 +8,13 @@ network calls, byte for byte, and no cached entry can abort a run: one that
 breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it reads the cache one query per
-:data:`READ_AHEAD` records, resolves every hit in the calling thread and hands
-only misses to a thread pool, at most ``max_in_flight`` at a time. The pool
-(``concurrent.futures``) and the HTTP stack (``http.client``) are imported, and
-each worker's keep-alive connection opened, on the first miss only, so a fully
-cached run starts no worker thread and loads neither.
+:data:`READ_AHEAD` records and hands only misses' requests to a thread pool,
+at most ``max_in_flight`` in flight. Workers only fetch: the calling thread
+stores every response, in corpus order, so the cache file is the same on
+every run. The pool (``concurrent.futures``) and the HTTP stack
+(``http.client``) are imported, and each worker's keep-alive connection
+opened, on the first miss only, so a fully cached run starts no worker
+thread and loads neither.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import random
 import sqlite3
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -33,11 +36,10 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
     import http.client
-    from concurrent.futures import Future
 
     from .labeling import MaskedExample
 
-from .corpus import Corpus
+from .corpus import Corpus, QaRecord
 from .errors import (
     BalanceError,
     CapabilityError,
@@ -158,6 +160,10 @@ _KEY_TEMPLATE = '{"decoding": "greedy", "max_new_tokens": %d, "model_tag": %s, "
 
 #: How many records :func:`run_corpus` looks up in the cache with one query.
 READ_AHEAD = 64
+
+#: Misses :func:`run_corpus` keeps started per request it may have in flight, so
+#: a worker sends its next request while the calling thread stores a response.
+STARTED_PER_SLOT = 2
 
 #: One cache row: compact JSON, non-ASCII kept verbatim; a NaN raises ValueError.
 _encode_row = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":")).encode
@@ -385,8 +391,7 @@ class GenerationClient:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.timeout = timeout
-        self._local = threading.local()
-        self._opened: list[http.client.HTTPConnection] = []
+        self._routes: dict[threading.Thread, tuple[http.client.HTTPConnection, str, dict]] = {}
         self._headers = {"Content-Type": "application/json"}
         token = os.environ.get(AUTH_TOKEN_ENV)
         if token:
@@ -394,19 +399,24 @@ class GenerationClient:
 
     def close(self) -> None:
         """Close every connection this client opened; a later fetch reopens it."""
-        for conn in self._opened:
+        for conn, _, _ in list(self._routes.values()):
             conn.close()
 
-    def generate(self, prompt: str, key: bytes | None = None) -> dict:
+    def generate(
+        self, prompt: str, key: bytes | None = None, fetch: Callable[[], dict] | None = None
+    ) -> dict:
         """Return ``{"text", "token_logprobs"}`` for ``prompt``, from cache when possible.
 
         ``key`` is the :meth:`ResponseCache.key` of ``prompt``, passed by a
-        caller that already has it so that the prompt is hashed once.
+        caller that already has it so that the prompt is hashed once. On a
+        miss, ``fetch()`` gives the response: by default a request sent from
+        this thread, and in :func:`run_corpus` one started on a worker. Either
+        way, the thread that calls ``generate`` stores it.
         """
         key = key or ResponseCache.key(self.model_tag, prompt, self.max_new_tokens)
         response = self.cache.get(key)
         if response is None:
-            response = self._fetch(prompt)
+            response = fetch() if fetch else self._fetch(prompt)
             self.cache.put(key, response)
         return response
 
@@ -462,9 +472,10 @@ class GenerationClient:
         a connection error on a reused connection is sent once more, at once,
         on a fresh one; that costs no attempt and no backoff.
         """
-        route = getattr(self._local, "route", None)
+        thread = threading.current_thread()
+        route = self._routes.get(thread)
         if route is None:
-            route = self._local.route = self._route()
+            route = self._routes[thread] = self._route()
         conn, target, headers = route
         if conn.sock is not None:
             try:
@@ -520,7 +531,6 @@ class GenerationClient:
                 headers.update(auth)
                 authority = url.netloc.rpartition("@")[2]
                 target = urlunsplit((url.scheme, authority, url.path or "/", url.query, ""))
-        self._opened.append(conn)
         return conn, target, headers
 
     @staticmethod
@@ -556,48 +566,66 @@ def run_corpus(
     by building it, before it opens the cache or sends any request. Each
     prediction holds only its record's answer; the model tag and prompt
     style are the run's, for the caller to record once. The cache is read
-    with one query per :data:`READ_AHEAD` records. A hit is built in the
-    calling thread; a miss goes to a worker thread through ``client.generate``,
-    with at most ``max_in_flight`` misses outstanding. The pool is made at the
-    first miss, so a fully cached run loads neither it nor the HTTP stack.
-    Output order always equals corpus order.
+    with one query per :data:`READ_AHEAD` records. A miss's fetch starts on
+    a pool of ``max_in_flight`` workers when it is read, at most
+    ``STARTED_PER_SLOT * max_in_flight`` ahead. Workers only fetch: the
+    calling thread runs ``client.generate`` for every record in corpus order,
+    so it stores each response, in that order; a killed run loses at most
+    ``STARTED_PER_SLOT * max_in_flight - 1`` fetched responses. The pool is
+    made at the first miss: a fully cached run loads neither it nor HTTP.
 
-    If any miss fails (still failing after the client's retries, or answered
-    with a response that breaks the contract), no further record is started
-    once the failure is seen, outstanding misses drain,
-    and the run aborts with a :class:`RunAbortedError` naming the lowest
-    failed record. Its ``completed_ids`` lists, in corpus order, every record
-    whose prediction was built, cached records after the failed one included.
+    If any record fails (a fetch still failing after the client's retries,
+    or answered with a response that breaks the contract), no later record
+    is read, no worker sends another request, and the run aborts with a
+    :class:`RunAbortedError` naming the lowest failed record. Its
+    ``completed_ids`` lists, in corpus order, every record whose prediction
+    was built, misses fetched before the failure included: they are stored.
     """
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
 
     records = list(corpus)
-
-    results: list[Prediction | None] = [None] * len(records)
-    failure: tuple[int, Exception] | None = None
-    pending: dict[Future, int] = {}
-
-    def fetch(index: int, prompt: str, key: bytes) -> Prediction:
-        response = client.generate(prompt, key)
-        return Prediction(records[index].id, response["text"], response["token_logprobs"])
-
-    def fail(index: int, exc: Exception) -> None:
-        nonlocal failure
-        if failure is None or index < failure[0]:
-            failure = (index, exc)
-
-    def collect(done: set[Future]) -> None:
-        for future in done:
-            index = pending.pop(future)
-            try:
-                results[index] = future.result()
-            except Exception as exc:  # any cause aborts the run, recorded by index
-                fail(index, exc)
-
+    limit = STARTED_PER_SLOT * max_in_flight
+    done: list[Prediction] = []
+    # Read, not yet settled, oldest first: (record, prompt, key, a miss's started fetch).
+    waiting: deque[tuple[QaRecord, str, bytes, Callable[[], dict] | None]] = deque()
+    started = 0  # the misses in ``waiting``
+    failure: tuple[str, Exception] | None = None
+    stopped = False  # once set, no worker sends another request
     executor = None
+
+    def fetch(prompt: str) -> dict:
+        nonlocal stopped
+        if stopped:
+            raise TransportError("not sent: another request of this run failed")
+        try:
+            return client._fetch(prompt)
+        except Exception:
+            stopped = True
+            raise
+
+    def start(prompt: str) -> Callable[[], dict]:
+        nonlocal executor
+        if executor is None:
+            # Imported here, like http.client: a fully cached run never loads it.
+            from concurrent.futures import ThreadPoolExecutor
+            executor = ThreadPoolExecutor(max_workers=max_in_flight)
+        return executor.submit(fetch, prompt).result
+
+    def settle() -> None:
+        nonlocal started, failure, stopped
+        record, prompt, key, fetched = waiting.popleft()
+        started -= fetched is not None
+        try:
+            # A hit whose row turns out unusable is fetched again, on a worker too.
+            response = client.generate(prompt, key, fetched or (lambda: start(prompt)()))
+        except Exception as exc:  # any cause aborts the run; settled in order, the first is the lowest
+            failure, stopped = failure or (record.id, exc), True
+            return
+        done.append(Prediction(record.id, response["text"], response["token_logprobs"]))
+
     try:
-        for index in range(len(records)):
+        for index, record in enumerate(records):
             if failure is not None:
                 break
             if index % READ_AHEAD == 0:
@@ -608,36 +636,22 @@ def run_corpus(
                 ]
                 cached = client.cache.read_ahead(keys)
             key = keys[index % READ_AHEAD]
-            prompt = prompt_for(records[index].question)
-            if key in cached:
-                # Resolved here, never in the pool. An entry that turns out
-                # unusable is fetched again by this same call.
-                try:
-                    results[index] = fetch(index, prompt, key)
-                except Exception as exc:  # same abort path as a pooled miss
-                    fail(index, exc)
-                continue
-            if executor is None:
-                # Imported here, like http.client: a fully cached run never loads it.
-                from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-                executor = ThreadPoolExecutor(max_workers=max_in_flight)
-            # A failed miss stops the run before another request is sent.
-            collect({future for future in pending if future.done()})
-            while len(pending) >= max_in_flight:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                collect(done)
-            if failure is not None:
-                break
-            pending[executor.submit(fetch, index, prompt, key)] = index
+            prompt = prompt_for(record.question)
+            fetched = None if key in cached else start(prompt)
+            waiting.append((record, prompt, key, fetched))
+            started += fetched is not None
+            # The oldest settles at once if a hit; if a miss, once enough later ones are started.
+            while waiting and (waiting[0][3] is None or started >= limit or len(waiting) > READ_AHEAD):
+                settle()
+        while waiting:  # after a failure too: what was fetched is stored, and done
+            settle()
     finally:
         if executor is not None:
-            # Outstanding misses drain and still count as done.
-            executor.shutdown()
-            collect(set(pending))
+            executor.shutdown(cancel_futures=True)
+            # Its workers have ended: close their connections.
+            for thread in [t for t in list(client._routes) if not t.is_alive()]:
+                client._routes.pop(thread)[0].close()
 
     if failure is not None:
-        index, cause = failure
-        completed = [records[i].id for i, r in enumerate(results) if r is not None]
-        raise RunAbortedError(records[index].id, cause, completed)
-
-    return [pred for pred in results if pred is not None]
+        raise RunAbortedError(*failure, [pred.record_id for pred in done])
+    return done

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
+import random
 import sqlite3
 import subprocess
 import sys
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -321,6 +324,29 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
     progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
     assert progress["failed"] == "d2"
+
+
+def test_two_cold_infer_runs_write_the_same_cache_file(workspace, monkeypatch):
+    # Each request waits a delay drawn from the run's seed and its body, so the
+    # replies of the two runs come back in different orders.
+    seed = 0
+    original_request = http.client.HTTPConnection.request
+
+    def delayed_request(self, method, url, body=None, *args, **kwargs):
+        time.sleep(random.Random(f"{seed}:{body!r}").uniform(0, 0.03))
+        return original_request(self, method, url, body, *args, **kwargs)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", delayed_request)
+    rewrite_config(workspace, lambda c: c.update(max_in_flight=4))
+    assert run(workspace, "ingest") == EXIT_OK
+    digests = []
+    for seed in (1, 2):
+        cache = workspace["tmp"] / f"cache{seed}"
+        rewrite_config(workspace, lambda c: c.update(cache_dir=str(cache)))
+        assert run(workspace, "infer", "--split", "dev") == EXIT_OK
+        digests.append(hashlib.sha256((cache / CACHE_FILE).read_bytes()).hexdigest())
+    assert len(workspace["service"].request_log) == 2 * len(DEV_ROWS)
+    assert digests[0] == digests[1]
 
 
 def test_infer_reads_the_object_rows_of_earlier_versions_and_never_rewrites_them(workspace):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import uuid
 from contextlib import closing
 from pathlib import Path
@@ -1142,6 +1143,128 @@ def test_run_corpus_worker_threads_never_share_a_connection(tmp_path, monkeypatc
     assert len(connections_by_thread) == 2
     assert all(len(connections) == 1 for connections in connections_by_thread.values())
     assert len(set.union(*connections_by_thread.values())) == 2
+
+
+def test_runs_on_one_client_leave_at_most_max_in_flight_connections_open(tmp_path, monkeypatch):
+    opened = []
+    original_connect = http.client.HTTPConnection.connect
+
+    def recording_connect(self):
+        opened.append(self)
+        return original_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
+    with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+        for run in range(3):
+            corpus = make_corpus(
+                *(make_record(f"q{i}", f"run {run} question {i}?", ["a"]) for i in range(8))
+            )
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+        assert len(service.request_log) == 24
+        still_open = [conn for conn in opened if conn.sock is not None]
+    # A run's workers have ended with it, and so have their connections.
+    assert len(opened) >= 3
+    assert len(still_open) <= 2
+
+
+def test_more_workers_than_cores_switching_often_close_every_connection(tmp_path, monkeypatch):
+    opened = []
+    original_connect = http.client.HTTPConnection.connect
+
+    def recording_connect(self):
+        opened.append(self)
+        return original_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", recording_connect)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(64)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+            preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=8)
+            assert len(service.request_log) == 64
+            # Each worker kept its connection, and the run closed every one.
+            assert 1 <= len(opened) <= 8
+            assert all(conn.sock is None for conn in opened)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pred.record_id for pred in preds] == [f"q{i}" for i in range(64)]
+    assert len(cache_rows(tmp_path)) == 64
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 3])
+def test_misses_started_ahead_never_exceed_max_in_flight_requests(tmp_path, monkeypatch, max_in_flight):
+    questions = [f"question {i}?" for i in range(18)]
+    with ResponseCache(tmp_path) as cache:
+        for question in questions[::3]:
+            cache.put(ResponseCache.key("m", question, 32), {"text": "hit", "token_logprobs": [-0.5]})
+    lock = threading.Lock()
+    in_flight = peak = 0
+    original_exchange = inference._exchange
+
+    def counted_exchange(*args):
+        nonlocal in_flight, peak
+        with lock:
+            in_flight += 1
+            peak = max(peak, in_flight)
+        try:
+            time.sleep(0.003)  # long enough for the others to start
+            return original_exchange(*args)
+        finally:
+            with lock:
+                in_flight -= 1
+
+    monkeypatch.setattr(inference, "_exchange", counted_exchange)
+    corpus = make_corpus(*(make_record(f"q{i}", q, ["a"]) for i, q in enumerate(questions)))
+    with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
+        sent = service.request_log
+    assert [pred.record_id for pred in preds] == [f"q{i}" for i in range(18)]
+    assert sorted(sent) == sorted(set(questions) - set(questions[::3]))
+    assert 1 <= peak <= max_in_flight
+
+
+def test_an_abort_with_misses_started_ahead_stores_what_was_fetched_and_sends_no_more(
+    tmp_path, monkeypatch
+):
+    # Two workers; q1 fails only once q3, a later miss, has failed. By then q4
+    # has been started ahead, but no worker sends it, and q5 is never read.
+    q3_failed = threading.Event()
+    sent = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        sent.append(prompt)
+        if prompt == "question 1?":
+            q3_failed.wait(timeout=10)
+            return 500, {}, b""
+        if prompt == "question 3?":
+            q3_failed.set()
+            return 500, {}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    stored = []
+    original_put = ResponseCache.put
+
+    def recording_put(self, key, response):
+        stored.append(response["text"])
+        original_put(self, key, response)
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    monkeypatch.setattr(ResponseCache, "put", recording_put)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(6)))
+    with open_client("http://stub", tmp_path, max_retries=0) as client:
+        with pytest.raises(RunAbortedError) as excinfo:
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+    assert sorted(sent) == [f"question {i}?" for i in range(4)]
+    assert excinfo.value.failed_id == "q1"
+    assert isinstance(excinfo.value.cause, TransportError)
+    # q2 was fetched before the abort: it is stored, in corpus order, and done.
+    assert excinfo.value.completed_ids == ["q0", "q2"]
+    assert stored == ["question 0?", "question 2?"]
+    assert set(cache_rows(tmp_path)) == {
+        ResponseCache.key("m", f"question {i}?", 32) for i in (0, 2)
+    }
 
 
 def test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk(tmp_path):
