@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
@@ -51,11 +51,14 @@ from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, PROMPT_STYLES
 from .predictions import FEWSHOT_BALANCED, ZEROSHOT_QA, read_predictions, write_predictions
 
 
-#: How a run reaches the endpoint and where it keeps files, never what it writes:
-#: the fields ``config_hash`` leaves out. A field added later is hashed by default.
-OPERATIONAL_FIELDS = (
-    "endpoint_url", "max_retries", "timeout", "max_in_flight", "cache_dir", "output_dir"
-)
+def _key(key: str, kind: type, default=None, valid=None, must="", *, hashed=True, flag=None):
+    """Declare a config field: :func:`_get` reads it with these arguments.
+
+    ``hashed=False`` marks how a run reaches the endpoint or where it keeps
+    files, never what it writes: ``config_hash`` leaves it out. ``flag`` is
+    the command-line option that overrides it, if any.
+    """
+    return field(metadata=dict(get=(key, kind, default, valid, must), hashed=hashed, flag=flag))
 
 
 @dataclass
@@ -63,30 +66,46 @@ class PipelineConfig:
     """Validated, flattened view of the pipeline configuration file."""
 
     corpus: dict[str, dict]
-    endpoint_url: str
-    model_tag: str
-    max_new_tokens: int
-    max_retries: int
-    timeout: float
-    max_in_flight: int
+    endpoint_url: str = _key(
+        "endpoint.url", str, "http://127.0.0.1:8811", hashed=False, flag="--endpoint-url"
+    )
+    model_tag: str = _key("endpoint.model_tag", str, "unnamed-model", flag="--model-tag")
+    max_new_tokens: int = _key(
+        "endpoint.max_new_tokens", int, DEFAULT_MAX_NEW_TOKENS, lambda n: n >= 1, ">= 1"
+    )
+    max_retries: int = _key("endpoint.max_retries", int, 3, lambda n: n >= 0, ">= 0", hashed=False)
+    timeout: float = _key(
+        "endpoint.timeout", float, 30.0, lambda t: 0 < t < math.inf, "positive and finite",
+        hashed=False,
+    )
+    max_in_flight: int = _key("max_in_flight", int, 4, lambda n: n >= 1, ">= 1", hashed=False)
     profile: NormalizationProfile
-    token: SearchToken
-    prompt_style: str
-    template: str
-    fewshot_k: int
-    seed: int
-    pool_path: str | None
-    ppl_strategy: str
-    ppl_target_rate: float | None
-    lam: float
-    cache_dir: Path
-    output_dir: Path
+    token: SearchToken = _key(
+        "search_token", SearchToken, DEFAULT_SEARCH_TOKEN, str.strip, "non-empty"
+    )
+    prompt_style: str = _key("prompt.style", str, ZEROSHOT_QA, PROMPT_STYLES)
+    template: str = _key("prompt.template", str, DEFAULT_TEMPLATE)
+    fewshot_k: int = _key(
+        "prompt.fewshot_k", int, 16, lambda k: k > 0 and k % 2 == 0, "even and positive"
+    )
+    seed: int = _key("prompt.seed", int, 13)
+    pool_path: str | None = _key("prompt.pool_path", str)
+    ppl_strategy: str = _key("ppl.strategy", str, "max-f1", STRATEGIES)
+    ppl_target_rate: float | None = _key(
+        "ppl.target_rate", float, None, lambda r: 0 <= r <= 1, "in [0, 1]"
+    )
+    lam: float = _key(
+        "lambda", float, 1.0, lambda x: 1 <= x < math.inf, ">= 1 and finite", flag="--lambda"
+    )
+    cache_dir: Path = _key("cache_dir", Path, "cache", hashed=False, flag="--cache-dir")
+    output_dir: Path = _key("output_dir", Path, "out", hashed=False, flag="--output-dir")
 
     @property
     def config_hash(self) -> str:
-        """SHA-256 of the validated fields, defaults filled in, but OPERATIONAL_FIELDS."""
-        fields = {k: v for k, v in asdict(self).items() if k not in OPERATIONAL_FIELDS}
-        blob = json.dumps(fields, sort_keys=True, ensure_ascii=True)
+        """SHA-256 of the validated fields, defaults filled in, but those not ``hashed``."""
+        unhashed = {f.name for f in fields(self) if not f.metadata.get("hashed", True)}
+        hashed = {k: v for k, v in asdict(self).items() if k not in unhashed}
+        blob = json.dumps(hashed, sort_keys=True, ensure_ascii=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @property
@@ -109,6 +128,8 @@ _KINDS = {
     str: (str, "a string"),
     list: (list, "a list"),
     dict: (dict, "a mapping"),
+    Path: (str, "a string"),
+    SearchToken: (str, "a string"),
 }
 
 
@@ -117,8 +138,9 @@ def _get(raw: dict, key: str, kind: type, default=None, valid=None, must: str = 
 
     Every section on the way must be a mapping. A null value stands for the
     default only where the default is None. ``valid`` is a tuple of choices,
-    or a predicate the value must pass, described by ``must``. Every error is
-    a :class:`ConfigError` naming the key.
+    or a predicate the value must pass, described by ``must``; it sees the
+    value as the YAML holds it, before it is converted to ``kind``. Every
+    error is a :class:`ConfigError` naming the key.
     """
     *parents, leaf = key.split(".")
     section = raw
@@ -132,31 +154,34 @@ def _get(raw: dict, key: str, kind: type, default=None, valid=None, must: str = 
     accepted, name = _KINDS[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key} must be {name}, got {value!r}")
-    try:
-        value = kind(value)
-    except OverflowError:  # an integer beyond the range of a float
-        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
     if isinstance(valid, tuple):
         valid, must = valid.__contains__, f"one of {', '.join(valid)}"
     if valid is not None and not valid(value):
         raise ConfigError(f"{key} must be {must}, got {value!r}")
-    return value
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the range of a float
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from None
 
 
 def _build_profile(raw: dict) -> NormalizationProfile:
-    def flag(name: str) -> bool:
-        return _get(raw, f"normalization.{name}", bool, getattr(DEFAULT_PROFILE, name))
-
     words = _get(raw, "normalization.stopwords", list, list(DEFAULT_PROFILE.stopwords))
     if not all(isinstance(word, str) for word in words):
         raise ConfigError(f"normalization.stopwords must be a list of strings, got {words!r}")
-    return NormalizationProfile(
-        lowercase=flag("lowercase"),
-        strip_punctuation=flag("strip_punctuation"),
-        stopwords=tuple(words),
-        collapse_whitespace=flag("collapse_whitespace"),
-        unicode_fold=flag("unicode_fold"),
-    )
+    flags = {
+        f.name: _get(raw, f"normalization.{f.name}", bool, getattr(DEFAULT_PROFILE, f.name))
+        for f in fields(NormalizationProfile)
+        if isinstance(getattr(DEFAULT_PROFILE, f.name), bool)
+    }
+    return NormalizationProfile(stopwords=tuple(words), **flags)
+
+
+def _override_flags():
+    """(flag, dotted key, type) of each field a flag overrides; a float's flag reads a number."""
+    for f in fields(PipelineConfig):
+        if f.metadata.get("flag"):
+            key, kind = f.metadata["get"][:2]
+            yield f.metadata["flag"], key, float if kind is float else str
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
@@ -186,40 +211,10 @@ def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConf
         fmt = _get(raw, f"corpus.{split}.format", str, "canonical-jsonl", CORPUS_FORMATS)
         corpus[split] = {"path": str(Path(split_path)), "format": fmt}
 
-    strategy = _get(raw, "ppl.strategy", str, "max-f1", STRATEGIES)
-    target_rate = _get(raw, "ppl.target_rate", float, None, lambda r: 0 <= r <= 1, "in [0, 1]")
-    if target_rate is None and strategy == "target-search-rate":
+    values = {f.name: _get(raw, *f.metadata["get"]) for f in fields(PipelineConfig) if f.metadata}
+    if values["ppl_target_rate"] is None and values["ppl_strategy"] == "target-search-rate":
         raise ConfigError("ppl.target_rate is required for target-search-rate calibration")
-
-    positive = (lambda n: n >= 1), ">= 1"
-
-    return PipelineConfig(
-        corpus=corpus,
-        endpoint_url=_get(raw, "endpoint.url", str, "http://127.0.0.1:8811"),
-        model_tag=_get(raw, "endpoint.model_tag", str, "unnamed-model"),
-        max_new_tokens=_get(raw, "endpoint.max_new_tokens", int, DEFAULT_MAX_NEW_TOKENS, *positive),
-        max_retries=_get(raw, "endpoint.max_retries", int, 3, lambda n: n >= 0, ">= 0"),
-        timeout=_get(
-            raw, "endpoint.timeout", float, 30.0, lambda t: 0 < t < math.inf, "positive and finite"
-        ),
-        max_in_flight=_get(raw, "max_in_flight", int, 4, *positive),
-        profile=_build_profile(raw),
-        token=SearchToken(
-            _get(raw, "search_token", str, DEFAULT_SEARCH_TOKEN, str.strip, "non-empty")
-        ),
-        prompt_style=_get(raw, "prompt.style", str, ZEROSHOT_QA, PROMPT_STYLES),
-        template=_get(raw, "prompt.template", str, DEFAULT_TEMPLATE),
-        fewshot_k=_get(
-            raw, "prompt.fewshot_k", int, 16, lambda k: k > 0 and k % 2 == 0, "even and positive"
-        ),
-        seed=_get(raw, "prompt.seed", int, 13),
-        pool_path=_get(raw, "prompt.pool_path", str),
-        ppl_strategy=strategy,
-        ppl_target_rate=target_rate,
-        lam=_get(raw, "lambda", float, 1.0, lambda x: 1 <= x < math.inf, ">= 1 and finite"),
-        cache_dir=Path(_get(raw, "cache_dir", str, "cache")),
-        output_dir=Path(_get(raw, "output_dir", str, "out")),
-    )
+    return PipelineConfig(corpus=corpus, profile=_build_profile(raw), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +458,10 @@ def cmd_histogram(config: PipelineConfig, args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: Flags that each override one config key: (flag, dotted key as dest, type).
-_OVERRIDE_FLAGS = (
-    ("--output-dir", "output_dir", str),
-    ("--cache-dir", "cache_dir", str),
-    ("--endpoint-url", "endpoint.url", str),
-    ("--model-tag", "endpoint.model_tag", str),
-    ("--lambda", "lambda", float),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-c", "--config", required=True, help="pipeline config file (YAML)")
-    for flag, key, kind in _OVERRIDE_FLAGS:
+    for flag, key, kind in _override_flags():
         common.add_argument(flag, dest=key, type=kind, help=f"override {key}")
     split = argparse.ArgumentParser(add_help=False)
     split.add_argument("--split", choices=SPLITS, default="dev")
@@ -533,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        overrides = {key: getattr(args, key) for _, key, _ in _OVERRIDE_FLAGS}
+        overrides = {key: getattr(args, key) for _, key, _ in _override_flags()}
         config = load_config(args.config, overrides)
         try:
             config.output_dir.mkdir(parents=True, exist_ok=True)

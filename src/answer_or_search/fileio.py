@@ -28,7 +28,7 @@ T = TypeVar("T")
 #: an OverflowError; a value the object's own checks refuse is a DataError.
 PARSE_ERRORS = (ValueError, RecursionError, KeyError, TypeError, OverflowError, DataError)
 
-#: One compact JSON row, non-ASCII kept verbatim; a NaN raises ValueError.
+#: One JSON row on one line: ", "/": " separators, non-ASCII verbatim; a NaN raises ValueError.
 _encode_row = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
@@ -85,7 +85,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
-    """Write one compact JSON object per line, non-ASCII kept verbatim."""
+    """Write one JSON object per line (``", "``/``": "`` separators), non-ASCII kept verbatim."""
     with atomic_write(path) as fh:
         for row in rows:
             fh.write(_encode_row(row) + "\n")

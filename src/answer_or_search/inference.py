@@ -263,7 +263,7 @@ class ResponseCache:
     def read_ahead(self, keys: list[bytes]) -> set[bytes]:
         """The keys that have a row, read in one query. Each key's row, or None
         for a key that has none, is held until :meth:`get` takes it, so a miss
-        costs no second query, even when a worker reads it after the next call."""
+        costs no second query, even when the caller takes it after the next call."""
         marks = ",".join("?" * len(keys))
         with self._lock:
             rows = self._query(f"SELECT key, response FROM responses WHERE key IN ({marks})", keys)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import importlib
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 from contextlib import closing
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import answer_or_search
-from answer_or_search.cli import PipelineConfig, load_config, main
+from answer_or_search.cli import PipelineConfig, build_parser, load_config, main
 from answer_or_search.errors import (
     EXIT_CAPABILITY,
     EXIT_CONFIG,
@@ -1123,6 +1125,129 @@ def test_config_hash_ignores_directory_overrides(workspace, key):
     assert load_config(workspace["config"], {key: "elsewhere"}).config_hash == before
 
 
+#: The keys that cannot change an output byte, in the order spelled_out gives them.
+UNHASHED = (
+    "endpoint.url", "endpoint.max_retries", "endpoint.timeout", "max_in_flight", "cache_dir",
+    "output_dir",
+)
+
+
+def leaves(doc: dict, prefix: str = "") -> dict:
+    """Each value under ``doc`` that is not a mapping, by its dotted key."""
+    found = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            found.update(leaves(value, f"{prefix}{key}."))
+        else:
+            found[f"{prefix}{key}"] = value
+    return found
+
+
+#: Every hashed key away from its default. The corpus path is relative,
+#: because the path is hashed.
+AWAY_FROM_DEFAULTS = {
+    "corpus": {"train": {"path": "data/train.tsv", "format": "tsv-pairs"}},
+    "endpoint": {"model_tag": "pinned-model", "max_new_tokens": 7},
+    "prompt": {
+        "style": "fewshot-balanced",
+        "template": "Q: {q}\nA:",
+        "fewshot_k": 4,
+        "seed": 5,
+        "pool_path": "out/masked.train.jsonl",
+    },
+    "ppl": {"strategy": "target-search-rate", "target_rate": 0.25},
+    "lambda": 2.5,
+    "search_token": "<tool>",
+    "normalization": {
+        "lowercase": False,
+        "strip_punctuation": False,
+        "stopwords": ["the"],
+        "collapse_whitespace": False,
+        "unicode_fold": False,
+    },
+}
+
+
+def test_config_hash_of_the_demo_config_is_pinned(tmp_path, monkeypatch):
+    # The hash every output of demos/end_to_end.py carries; it moves only if
+    # the demo's config or the way a config is hashed changes.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "demos"))
+    demo = importlib.import_module("end_to_end")
+    dev_file, _ = demo.build_workspace(Path("demo_run"))
+    config = demo.write_config(Path("demo_run"), dev_file, "http://127.0.0.1:9")
+    assert load_config(config).config_hash == (
+        "d3517db0e9586f7d332f106086c9edf1fea6aef749d563857a639615b6b0a2b3"
+    )
+
+
+def test_config_hash_with_every_hashed_key_set_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "train.tsv").write_text("q?\ta\n")
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(AWAY_FROM_DEFAULTS))
+    minimal = {"corpus": {"dev": {"path": "data/train.tsv"}}}
+    (tmp_path / "minimal.yaml").write_text(yaml.safe_dump(minimal))
+    loaded, defaults = load_config("config.yaml"), load_config("minimal.yaml")
+    assert loaded.config_hash == "26b5e873752eeca441b61a84b138c5c0a8e5d399ce5e58a3a3a3820d85949671"
+    # Every hashed key moves (one left at its default pins nothing), the
+    # corpus by its split, path and format.
+    moved, at_default = leaves(spelled_out(loaded)), leaves(spelled_out(defaults))
+    assert set(moved) - set(at_default) == {"corpus.train.path", "corpus.train.format"}
+    assert [key for key in at_default if moved.get(key) == at_default[key]] == list(UNHASHED)
+
+
+#: Each flag that overrides a config key: its dotted key, as its dest, and its type.
+OVERRIDE_FLAGS = {
+    "--output-dir": ("output_dir", str),
+    "--cache-dir": ("cache_dir", str),
+    "--endpoint-url": ("endpoint.url", str),
+    "--model-tag": ("endpoint.model_tag", str),
+    "--lambda": ("lambda", float),
+}
+
+
+def test_the_parser_offers_exactly_the_override_flags():
+    parser = build_parser()
+    base = ["ingest", "-c", "config.yaml"]
+    dests = {key for key, _ in OVERRIDE_FLAGS.values()}
+    assert set(vars(parser.parse_args(base))) == {"command", "config", "run", *dests}
+    for flag, (key, kind) in OVERRIDE_FLAGS.items():
+        value = getattr(parser.parse_args([*base, flag, "2"]), key)
+        assert type(value) is kind and value == kind("2"), flag
+
+
+@pytest.mark.parametrize(
+    "flag, written", [("--output-dir", "predictions.dev.jsonl"), ("--cache-dir", CACHE_FILE)]
+)
+def test_a_directory_flag_moves_what_is_written_there(workspace, flag, written):
+    elsewhere = workspace["tmp"] / "elsewhere"
+    for argv in (("ingest",), ("infer", "--split", "dev")):
+        assert run(workspace, *argv, flag, str(elsewhere)) == EXIT_OK
+    assert (elsewhere / written).is_file()
+    key, _ = OVERRIDE_FLAGS[flag]
+    assert not Path(workspace["config_dict"][key]).exists()
+
+
+def test_model_tag_flag_sets_the_tag_and_the_hash(workspace):
+    before = load_config(workspace["config"]).config_hash
+    for argv in (("ingest",), ("infer", "--split", "dev")):
+        assert run(workspace, *argv, "--model-tag", "mock-large") == EXIT_OK
+    manifest = json.loads((workspace["out"] / "predictions.dev.jsonl.manifest.json").read_text())
+    rewrite_config(workspace, lambda c: c["endpoint"].update(model_tag="mock-large"))
+    assert manifest["model_tag"] == "mock-large"
+    assert manifest["config_hash"] == load_config(workspace["config"]).config_hash != before
+
+
+def test_lambda_flag_sets_the_reports_lambda(workspace):
+    for argv in (("ingest",), ("infer", "--split", "dev"), ("calibrate", "--split", "dev")):
+        assert run(workspace, *argv) == EXIT_OK
+    threshold = str(workspace["out"] / "threshold.json")
+    evaluate = ("evaluate", "--split", "dev", "--threshold", threshold, "--lambda", "2.5")
+    assert run(workspace, *evaluate) == EXIT_OK
+    assert read_report(workspace["out"] / "eval_report.json").lam == 2.5
+
+
 def test_config_rejects_odd_fewshot_k(workspace):
     rewrite_config(workspace, lambda c: c["prompt"].update(fewshot_k=7))
     assert run(workspace, "ingest") == EXIT_CONFIG
@@ -1329,3 +1454,27 @@ def spelled_out(config: PipelineConfig) -> dict:
         "cache_dir": str(config.cache_dir),
         "output_dir": str(config.output_dir),
     }
+
+
+def test_readme_config_block_matches_the_declared_keys():
+    """README's config block names every key ``load_config`` reads, and marks
+    (not hashed) exactly the keys ``config_hash`` leaves out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    declared = {
+        f.metadata["get"][0]: f.metadata["hashed"] for f in fields(PipelineConfig) if f.metadata
+    }
+    normalization = {key for key in CONFIG_KEYS if key.startswith("normalization.")}
+    assert set(leaves(yaml.safe_load(block))) == {
+        *declared, *normalization, "corpus.dev.path", "corpus.dev.format"
+    }
+    # Each key's dotted path from the indentation of its line.
+    marked, path = set(), []
+    for line in block.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        depth = (len(line) - len(line.lstrip())) // 2
+        path[depth:] = [line.strip().split(":", 1)[0]]
+        if "(not hashed)" in line:
+            marked.add(".".join(path))
+    assert marked == {key for key, hashed in declared.items() if not hashed} == set(UNHASHED)
