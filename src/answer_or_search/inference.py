@@ -9,7 +9,10 @@ breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it reads the cache one query per
 :data:`READ_AHEAD` records and hands only misses' requests to a thread pool,
-at most ``max_in_flight`` in flight. Workers only fetch: the calling thread
+at most ``max_in_flight`` in flight. Each request still backs off on its own,
+but a worker sends one attempt and is free: the calling thread takes the wait
+before a retry, so a miss waiting to retry holds no worker and the misses
+behind it keep every slot busy. Workers only fetch: the calling thread
 stores every response, in corpus order, so the cache file is the same on
 every run. The pool (``concurrent.futures``) and the HTTP stack
 (``http.client``) are imported, and each worker's keep-alive connection
@@ -31,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Generator, Mapping
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -160,10 +163,6 @@ _KEY_TEMPLATE = '{"decoding": "greedy", "max_new_tokens": %d, "model_tag": %s, "
 
 #: How many records :func:`run_corpus` looks up in the cache with one query.
 READ_AHEAD = 64
-
-#: Misses :func:`run_corpus` keeps started per request it may have in flight, so
-#: a worker sends its next request while the calling thread stores a response.
-STARTED_PER_SLOT = 2
 
 #: One cache row: compact JSON, non-ASCII kept verbatim; a NaN raises ValueError.
 _encode_row = json.JSONEncoder(ensure_ascii=False, allow_nan=False, separators=(",", ":")).encode
@@ -421,6 +420,22 @@ class GenerationClient:
         return response
 
     def _fetch(self, prompt: str) -> dict:
+        """The response to ``prompt``, each wait before a retry slept out on this thread."""
+        attempts = self._attempts(prompt)
+        try:
+            while True:
+                time.sleep(next(attempts))
+        except StopIteration as fetched:
+            return fetched.value
+
+    def _attempts(self, prompt: str) -> Generator[float, None, dict]:
+        """The fetch of ``prompt``, one attempt per step.
+
+        Each step sends one request. It then returns the response, raises if
+        the request failed for good or was the last attempt, or yields the
+        wait before the next attempt: the backoff, or a ``Retry-After``. The
+        driver takes that wait as it likes, so a step may run on any thread.
+        """
         # Imported here, not at module level: a run whose every record is
         # cached never pays for loading the HTTP stack.
         import http.client
@@ -437,7 +452,7 @@ class GenerationClient:
         delay = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                time.sleep(delay)
+                yield delay
             delay = self.backoff_seconds * (2**attempt)
             try:
                 status, headers, payload = self._post(body)
@@ -552,6 +567,99 @@ class GenerationClient:
         return {"text": payload["text"], "token_logprobs": payload["token_logprobs"]}
 
 
+class _NotSent(Exception):
+    """An attempt left unsent because another record of its run failed."""
+
+
+class _Fetcher:
+    """The misses of one :func:`run_corpus`, each attempt sent on one of a pool
+    of ``max_in_flight`` workers.
+
+    A miss is the generator of its attempts (see
+    :meth:`GenerationClient._attempts`). The wait before a retry is taken on
+    the calling thread, which then queues the next attempt behind the misses
+    started meanwhile. So a miss that waits holds no worker, no connection and
+    no request slot, and the workers go on with the misses behind it. The
+    worker that sends a miss's first attempt builds its prompt, so a queued
+    miss holds only its question. Once a fetch fails for good, the stop is
+    checked before every attempt: none is sent, and each miss queued or
+    waiting ends as :class:`_NotSent`.
+    """
+
+    def __init__(
+        self, client: GenerationClient, prompt_for: Callable[[str], str], max_in_flight: int
+    ) -> None:
+        # Imported here, like http.client: a fully cached run never loads them.
+        from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
+
+        self.client = client
+        self.prompt_for = prompt_for
+        self.stopped = False  # once set, no attempt is sent
+        self._pool = ThreadPoolExecutor(max_workers=max_in_flight)
+        self._outcomes: dict[Generator, dict | BaseException] = {}  # of the misses whose attempts ended
+        # Each attempt as it ends: (its miss, when it may be retried, or None).
+        self._ended: SimpleQueue[tuple[Generator, float | None]] = SimpleQueue()
+        self._retries: list[tuple[float, Generator]] = []  # taken off _ended, not yet queued
+
+    def start(self, question: str) -> Generator[float, None, dict]:
+        miss = self._miss(question)
+        self._pool.submit(self._attempt, miss)
+        return miss
+
+    def _miss(self, question: str) -> Generator[float, None, dict]:
+        return (yield from self.client._attempts(self.prompt_for(question)))
+
+    def _attempt(self, miss: Generator[float, None, dict]) -> None:
+        """Send one attempt of ``miss``; runs on a worker."""
+        retry_at = None
+        try:
+            if self.stopped:
+                raise _NotSent
+            retry_at = time.monotonic() + next(miss)
+        except StopIteration as fetched:
+            self._outcomes[miss] = fetched.value
+        except BaseException as exc:  # raised again on the calling thread, as a future would
+            self.stopped = True
+            self._outcomes[miss] = exc
+        self._ended.put((miss, retry_at))
+
+    def result(self, miss: Generator[float, None, dict]) -> dict:
+        """The response of ``miss``, once its attempts end. Meanwhile, every
+        attempt that ended asking for a wait is queued again once its wait is
+        over, whichever miss it belongs to."""
+        from queue import Empty
+
+        while True:
+            now = time.monotonic()
+            retries, self._retries = self._retries, []
+            for retry_at, retry in retries:
+                if self.stopped or retry_at <= now:
+                    self._pool.submit(self._attempt, retry)
+                else:
+                    self._retries.append((retry_at, retry))
+            if miss in self._outcomes and self._ended.empty():
+                break
+            soonest = min((retry_at for retry_at, _ in self._retries), default=None)
+            try:
+                ended, retry_at = self._ended.get(timeout=None if soonest is None else soonest - now)
+            except Empty:
+                continue
+            if retry_at is not None:
+                self._retries.append((retry_at, ended))
+        outcome = self._outcomes.pop(miss)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def close(self) -> None:
+        """Drop every attempt not yet sent, wait for those in flight, and close
+        the workers' connections."""
+        self._pool.shutdown(cancel_futures=True)
+        for thread in [t for t in list(self.client._routes) if not t.is_alive()]:
+            self.client._routes.pop(thread)[0].close()
+
+
 def run_corpus(
     corpus: Corpus,
     prompt_for: Callable[[str], str],
@@ -566,61 +674,58 @@ def run_corpus(
     by building it, before it opens the cache or sends any request. Each
     prediction holds only its record's answer; the model tag and prompt
     style are the run's, for the caller to record once. The cache is read
-    with one query per :data:`READ_AHEAD` records. A miss's fetch starts on
-    a pool of ``max_in_flight`` workers when it is read, at most
-    ``STARTED_PER_SLOT * max_in_flight`` ahead. Workers only fetch: the
-    calling thread runs ``client.generate`` for every record in corpus order,
-    so it stores each response, in that order; a killed run loses at most
-    ``STARTED_PER_SLOT * max_in_flight - 1`` fetched responses. The pool is
-    made at the first miss: a fully cached run loads neither it nor HTTP.
+    with one query per :data:`READ_AHEAD` records. A miss's fetch starts
+    when it is read, on a pool of ``max_in_flight`` workers that each send
+    one attempt at a time; a retry's wait is taken on this thread, so it
+    holds no worker (see :class:`_Fetcher`). This thread blocks on the
+    oldest record read only once ``2 * READ_AHEAD`` records wait. Workers
+    only fetch: this thread runs ``client.generate`` for every record in
+    corpus order, so it stores each response, in that order; a killed run
+    loses at most ``2 * READ_AHEAD`` fetched responses. The pool is made at
+    the first miss: a fully cached run loads neither it nor HTTP.
 
     If any record fails (a fetch still failing after the client's retries,
     or answered with a response that breaks the contract), no later record
-    is read, no worker sends another request, and the run aborts with a
-    :class:`RunAbortedError` naming the lowest failed record. Its
-    ``completed_ids`` lists, in corpus order, every record whose prediction
-    was built, misses fetched before the failure included: they are stored.
+    is read, no worker sends another attempt, and the run aborts with a
+    :class:`RunAbortedError` naming the lowest failed record; a record left
+    unsent is not a failure. Its ``completed_ids`` lists, in corpus order,
+    every record whose prediction was built, misses fetched before the
+    failure included: they are stored.
     """
     if max_in_flight < 1:
         raise ConfigError("max_in_flight must be a positive integer")
 
     records = list(corpus)
-    limit = STARTED_PER_SLOT * max_in_flight
     done: list[Prediction] = []
-    # Read, not yet settled, oldest first: (record, prompt, key, a miss's started fetch).
-    waiting: deque[tuple[QaRecord, str, bytes, Callable[[], dict] | None]] = deque()
-    started = 0  # the misses in ``waiting``
+    # Read, not yet settled, oldest first: (record, key, a miss's attempts or None for a hit).
+    waiting: deque[tuple[QaRecord, bytes, Generator | None]] = deque()
     failure: tuple[str, Exception] | None = None
-    stopped = False  # once set, no worker sends another request
-    executor = None
+    fetcher: _Fetcher | None = None
 
-    def fetch(prompt: str) -> dict:
-        nonlocal stopped
-        if stopped:
-            raise TransportError("not sent: another request of this run failed")
-        try:
-            return client._fetch(prompt)
-        except Exception:
-            stopped = True
-            raise
+    def start(question: str) -> Generator:
+        nonlocal fetcher
+        if fetcher is None:
+            fetcher = _Fetcher(client, prompt_for, max_in_flight)
+        return fetcher.start(question)
 
-    def start(prompt: str) -> Callable[[], dict]:
-        nonlocal executor
-        if executor is None:
-            # Imported here, like http.client: a fully cached run never loads it.
-            from concurrent.futures import ThreadPoolExecutor
-            executor = ThreadPoolExecutor(max_workers=max_in_flight)
-        return executor.submit(fetch, prompt).result
+    def fetched(question: str, miss: Generator | None) -> dict:
+        # A hit whose row turns out unusable is fetched now, on a worker too.
+        miss = miss or start(question)
+        return fetcher.result(miss)
 
     def settle() -> None:
-        nonlocal started, failure, stopped
-        record, prompt, key, fetched = waiting.popleft()
-        started -= fetched is not None
+        nonlocal failure
+        record, key, miss = waiting.popleft()
         try:
-            # A hit whose row turns out unusable is fetched again, on a worker too.
-            response = client.generate(prompt, key, fetched or (lambda: start(prompt)()))
+            response = client.generate(
+                prompt_for(record.question), key, lambda: fetched(record.question, miss)
+            )
+        except _NotSent:
+            return  # neither built nor failed
         except Exception as exc:  # any cause aborts the run; settled in order, the first is the lowest
-            failure, stopped = failure or (record.id, exc), True
+            failure = failure or (record.id, exc)
+            if fetcher is not None:
+                fetcher.stopped = True
             return
         done.append(Prediction(record.id, response["text"], response["token_logprobs"]))
 
@@ -636,21 +741,15 @@ def run_corpus(
                 ]
                 cached = client.cache.read_ahead(keys)
             key = keys[index % READ_AHEAD]
-            prompt = prompt_for(record.question)
-            fetched = None if key in cached else start(prompt)
-            waiting.append((record, prompt, key, fetched))
-            started += fetched is not None
-            # The oldest settles at once if a hit; if a miss, once enough later ones are started.
-            while waiting and (waiting[0][3] is None or started >= limit or len(waiting) > READ_AHEAD):
+            waiting.append((record, key, None if key in cached else start(record.question)))
+            # The oldest settles at once if a hit; if a miss, once the window is full.
+            while waiting and (waiting[0][2] is None or len(waiting) >= 2 * READ_AHEAD):
                 settle()
         while waiting:  # after a failure too: what was fetched is stored, and done
             settle()
     finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-            # Its workers have ended: close their connections.
-            for thread in [t for t in list(client._routes) if not t.is_alive()]:
-                client._routes.pop(thread)[0].close()
+        if fetcher is not None:
+            fetcher.close()
 
     if failure is not None:
         raise RunAbortedError(*failure, [pred.record_id for pred in done])

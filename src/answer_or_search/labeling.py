@@ -92,7 +92,8 @@ def build_masked_dataset(
     Predictions must cover a subset of corpus ids with no duplicates. Answers
     are matched under ``profile``, the same default as :func:`mask_prediction`.
     A labeled record is refused if a gold answer normalizes like the search
-    token, since its masked target would be judged correct.
+    token, since its masked target would be judged correct. Each gold is
+    normalized once, for that check and for the match alike.
     """
     by_id: dict[str, Prediction] = {}
     for pred in predictions:
@@ -105,14 +106,19 @@ def build_masked_dataset(
     token_norm = normalize(token.literal, profile)
     examples = []
     for rec in corpus:
-        if rec.id not in by_id:
+        pred = by_id.get(rec.id)
+        if pred is None:
             continue
-        if any(normalize(gold, profile) == token_norm for gold in rec.gold_answers):
+        golds = [normalize(gold, profile) for gold in rec.gold_answers]
+        if token_norm in golds:
             raise DataError(
                 f"search token {token.literal!r} collides with a gold answer "
                 f"of record {rec.id!r}; labeling refused"
             )
-        examples.append(mask_prediction(by_id[rec.id], rec, profile, token))
+        # The rule of mask_prediction, on the golds normalized above.
+        correct = normalize(pred.text, profile) in golds
+        target = pred.text if correct else token.literal
+        examples.append(MaskedExample(rec.id, rec.question, target, was_masked=not correct))
     return MaskedDataset(tuple(examples), token)
 
 

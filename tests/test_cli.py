@@ -31,7 +31,7 @@ from answer_or_search.errors import (
     RunAbortedError,
 )
 from answer_or_search.evaluation import read_report
-from answer_or_search.inference import CACHE_FILE, ResponseCache
+from answer_or_search.inference import CACHE_FILE, GenerationClient, ResponseCache
 from answer_or_search.mock_service import Script, serve
 from answer_or_search.predictions import DEFAULT_MAX_NEW_TOKENS
 
@@ -220,11 +220,13 @@ def test_infer_abort_writes_progress_manifest(workspace, capsys):
     try:
         assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
         progress = json.loads((workspace["out"] / "progress.dev.json").read_text())
-        assert progress["done"] == ["d1"]
+        # d2 fails twice. The misses d3 to d6 are queued on the one worker ahead
+        # of d2's retry, so they are fetched while d2 waits out its backoff.
+        assert progress["done"] == ["d1", "d3", "d4", "d5", "d6"]
         assert progress["failed"] == "d2"
-        # The aborted run committed the response it fetched and closed the
+        # The aborted run committed the responses it fetched and closed the
         # cache: no write-ahead log is left behind.
-        assert len(cache_rows(workspace["tmp"] / "cache")) == 1
+        assert len(cache_rows(workspace["tmp"] / "cache")) == 5
         assert os.listdir(workspace["tmp"] / "cache") == [CACHE_FILE]
     finally:
         replacement.close()
@@ -328,9 +330,12 @@ def test_infer_refetches_a_cached_entry_that_breaks_the_contract(workspace):
     assert progress["failed"] == "d2"
 
 
-def test_two_cold_infer_runs_write_the_same_cache_file(workspace, monkeypatch):
-    # Each request waits a delay drawn from the run's seed and its body, so the
-    # replies of the two runs come back in different orders.
+def _two_cold_infer_digests(workspace, monkeypatch) -> list[str]:
+    """The sha256 of the cache file each of two cold ``infer`` runs writes.
+
+    Each request waits a delay drawn from the run's seed and its body, so the
+    replies of the two runs come back in different orders.
+    """
     seed = 0
     original_request = http.client.HTTPConnection.request
 
@@ -347,6 +352,32 @@ def test_two_cold_infer_runs_write_the_same_cache_file(workspace, monkeypatch):
         rewrite_config(workspace, lambda c: c.update(cache_dir=str(cache)))
         assert run(workspace, "infer", "--split", "dev") == EXIT_OK
         digests.append(hashlib.sha256((cache / CACHE_FILE).read_bytes()).hexdigest())
+    return digests
+
+
+def test_two_cold_infer_runs_write_the_same_cache_file(workspace, monkeypatch):
+    digests = _two_cold_infer_digests(workspace, monkeypatch)
+    assert len(workspace["service"].request_log) == 2 * len(DEV_ROWS)
+    assert digests[0] == digests[1]
+
+
+def test_two_cold_infer_runs_with_a_retried_miss_write_the_same_cache_file(
+    workspace, monkeypatch
+):
+    # In each run, d2's first attempt is answered 503 without reaching the
+    # mock, so its response arrives after its backoff, behind later misses.
+    refused = []  # the cache dir of each run whose d2 was refused
+    original_post = GenerationClient._post
+
+    def post(self, body: bytes):
+        if json.loads(body)["prompt"] == DEV_ROWS[1][0] and self.cache.directory not in refused:
+            refused.append(self.cache.directory)
+            return 503, {}, b""
+        return original_post(self, body)
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    digests = _two_cold_infer_digests(workspace, monkeypatch)
+    assert refused == [workspace["tmp"] / "cache1", workspace["tmp"] / "cache2"]
     assert len(workspace["service"].request_log) == 2 * len(DEV_ROWS)
     assert digests[0] == digests[1]
 

@@ -1192,8 +1192,55 @@ def test_more_workers_than_cores_switching_often_close_every_connection(tmp_path
     assert len(cache_rows(tmp_path)) == 64
 
 
-@pytest.mark.parametrize("max_in_flight", [1, 2, 3])
-def test_misses_started_ahead_never_exceed_max_in_flight_requests(tmp_path, monkeypatch, max_in_flight):
+def test_more_workers_than_cores_switching_often_lose_no_retried_response(tmp_path, monkeypatch):
+    # Every third question's first attempt is answered 503, with a backoff
+    # short enough that retries fall due while other attempts end.
+    questions = [f"question {i}?" for i in range(96)]
+    refused = set(questions[::3])
+    lock = threading.Lock()
+    asked: list[str] = []
+    original_exchange = inference._exchange
+
+    def flaky_exchange(*args):
+        prompt = json.loads(args[2])["prompt"]
+        with lock:
+            first = prompt not in asked
+            asked.append(prompt)
+        if first and prompt in refused:
+            return 503, {}, b""
+        return original_exchange(*args)
+
+    monkeypatch.setattr(inference, "_exchange", flaky_exchange)
+    corpus = make_corpus(*(make_record(f"q{i}", q, ["a"]) for i, q in enumerate(questions)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with serve(Script()) as service, open_client(
+            service.url, tmp_path, timeout=5, max_retries=1, backoff_seconds=0.001
+        ) as client:
+            preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=8)
+            sent = service.request_log
+    finally:
+        sys.setswitchinterval(interval)
+    assert [pred.record_id for pred in preds] == [f"q{i}" for i in range(96)]
+    assert sorted(sent) == sorted(questions)
+    assert sorted(asked) == sorted(questions + list(refused))
+    assert len(cache_rows(tmp_path)) == 96
+
+
+#: (max_in_flight, the miss whose first attempt is answered 503, or None).
+IN_FLIGHT_CASES = {
+    **{str(n): (n, None) for n in (1, 2, 3)},
+    **{f"{n}-retry": (n, "question 1?") for n in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("max_in_flight, refused", IN_FLIGHT_CASES.values(), ids=IN_FLIGHT_CASES.keys())
+def test_misses_started_ahead_never_exceed_max_in_flight_requests(
+    tmp_path, monkeypatch, max_in_flight, refused
+):
+    # With a refused miss, its retry is checked too, and so is every request
+    # sent while it waits out its backoff.
     questions = [f"question {i}?" for i in range(18)]
     with ResponseCache(tmp_path) as cache:
         for question in questions[::3]:
@@ -1209,18 +1256,25 @@ def test_misses_started_ahead_never_exceed_max_in_flight_requests(tmp_path, monk
             peak = max(peak, in_flight)
         try:
             time.sleep(0.003)  # long enough for the others to start
+            if json.loads(args[2])["prompt"] == refused and refused not in asked:
+                asked.append(refused)
+                return 503, {}, b""
             return original_exchange(*args)
         finally:
             with lock:
                 in_flight -= 1
 
+    asked: list[str] = []
     monkeypatch.setattr(inference, "_exchange", counted_exchange)
     corpus = make_corpus(*(make_record(f"q{i}", q, ["a"]) for i, q in enumerate(questions)))
-    with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+    with serve(Script()) as service, open_client(
+        service.url, tmp_path, timeout=5, backoff_seconds=0.02
+    ) as client:
         preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
         sent = service.request_log
     assert [pred.record_id for pred in preds] == [f"q{i}" for i in range(18)]
     assert sorted(sent) == sorted(set(questions) - set(questions[::3]))
+    assert asked == ([refused] if refused else [])
     assert 1 <= peak <= max_in_flight
 
 
@@ -1228,7 +1282,7 @@ def test_an_abort_with_misses_started_ahead_stores_what_was_fetched_and_sends_no
     tmp_path, monkeypatch
 ):
     # Two workers; q1 fails only once q3, a later miss, has failed. By then q4
-    # has been started ahead, but no worker sends it, and q5 is never read.
+    # and q5 have been queued, but no worker sends them.
     q3_failed = threading.Event()
     sent = []
 
@@ -1266,6 +1320,69 @@ def test_an_abort_with_misses_started_ahead_stores_what_was_fetched_and_sends_no
         ResponseCache.key("m", f"question {i}?", 32) for i in (0, 2)
     }
 
+
+def test_a_retry_is_not_sent_once_another_record_has_failed(tmp_path, monkeypatch):
+    # Two workers: q0's first attempt is answered 503, and q1, sent after it,
+    # 400. The run has failed long before q0's backoff is over, so q0's retry
+    # is never sent, and the abort names q1, not q0, which was left unsent.
+    q0_sent = threading.Event()
+    sent = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        if prompt != "question 0?":
+            q0_sent.wait(timeout=10)
+        sent.append(prompt)
+        if prompt == "question 0?":
+            q0_sent.set()
+            return 503, {}, b""
+        return 400, {}, b""
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(2)))
+    with open_client("http://stub", tmp_path, max_retries=1, backoff_seconds=0.3) as client:
+        with pytest.raises(RunAbortedError) as excinfo:
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+    assert sent == ["question 0?", "question 1?"]
+    assert excinfo.value.failed_id == "q1"
+    assert isinstance(excinfo.value.cause, TransportError)
+    assert "HTTP 400" in str(excinfo.value.cause)
+    assert excinfo.value.completed_ids == []
+    assert cache_rows(tmp_path) == {}
+
+
+def test_later_misses_are_sent_while_a_miss_waits_out_its_backoff(tmp_path, monkeypatch):
+    # One worker. q1's first attempt is answered 503: the worker goes on with
+    # q2 and q3 while q1 waits, and q1's retry leaves once its backoff is over.
+    sent = []  # (prompt, when)
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        sent.append((prompt, time.monotonic()))
+        if [p for p, _ in sent] == ["question 0?", "question 1?"]:
+            return 503, {}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    stored = []  # (thread, text) of each put
+    original_put = ResponseCache.put
+
+    def recording_put(self, key, response):
+        stored.append((threading.current_thread(), response["text"]))
+        original_put(self, key, response)
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    monkeypatch.setattr(ResponseCache, "put", recording_put)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(4)))
+    with open_client("http://stub", tmp_path, max_retries=1, backoff_seconds=0.1) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
+    # First attempts go out in corpus order, and the retry after them.
+    order = [prompt for prompt, _ in sent]
+    assert order == ["question 0?", "question 1?", "question 2?", "question 3?", "question 1?"]
+    assert sent[4][1] - sent[1][1] >= 0.1
+    assert [pred.text for pred in preds] == [f"question {i}?" for i in range(4)]
+    # q1's response came in last, yet the calling thread stored it in corpus order.
+    assert stored == [(threading.current_thread(), f"question {i}?") for i in range(4)]
+    assert len(cache_rows(tmp_path)) == 4
 
 def test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk(tmp_path):
     n = 2 * READ_AHEAD + 2

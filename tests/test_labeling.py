@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answer_or_search import corpus as corpus_module
+from answer_or_search import labeling
 from answer_or_search.corpus import DEFAULT_PROFILE, SearchToken
 from answer_or_search.errors import DataError, PairingError
 from answer_or_search.fileio import manifest_path_for
@@ -172,6 +174,38 @@ def test_emit_refuses_token_gold_collision(tmp_path):
     preds = [make_prediction("q0", "wrong"), make_prediction("q1", "wrong")]
     with pytest.raises(DataError, match="q1"):
         build_masked_dataset(preds, corpus)
+
+
+def test_build_normalizes_each_gold_and_each_prediction_once(monkeypatch):
+    # q0's answer matches its first gold, q1's its last, q2's none; q3 has no prediction.
+    corpus = make_corpus(
+        make_record("q0", "first?", ["Paris", "paris, france", "Lutetia"]),
+        make_record("q1", "second?", ["Rome", "Roma"]),
+        make_record("q2", "third?", ["2"]),
+        make_record("q3", "fourth?", ["unlabeled"]),
+    )
+    preds = [
+        make_prediction("q0", "Paris"),
+        make_prediction("q1", "roma"),
+        make_prediction("q2", "3"),
+    ]
+    normalized = []
+    original = labeling.normalize
+
+    def counted(text, profile=DEFAULT_PROFILE):
+        normalized.append(text)
+        return original(text, profile)
+
+    monkeypatch.setattr(labeling, "normalize", counted)
+    monkeypatch.setattr(corpus_module, "normalize", counted)
+    dataset = build_masked_dataset(preds, corpus)
+    golds = ["Paris", "paris, france", "Lutetia", "Rome", "Roma", "2"]
+    assert sorted(normalized) == sorted([TOKEN.literal, "Paris", "roma", "3", *golds])
+    monkeypatch.undo()
+    assert dataset.examples == tuple(
+        mask_prediction(pred, corpus[pred.record_id], DEFAULT_PROFILE, TOKEN) for pred in preds
+    )
+    assert [ex.was_masked for ex in dataset.examples] == [False, False, True]
 
 
 # ---------------------------------------------------------------------------
