@@ -402,15 +402,19 @@ class GenerationClient:
             conn.close()
 
     def generate(
-        self, prompt: str, key: bytes | None = None, fetch: Callable[[], dict] | None = None
+        self,
+        prompt: str | None = None,
+        key: bytes | None = None,
+        fetch: Callable[[], dict] | None = None,
     ) -> dict:
         """Return ``{"text", "token_logprobs"}`` for ``prompt``, from cache when possible.
 
-        ``key`` is the :meth:`ResponseCache.key` of ``prompt``, passed by a
-        caller that already has it so that the prompt is hashed once. On a
-        miss, ``fetch()`` gives the response: by default a request sent from
-        this thread, and in :func:`run_corpus` one started on a worker. Either
-        way, the thread that calls ``generate`` stores it.
+        On a miss, ``fetch()`` gives the response: by default a request for
+        ``prompt`` sent from this thread, and in :func:`run_corpus` one sent
+        on a worker. Either way, the thread that calls ``generate`` stores it.
+        A caller with its own ``fetch`` may pass the prompt's
+        :meth:`ResponseCache.key` in its place, so the prompt is neither
+        built nor hashed again.
         """
         key = key or ResponseCache.key(self.model_tag, prompt, self.max_new_tokens)
         response = self.cache.get(key)
@@ -602,6 +606,10 @@ class _Fetcher:
         self._ended: SimpleQueue[tuple[Generator, float | None]] = SimpleQueue()
         self._retries: list[tuple[float, Generator]] = []  # taken off _ended, not yet queued
 
+    def ended(self, miss: Generator[float, None, dict]) -> bool:
+        """Whether the attempts of ``miss`` have ended, so :meth:`result` returns at once."""
+        return miss in self._outcomes
+
     def start(self, question: str) -> Generator[float, None, dict]:
         miss = self._miss(question)
         self._pool.submit(self._attempt, miss)
@@ -677,12 +685,16 @@ def run_corpus(
     with one query per :data:`READ_AHEAD` records. A miss's fetch starts
     when it is read, on a pool of ``max_in_flight`` workers that each send
     one attempt at a time; a retry's wait is taken on this thread, so it
-    holds no worker (see :class:`_Fetcher`). This thread blocks on the
-    oldest record read only once ``2 * READ_AHEAD`` records wait. Workers
-    only fetch: this thread runs ``client.generate`` for every record in
-    corpus order, so it stores each response, in that order; a killed run
-    loses at most ``2 * READ_AHEAD`` fetched responses. The pool is made at
-    the first miss: a fully cached run loads neither it nor HTTP.
+    holds no worker (see :class:`_Fetcher`). Workers only fetch: this
+    thread runs ``client.generate`` for every record in corpus order, so it
+    stores each response, in that order. The oldest record read is built
+    as soon as it is a hit or its fetch has ended; this thread blocks on it
+    only once ``2 * READ_AHEAD`` records wait. So a killed run loses at most
+    ``2 * READ_AHEAD`` fetched responses, and only those fetched behind one
+    still in flight or waiting to retry. Each record whose fetch started
+    takes its outcome, even when a record with the same prompt stored the
+    response first. The pool is made at the first miss: a fully cached run
+    loads neither it nor HTTP.
 
     If any record fails (a fetch still failing after the client's retries,
     or answered with a response that breaks the contract), no later record
@@ -708,18 +720,23 @@ def run_corpus(
             fetcher = _Fetcher(client, prompt_for, max_in_flight)
         return fetcher.start(question)
 
-    def fetched(question: str, miss: Generator | None) -> dict:
-        # A hit whose row turns out unusable is fetched now, on a worker too.
-        miss = miss or start(question)
-        return fetcher.result(miss)
-
     def settle() -> None:
         nonlocal failure
         record, key, miss = waiting.popleft()
+
+        def fetched() -> dict:
+            nonlocal miss
+            # A hit whose row turns out unusable is fetched now, on a worker too.
+            taken, miss = miss or start(record.question), None
+            return fetcher.result(taken)
+
         try:
-            response = client.generate(
-                prompt_for(record.question), key, lambda: fetched(record.question, miss)
-            )
+            response = client.generate(key=key, fetch=fetched)
+            if miss is not None:
+                # A record with the same prompt stored the response first, so
+                # generate found it; this record's own fetch still ends here,
+                # and if it failed, the failure is this record's.
+                fetcher.result(miss)
         except _NotSent:
             return  # neither built nor failed
         except Exception as exc:  # any cause aborts the run; settled in order, the first is the lowest
@@ -742,8 +759,13 @@ def run_corpus(
                 cached = client.cache.read_ahead(keys)
             key = keys[index % READ_AHEAD]
             waiting.append((record, key, None if key in cached else start(record.question)))
-            # The oldest settles at once if a hit; if a miss, once the window is full.
-            while waiting and (waiting[0][2] is None or len(waiting) >= 2 * READ_AHEAD):
+            # The oldest settles at once if a hit or a miss whose fetch has ended;
+            # if a miss still being fetched, once the window is full.
+            while waiting and (
+                waiting[0][2] is None
+                or fetcher.ended(waiting[0][2])
+                or len(waiting) >= 2 * READ_AHEAD
+            ):
                 settle()
         while waiting:  # after a failure too: what was fetched is stored, and done
             settle()

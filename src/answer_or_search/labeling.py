@@ -18,7 +18,6 @@ from .corpus import (
     NormalizationProfile,
     QaRecord,
     SearchToken,
-    exact_match,
     normalize,
     parse_record_id,
 )
@@ -72,11 +71,23 @@ def mask_prediction(
     token: SearchToken = SearchToken(),
 ) -> MaskedExample:
     """Keep a correct prediction verbatim; replace a wrong one with the token."""
+    golds = [normalize(gold, profile) for gold in record.gold_answers]
+    return _mask(prediction, record, golds, profile, token)
+
+
+def _mask(
+    prediction: Prediction,
+    record: QaRecord,
+    golds: list[str],
+    profile: NormalizationProfile,
+    token: SearchToken,
+) -> MaskedExample:
+    """:func:`mask_prediction`, given ``record``'s golds normalized under ``profile``."""
     if prediction.record_id != record.id:
         raise PairingError(
             f"prediction {prediction.record_id!r} paired with record {record.id!r}"
         )
-    if exact_match(prediction.text, record.gold_answers, profile):
+    if normalize(prediction.text, profile) in golds:
         return MaskedExample(record.id, record.question, prediction.text, was_masked=False)
     return MaskedExample(record.id, record.question, token.literal, was_masked=True)
 
@@ -106,8 +117,7 @@ def build_masked_dataset(
     token_norm = normalize(token.literal, profile)
     examples = []
     for rec in corpus:
-        pred = by_id.get(rec.id)
-        if pred is None:
+        if rec.id not in by_id:
             continue
         golds = [normalize(gold, profile) for gold in rec.gold_answers]
         if token_norm in golds:
@@ -115,10 +125,7 @@ def build_masked_dataset(
                 f"search token {token.literal!r} collides with a gold answer "
                 f"of record {rec.id!r}; labeling refused"
             )
-        # The rule of mask_prediction, on the golds normalized above.
-        correct = normalize(pred.text, profile) in golds
-        target = pred.text if correct else token.literal
-        examples.append(MaskedExample(rec.id, rec.question, target, was_masked=not correct))
+        examples.append(_mask(by_id[rec.id], rec, golds, profile, token))
     return MaskedDataset(tuple(examples), token)
 
 

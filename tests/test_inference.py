@@ -1384,6 +1384,88 @@ def test_later_misses_are_sent_while_a_miss_waits_out_its_backoff(tmp_path, monk
     assert stored == [(threading.current_thread(), f"question {i}?") for i in range(4)]
     assert len(cache_rows(tmp_path)) == 4
 
+
+def test_the_oldest_miss_is_stored_as_soon_as_its_fetch_ends(tmp_path, monkeypatch):
+    # One worker, all misses. Before it starts the fetch of the record after
+    # the first chunk, the calling thread lets q0's fetch end. It then stores
+    # q0 at once, not once 2 * READ_AHEAD records wait, so a killed run would
+    # lose little.
+    sent = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        sent.append(prompt)
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    stored = []
+    stored_at_start = {}  # question -> what was stored when its fetch started
+    original_put = ResponseCache.put
+    original_start = inference._Fetcher.start
+
+    def recording_put(self, key, response):
+        stored.append(response["text"])
+        original_put(self, key, response)
+
+    def start(self, question):
+        stored_at_start[question] = list(stored)
+        if question == f"question {READ_AHEAD}?":
+            deadline = time.monotonic() + 10
+            while len(sent) < 2 and time.monotonic() < deadline:  # q1 is sent once q0 ends
+                time.sleep(0.001)
+        return original_start(self, question)
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    monkeypatch.setattr(ResponseCache, "put", recording_put)
+    monkeypatch.setattr(inference._Fetcher, "start", start)
+    n = READ_AHEAD + 2
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(n)))
+    with open_client("http://stub", tmp_path) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
+    assert stored_at_start[f"question {READ_AHEAD + 1}?"][:1] == ["question 0?"]
+    assert stored == [f"question {i}?" for i in range(n)]
+    assert len(preds) == n
+
+
+def test_a_run_aborts_when_the_fetch_of_a_repeated_question_fails(tmp_path, monkeypatch):
+    # One worker. q0 and q1 ask the same question, so both are misses and both
+    # fetches are sent. q0's is answered, and stored before q1 is built, so q1
+    # reads its response from the cache; q1's own fetch is answered 400 all
+    # the same. The run must abort naming q1, and q2, left unsent, is no failure.
+    sent = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        sent.append(prompt)
+        if len(sent) == 2:
+            return 400, {}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    corpus = make_corpus(
+        make_record("q0", "question 0?", ["a"]),
+        make_record("q1", "question 0?", ["a"]),
+        make_record("q2", "question 2?", ["a"]),
+    )
+    with open_client("http://stub", tmp_path, max_retries=0) as client:
+        with pytest.raises(RunAbortedError) as excinfo:
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
+    assert sent == ["question 0?", "question 0?"]
+    assert excinfo.value.failed_id == "q1"
+    assert "HTTP 400" in str(excinfo.value.cause)
+    assert excinfo.value.completed_ids == ["q0"]
+    assert set(cache_rows(tmp_path)) == {ResponseCache.key("m", "question 0?", 32)}
+
+
+def test_a_repeated_question_is_answered_for_each_of_its_records(tmp_path):
+    corpus = make_corpus(
+        *(make_record(f"q{i}", f"question {i % 2}?", ["a"]) for i in range(4))
+    )
+    with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+    assert [pred.record_id for pred in preds] == ["q0", "q1", "q2", "q3"]
+    assert len(cache_rows(tmp_path)) == 2
+
+
 def test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk(tmp_path):
     n = 2 * READ_AHEAD + 2
     corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(n)))
