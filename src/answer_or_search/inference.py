@@ -39,6 +39,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
     import http.client
+    from queue import SimpleQueue
 
     from .labeling import MaskedExample
 
@@ -576,8 +577,8 @@ class _NotSent(Exception):
 
 
 class _Fetcher:
-    """The misses of one :func:`run_corpus`, each attempt sent on one of a pool
-    of ``max_in_flight`` workers.
+    """The misses of one :func:`run_corpus`, one per distinct request, each
+    attempt sent on a pool of ``max_in_flight`` workers made at the first miss.
 
     A miss is the generator of its attempts (see
     :meth:`GenerationClient._attempts`). The wait before a retry is taken on
@@ -593,17 +594,14 @@ class _Fetcher:
     def __init__(
         self, client: GenerationClient, prompt_for: Callable[[str], str], max_in_flight: int
     ) -> None:
-        # Imported here, like http.client: a fully cached run never loads them.
-        from concurrent.futures import ThreadPoolExecutor
-        from queue import SimpleQueue
-
         self.client = client
         self.prompt_for = prompt_for
+        self.max_in_flight = max_in_flight
         self.stopped = False  # once set, no attempt is sent
-        self._pool = ThreadPoolExecutor(max_workers=max_in_flight)
+        self._pool = None
         self._outcomes: dict[Generator, dict | BaseException] = {}  # of the misses whose attempts ended
         # Each attempt as it ends: (its miss, when it may be retried, or None).
-        self._ended: SimpleQueue[tuple[Generator, float | None]] = SimpleQueue()
+        self._ended: SimpleQueue[tuple[Generator, float | None]] | None = None
         self._retries: list[tuple[float, Generator]] = []  # taken off _ended, not yet queued
 
     def ended(self, miss: Generator[float, None, dict]) -> bool:
@@ -611,6 +609,13 @@ class _Fetcher:
         return miss in self._outcomes
 
     def start(self, question: str) -> Generator[float, None, dict]:
+        if self._pool is None:
+            # Imported here, like http.client: a fully cached run never loads them.
+            from concurrent.futures import ThreadPoolExecutor
+            from queue import SimpleQueue
+
+            self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
+            self._ended = SimpleQueue()
         miss = self._miss(question)
         self._pool.submit(self._attempt, miss)
         return miss
@@ -663,7 +668,8 @@ class _Fetcher:
     def close(self) -> None:
         """Drop every attempt not yet sent, wait for those in flight, and close
         the workers' connections."""
-        self._pool.shutdown(cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
         for thread in [t for t in list(self.client._routes) if not t.is_alive()]:
             self.client._routes.pop(thread)[0].close()
 
@@ -685,16 +691,16 @@ def run_corpus(
     with one query per :data:`READ_AHEAD` records. A miss's fetch starts
     when it is read, on a pool of ``max_in_flight`` workers that each send
     one attempt at a time; a retry's wait is taken on this thread, so it
-    holds no worker (see :class:`_Fetcher`). Workers only fetch: this
-    thread runs ``client.generate`` for every record in corpus order, so it
-    stores each response, in that order. The oldest record read is built
-    as soon as it is a hit or its fetch has ended; this thread blocks on it
-    only once ``2 * READ_AHEAD`` records wait. So a killed run loses at most
-    ``2 * READ_AHEAD`` fetched responses, and only those fetched behind one
-    still in flight or waiting to retry. Each record whose fetch started
-    takes its outcome, even when a record with the same prompt stored the
-    response first. The pool is made at the first miss: a fully cached run
-    loads neither it nor HTTP.
+    holds no worker (see :class:`_Fetcher`). A record whose request an
+    earlier record of the run holds is not read or fetched again: it
+    settles after that record, as a hit on the row it stored, and if their
+    one fetch fails, the failure is the earlier record's. Workers only fetch:
+    this thread runs ``client.generate`` for every record in corpus order,
+    so it stores each response, in that order. The oldest record read is
+    built as soon as it is a hit or its fetch has ended; this thread blocks
+    on it only once ``2 * READ_AHEAD`` records wait. So a killed run loses
+    at most ``2 * READ_AHEAD`` fetched responses, and only those fetched
+    behind one still in flight or waiting to retry.
 
     If any record fails (a fetch still failing after the client's retries,
     or answered with a response that breaks the contract), no later record
@@ -709,40 +715,25 @@ def run_corpus(
 
     records = list(corpus)
     done: list[Prediction] = []
-    # Read, not yet settled, oldest first: (record, key, a miss's attempts or None for a hit).
+    # Read, not yet settled, oldest first: (record, key, a miss's attempts or None).
     waiting: deque[tuple[QaRecord, bytes, Generator | None]] = deque()
+    known: set[bytes] = set()  # the keys of the hits read and of the misses started
     failure: tuple[str, Exception] | None = None
-    fetcher: _Fetcher | None = None
-
-    def start(question: str) -> Generator:
-        nonlocal fetcher
-        if fetcher is None:
-            fetcher = _Fetcher(client, prompt_for, max_in_flight)
-        return fetcher.start(question)
+    fetcher = _Fetcher(client, prompt_for, max_in_flight)
 
     def settle() -> None:
         nonlocal failure
         record, key, miss = waiting.popleft()
-
-        def fetched() -> dict:
-            nonlocal miss
-            # A hit whose row turns out unusable is fetched now, on a worker too.
-            taken, miss = miss or start(record.question), None
-            return fetcher.result(taken)
-
         try:
-            response = client.generate(key=key, fetch=fetched)
-            if miss is not None:
-                # A record with the same prompt stored the response first, so
-                # generate found it; this record's own fetch still ends here,
-                # and if it failed, the failure is this record's.
-                fetcher.result(miss)
+            # A hit whose row turns out unusable is fetched now, on a worker too.
+            response = client.generate(
+                key=key, fetch=lambda: fetcher.result(miss or fetcher.start(record.question))
+            )
         except _NotSent:
             return  # neither built nor failed
         except Exception as exc:  # any cause aborts the run; settled in order, the first is the lowest
             failure = failure or (record.id, exc)
-            if fetcher is not None:
-                fetcher.stopped = True
+            fetcher.stopped = True
             return
         done.append(Prediction(record.id, response["text"], response["token_logprobs"]))
 
@@ -756,11 +747,13 @@ def run_corpus(
                     ResponseCache.key(client.model_tag, prompt_for(r.question), client.max_new_tokens)
                     for r in records[index : index + READ_AHEAD]
                 ]
-                cached = client.cache.read_ahead(keys)
+                # A known key is not read again, so a miss's first record finds no row.
+                known |= client.cache.read_ahead([k for k in keys if k not in known])
             key = keys[index % READ_AHEAD]
-            waiting.append((record, key, None if key in cached else start(record.question)))
-            # The oldest settles at once if a hit or a miss whose fetch has ended;
-            # if a miss still being fetched, once the window is full.
+            waiting.append((record, key, None if key in known else fetcher.start(record.question)))
+            known.add(key)
+            # The oldest settles at once if a hit, a repeat or a miss whose fetch has
+            # ended; if a miss still being fetched, once the window is full.
             while waiting and (
                 waiting[0][2] is None
                 or fetcher.ended(waiting[0][2])
@@ -770,8 +763,7 @@ def run_corpus(
         while waiting:  # after a failure too: what was fetched is stored, and done
             settle()
     finally:
-        if fetcher is not None:
-            fetcher.close()
+        fetcher.close()
 
     if failure is not None:
         raise RunAbortedError(*failure, [pred.record_id for pred in done])

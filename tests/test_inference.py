@@ -1426,17 +1426,16 @@ def test_the_oldest_miss_is_stored_as_soon_as_its_fetch_ends(tmp_path, monkeypat
     assert len(preds) == n
 
 
-def test_a_run_aborts_when_the_fetch_of_a_repeated_question_fails(tmp_path, monkeypatch):
-    # One worker. q0 and q1 ask the same question, so both are misses and both
-    # fetches are sent. q0's is answered, and stored before q1 is built, so q1
-    # reads its response from the cache; q1's own fetch is answered 400 all
-    # the same. The run must abort naming q1, and q2, left unsent, is no failure.
+def test_records_that_share_a_failed_fetch_abort_naming_the_first(tmp_path, monkeypatch):
+    # One worker. q0 and q1 ask the same question, so they share one request,
+    # which is answered 400. The abort names q0, the first of them; q1, which
+    # would have read q0's row, and q2, left unsent, are no failures.
     sent = []
 
     def post(self, body: bytes):
         prompt = json.loads(body)["prompt"]
         sent.append(prompt)
-        if len(sent) == 2:
+        if prompt == "question 0?":
             return 400, {}, b""
         return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
 
@@ -1449,11 +1448,58 @@ def test_a_run_aborts_when_the_fetch_of_a_repeated_question_fails(tmp_path, monk
     with open_client("http://stub", tmp_path, max_retries=0) as client:
         with pytest.raises(RunAbortedError) as excinfo:
             run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
-    assert sent == ["question 0?", "question 0?"]
-    assert excinfo.value.failed_id == "q1"
+    assert sent == ["question 0?"]
+    assert excinfo.value.failed_id == "q0"
     assert "HTTP 400" in str(excinfo.value.cause)
-    assert excinfo.value.completed_ids == ["q0"]
-    assert set(cache_rows(tmp_path)) == {ResponseCache.key("m", "question 0?", 32)}
+    assert excinfo.value.completed_ids == []
+    assert cache_rows(tmp_path) == {}
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_a_repeated_question_is_sent_once(tmp_path, monkeypatch, max_in_flight):
+    # Three repeats: r3 asks q1's question in the same chunk, the first record
+    # of the next chunk asks q5's, and the second asks q2's, whose first
+    # attempt is answered 503.
+    # The next chunk is read only once that 503 is in, and q2's retry is not
+    # sent before its backoff is over, so that record is read while q2 waits.
+    questions = [f"question {i}?" for i in range(READ_AHEAD + 4)]
+    questions[3] = questions[1]
+    questions[READ_AHEAD] = questions[5]
+    questions[READ_AHEAD + 1] = questions[2]
+    lock = threading.Lock()
+    refused = threading.Event()
+    sent = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        with lock:
+            sent.append(prompt)
+        if prompt == "question 2?" and not refused.is_set():
+            refused.set()
+            return 503, {}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    sent_of_q2_at_read = []
+    original_read_ahead = ResponseCache.read_ahead
+
+    def read_ahead(self, keys):
+        if len(keys) < READ_AHEAD:  # the second chunk
+            assert refused.wait(timeout=10)
+            with lock:
+                sent_of_q2_at_read.append(sent.count("question 2?"))
+        return original_read_ahead(self, keys)
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    monkeypatch.setattr(ResponseCache, "read_ahead", read_ahead)
+    corpus = make_corpus(*(make_record(f"r{i}", q, ["a"]) for i, q in enumerate(questions)))
+    with open_client("http://stub", tmp_path, max_retries=1, backoff_seconds=0.2) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
+    assert sent_of_q2_at_read == [1]
+    # Each distinct question once, and q2's retry.
+    assert sorted(sent) == sorted([*set(questions), "question 2?"])
+    assert [pred.record_id for pred in preds] == [f"r{i}" for i in range(len(questions))]
+    assert [pred.text for pred in preds] == questions
+    assert len(cache_rows(tmp_path)) == len(set(questions))
 
 
 def test_a_repeated_question_is_answered_for_each_of_its_records(tmp_path):
@@ -1530,7 +1576,80 @@ def test_run_corpus_resolves_hits_and_misses_across_read_ahead_chunks(chunk_serv
     expected = [Prediction(f"r{i}", response(q)["text"], (-0.5,)) for i, q in enumerate(questions)]
     assert preds == expected
     misses = (set(distinct) - cached) | {corrupt}
-    # The twins, when both miss, may both be sent before either is stored.
-    assert set(requests) == misses
-    assert len(requests) <= len(misses) + 1
+    # Each miss is requested once, even when both twins miss.
+    assert sorted(requests) == sorted(misses)
     assert json.loads(rows[corrupt_key]) == [response(corrupt)["text"], [-0.5]]
+
+
+# ---------------------------------------------------------------------------
+# run_corpus against a fuzzed endpoint
+# ---------------------------------------------------------------------------
+
+
+#: A ``Retry-After`` value: absent, delta-seconds of a few digits or of about as many as
+#: ``int`` takes (4300), an HTTP-date, negative, or garbage.
+RETRY_AFTER_VALUES = (
+    st.none()
+    | (st.integers(1, 3) | st.integers(4290, 5000)).map(lambda n: "9" * n)
+    | st.just("Wed, 21 Oct 2015 07:28:00 GMT")
+    | st.just("-1")
+    | st.text(max_size=8)
+)
+VALID_BODY = json.dumps({"text": "x", "token_logprobs": [-0.5]}).encode()
+#: A reply's body: anything shaped like a response, or a valid one cut short.
+REPLY_BODIES = RESPONSE_LIKE.map(lambda doc: json.dumps(doc).encode()) | st.integers(
+    0, len(VALID_BODY) - 1
+).map(lambda n: VALID_BODY[:n])
+#: One reply; half of them answer, so that many runs end without a failure.
+REPLIES = st.tuples(st.just(200), RETRY_AFTER_VALUES, st.just(VALID_BODY)) | st.tuples(
+    st.sampled_from([200, 400, 429, 500, 503]), RETRY_AFTER_VALUES, REPLY_BODIES
+)
+
+
+@given(
+    picks=st.lists(st.integers(0, 2), min_size=6, max_size=10),
+    max_in_flight=st.sampled_from([1, 2]),
+    max_retries=st.sampled_from([0, 1]),
+    replies=st.lists(REPLIES, min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_run_corpus_against_any_endpoint_returns_every_prediction_or_aborts(
+    shared_cache, picks, max_in_flight, max_retries, replies
+):
+    # Each (question, attempt) has its own reply, so an example's outcome
+    # does not hang on which worker sends what first.
+    run = uuid.uuid4()
+    questions = [f"{run} question {i}?" for i in range(3)]
+    lock = threading.Lock()
+    sent: list[str] = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        with lock:
+            attempt = sent.count(prompt)
+            sent.append(prompt)
+        status, retry_after, reply = replies[2 * questions.index(prompt) + min(attempt, 1)]
+        return status, {} if retry_after is None else {"Retry-After": retry_after}, reply
+
+    corpus = make_corpus(*(make_record(f"r{i}", questions[q], ["a"]) for i, q in enumerate(picks)))
+    ids = [f"r{i}" for i in range(len(picks))]
+    client = GenerationClient(
+        "http://stub", "m", shared_cache, max_retries=max_retries, backoff_seconds=0.001, timeout=0.01
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch, closing(client):
+        monkeypatch.setattr(GenerationClient, "_post", post)
+        try:
+            preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
+        except RunAbortedError as exc:
+            assert exc.failed_id in ids
+            assert exc.failed_id not in exc.completed_ids
+            assert exc.completed_ids == [i for i in ids if i in exc.completed_ids]
+            assert isinstance(exc.cause, (TransportError, CapabilityError))
+        else:
+            assert [pred.record_id for pred in preds] == ids
+    assert all(sent.count(q) <= max_retries + 1 for q in questions)
+    keys = {ResponseCache.key("m", q, 32) for q in questions}
+    for key, row in cache_rows(shared_cache.directory).items():
+        if key in keys:
+            text, token_logprobs = json.loads(row)
+            check_response({"text": text, "token_logprobs": token_logprobs})
