@@ -8,22 +8,22 @@ network calls, byte for byte, and no cached entry can abort a run: one that
 breaks the contract is a miss, fetched again and rewritten.
 
 :func:`run_corpus` is cache-first: it reads the cache one query per
-:data:`READ_AHEAD` records and hands only misses' requests to a thread pool,
-at most ``max_in_flight`` in flight. Each request still backs off on its own,
-but a worker sends one attempt and is free: the calling thread takes the wait
-before a retry, so a miss waiting to retry holds no worker and the misses
-behind it keep every slot busy. Workers only fetch: the calling thread
-stores every response, in corpus order, so the cache file is the same on
-every run. The pool (``concurrent.futures``) and the HTTP stack
-(``http.client``) are imported, and each worker's keep-alive connection
-opened, on the first miss only, so a fully cached run starts no worker
-thread and loads neither.
+:data:`READ_AHEAD` records and queues only misses' attempts, for
+``max_in_flight`` worker threads to send. A worker whose attempt must wait
+queues the retry for the end of the wait, so a waiting miss holds no worker,
+and a ``Retry-After`` holds the whole run. Workers only fetch: the calling
+thread stores every response, in corpus order, so the cache file is the
+same on every run. ``concurrent.futures`` and ``http.client`` are imported,
+and the workers started, on the first miss only, so a fully cached run
+starts no worker thread and loads neither.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
+import heapq
+import itertools
 import json
 import os
 import random
@@ -39,7 +39,7 @@ from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
     import http.client
-    from queue import SimpleQueue
+    from concurrent.futures import Future
 
     from .labeling import MaskedExample
 
@@ -429,17 +429,17 @@ class GenerationClient:
         attempts = self._attempts(prompt)
         try:
             while True:
-                time.sleep(next(attempts))
+                time.sleep(next(attempts)[0])
         except StopIteration as fetched:
             return fetched.value
 
-    def _attempts(self, prompt: str) -> Generator[float, None, dict]:
+    def _attempts(self, prompt: str) -> Generator[tuple[float, bool], None, dict]:
         """The fetch of ``prompt``, one attempt per step.
 
         Each step sends one request. It then returns the response, raises if
         the request failed for good or was the last attempt, or yields the
-        wait before the next attempt: the backoff, or a ``Retry-After``. The
-        driver takes that wait as it likes, so a step may run on any thread.
+        wait before the next attempt, and whether a ``Retry-After`` set it.
+        The driver takes that wait as it likes, so a step may run on any thread.
         """
         # Imported here, not at module level: a run whose every record is
         # cached never pays for loading the HTTP stack.
@@ -454,11 +454,10 @@ class GenerationClient:
             }
         ).encode("utf-8")
         last_error: Exception | None = None
-        delay = 0.0
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                yield delay
-            delay = self.backoff_seconds * (2**attempt)
+                yield wait
+            wait = (self.backoff_seconds * (2**attempt), False)
             try:
                 status, headers, payload = self._post(body)
             except (ValueError, http.client.InvalidURL) as exc:  # a URL or header it refuses
@@ -470,7 +469,7 @@ class GenerationClient:
                 last_error = TransportError(f"endpoint returned HTTP {status}")
                 if status in _RETRY_AFTER_STATUS:
                     asked = _retry_after(headers.get("Retry-After"), self.timeout)
-                    delay = delay if asked is None else asked
+                    wait = wait if asked is None else (asked, True)
                 continue
             if 300 <= status < 400:
                 raise TransportError(
@@ -577,18 +576,18 @@ class _NotSent(Exception):
 
 
 class _Fetcher:
-    """The misses of one :func:`run_corpus`, one per distinct request, each
-    attempt sent on a pool of ``max_in_flight`` workers made at the first miss.
+    """The misses of one :func:`run_corpus`, one per distinct request, and the
+    ``max_in_flight`` workers, started at the first miss, that send them.
 
     A miss is the generator of its attempts (see
-    :meth:`GenerationClient._attempts`). The wait before a retry is taken on
-    the calling thread, which then queues the next attempt behind the misses
-    started meanwhile. So a miss that waits holds no worker, no connection and
-    no request slot, and the workers go on with the misses behind it. The
-    worker that sends a miss's first attempt builds its prompt, so a queued
-    miss holds only its question. Once a fetch fails for good, the stop is
-    checked before every attempt: none is sent, and each miss queued or
-    waiting ends as :class:`_NotSent`.
+    :meth:`GenerationClient._attempts`); its outcome is a ``Future``. Every
+    attempt, first or retry, waits in one heap keyed by (due time, order),
+    and a free worker sends the one due first. A worker whose attempt must
+    wait queues the next one for the end of the wait, so a waiting miss holds
+    no worker, connection or request slot. A ``Retry-After`` holds every
+    attempt of the run, and the refused one keeps its key, so it goes first
+    after the pause. The worker that sends a miss's first attempt builds its
+    prompt, so a queued miss holds only its question.
     """
 
     def __init__(
@@ -597,81 +596,83 @@ class _Fetcher:
         self.client = client
         self.prompt_for = prompt_for
         self.max_in_flight = max_in_flight
-        self.stopped = False  # once set, no attempt is sent
-        self._pool = None
-        self._outcomes: dict[Generator, dict | BaseException] = {}  # of the misses whose attempts ended
-        # Each attempt as it ends: (its miss, when it may be retried, or None).
-        self._ended: SimpleQueue[tuple[Generator, float | None]] | None = None
-        self._retries: list[tuple[float, Generator]] = []  # taken off _ended, not yet queued
+        self._wake = threading.Condition()  # guards the fields below
+        self._heap: list[tuple[tuple[float, int], Generator, Future]] = []
+        self._order = itertools.count()
+        self._not_before = 0.0  # the end of the latest Retry-After: no attempt is sent before it
+        self._stopped = False
+        self._workers: list[threading.Thread] = []
 
-    def ended(self, miss: Generator[float, None, dict]) -> bool:
-        """Whether the attempts of ``miss`` have ended, so :meth:`result` returns at once."""
-        return miss in self._outcomes
+    def start(self, question: str) -> Future:
+        """The future response of ``question``, whose first attempt is queued due now."""
+        # Imported here, like http.client: a fully cached run never loads it.
+        from concurrent.futures import Future
 
-    def start(self, question: str) -> Generator[float, None, dict]:
-        if self._pool is None:
-            # Imported here, like http.client: a fully cached run never loads them.
-            from concurrent.futures import ThreadPoolExecutor
-            from queue import SimpleQueue
+        if not self._workers:
+            self._workers = [threading.Thread(target=self._work) for _ in range(self.max_in_flight)]
+            for worker in self._workers:
+                worker.start()
+        future = Future()
+        self._queue((time.monotonic(), next(self._order)), self._miss(question), future)
+        return future
 
-            self._pool = ThreadPoolExecutor(max_workers=self.max_in_flight)
-            self._ended = SimpleQueue()
-        miss = self._miss(question)
-        self._pool.submit(self._attempt, miss)
-        return miss
-
-    def _miss(self, question: str) -> Generator[float, None, dict]:
+    def _miss(self, question: str) -> Generator[tuple[float, bool], None, dict]:
         return (yield from self.client._attempts(self.prompt_for(question)))
 
-    def _attempt(self, miss: Generator[float, None, dict]) -> None:
-        """Send one attempt of ``miss``; runs on a worker."""
-        retry_at = None
+    def _queue(self, key: tuple[float, int], miss: Generator, future: Future) -> None:
+        """Queue the next attempt of ``miss`` under ``key``, or end it unsent once stopped."""
+        with self._wake:
+            if self._stopped:
+                future.set_exception(_NotSent())
+                return
+            heapq.heappush(self._heap, (key, miss, future))
+            self._wake.notify()
+
+    def _work(self) -> None:
+        """Send the attempt due first until the run stops; then close this worker's connection."""
         try:
-            if self.stopped:
-                raise _NotSent
-            retry_at = time.monotonic() + next(miss)
-        except StopIteration as fetched:
-            self._outcomes[miss] = fetched.value
-        except BaseException as exc:  # raised again on the calling thread, as a future would
-            self.stopped = True
-            self._outcomes[miss] = exc
-        self._ended.put((miss, retry_at))
-
-    def result(self, miss: Generator[float, None, dict]) -> dict:
-        """The response of ``miss``, once its attempts end. Meanwhile, every
-        attempt that ended asking for a wait is queued again once its wait is
-        over, whichever miss it belongs to."""
-        from queue import Empty
-
-        while True:
-            now = time.monotonic()
-            retries, self._retries = self._retries, []
-            for retry_at, retry in retries:
-                if self.stopped or retry_at <= now:
-                    self._pool.submit(self._attempt, retry)
+            while True:
+                with self._wake:
+                    while not self._stopped:
+                        due = max(self._heap[0][0][0], self._not_before) if self._heap else None
+                        if due is not None and due <= time.monotonic():
+                            break
+                        self._wake.wait(None if due is None else due - time.monotonic())
+                    else:
+                        return
+                    key, miss, future = heapq.heappop(self._heap)
+                try:
+                    wait, retry_after = next(miss)
+                except StopIteration as fetched:
+                    future.set_result(fetched.value)
+                except BaseException as exc:  # raised again on the calling thread, by result()
+                    self.stop()
+                    future.set_exception(exc)
                 else:
-                    self._retries.append((retry_at, retry))
-            if miss in self._outcomes and self._ended.empty():
-                break
-            soonest = min((retry_at for retry_at, _ in self._retries), default=None)
-            try:
-                ended, retry_at = self._ended.get(timeout=None if soonest is None else soonest - now)
-            except Empty:
-                continue
-            if retry_at is not None:
-                self._retries.append((retry_at, ended))
-        outcome = self._outcomes.pop(miss)
-        if isinstance(outcome, BaseException):
-            raise outcome
-        return outcome
+                    with self._wake:
+                        if retry_after:  # the whole run waits, and this miss keeps its key
+                            self._not_before = max(self._not_before, time.monotonic() + wait)
+                        else:
+                            key = (time.monotonic() + wait, next(self._order))
+                        self._queue(key, miss, future)
+        finally:
+            route = self.client._routes.pop(threading.current_thread(), None)
+            if route is not None:
+                route[0].close()
+
+    def stop(self) -> None:
+        """End each miss queued, or queued later, as :class:`_NotSent`; the workers then end."""
+        with self._wake:
+            self._stopped = True
+            while self._heap:
+                heapq.heappop(self._heap)[2].set_exception(_NotSent())
+            self._wake.notify_all()
 
     def close(self) -> None:
-        """Drop every attempt not yet sent, wait for those in flight, and close
-        the workers' connections."""
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-        for thread in [t for t in list(self.client._routes) if not t.is_alive()]:
-            self.client._routes.pop(thread)[0].close()
+        """Stop, and wait for the attempts in flight and for every worker to end."""
+        self.stop()
+        for worker in self._workers:
+            worker.join()
 
 
 def run_corpus(
@@ -688,19 +689,18 @@ def run_corpus(
     by building it, before it opens the cache or sends any request. Each
     prediction holds only its record's answer; the model tag and prompt
     style are the run's, for the caller to record once. The cache is read
-    with one query per :data:`READ_AHEAD` records. A miss's fetch starts
-    when it is read, on a pool of ``max_in_flight`` workers that each send
-    one attempt at a time; a retry's wait is taken on this thread, so it
-    holds no worker (see :class:`_Fetcher`). A record whose request an
-    earlier record of the run holds is not read or fetched again: it
-    settles after that record, as a hit on the row it stored, and if their
-    one fetch fails, the failure is the earlier record's. Workers only fetch:
-    this thread runs ``client.generate`` for every record in corpus order,
-    so it stores each response, in that order. The oldest record read is
-    built as soon as it is a hit or its fetch has ended; this thread blocks
-    on it only once ``2 * READ_AHEAD`` records wait. So a killed run loses
-    at most ``2 * READ_AHEAD`` fetched responses, and only those fetched
-    behind one still in flight or waiting to retry.
+    with one query per :data:`READ_AHEAD` records. A miss's fetch is queued
+    when it is read, for ``max_in_flight`` workers (see :class:`_Fetcher`).
+    A record whose request an earlier record of the run holds is not read or
+    fetched again: it settles after that record, as a hit on the row it
+    stored, and if their one fetch fails, the failure is the earlier
+    record's. Workers only fetch: this thread runs ``client.generate`` for
+    every record in corpus order, so it stores each response, in that order.
+    The oldest record read is built as soon as it is a hit or its fetch has
+    ended; this thread blocks on it only once ``2 * READ_AHEAD`` records
+    wait. So a killed run loses at most ``2 * READ_AHEAD`` fetched
+    responses, and only those fetched behind one still in flight or waiting
+    to retry.
 
     If any record fails (a fetch still failing after the client's retries,
     or answered with a response that breaks the contract), no later record
@@ -715,8 +715,8 @@ def run_corpus(
 
     records = list(corpus)
     done: list[Prediction] = []
-    # Read, not yet settled, oldest first: (record, key, a miss's attempts or None).
-    waiting: deque[tuple[QaRecord, bytes, Generator | None]] = deque()
+    # Read, not yet settled, oldest first: (record, key, a miss's future response or None).
+    waiting: deque[tuple[QaRecord, bytes, Future | None]] = deque()
     known: set[bytes] = set()  # the keys of the hits read and of the misses started
     failure: tuple[str, Exception] | None = None
     fetcher = _Fetcher(client, prompt_for, max_in_flight)
@@ -727,13 +727,13 @@ def run_corpus(
         try:
             # A hit whose row turns out unusable is fetched now, on a worker too.
             response = client.generate(
-                key=key, fetch=lambda: fetcher.result(miss or fetcher.start(record.question))
+                key=key, fetch=lambda: (miss or fetcher.start(record.question)).result()
             )
         except _NotSent:
             return  # neither built nor failed
         except Exception as exc:  # any cause aborts the run; settled in order, the first is the lowest
             failure = failure or (record.id, exc)
-            fetcher.stopped = True
+            fetcher.stop()
             return
         done.append(Prediction(record.id, response["text"], response["token_logprobs"]))
 
@@ -756,7 +756,7 @@ def run_corpus(
             # ended; if a miss still being fetched, once the window is full.
             while waiting and (
                 waiting[0][2] is None
-                or fetcher.ended(waiting[0][2])
+                or waiting[0][2].done()
                 or len(waiting) >= 2 * READ_AHEAD
             ):
                 settle()

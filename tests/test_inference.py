@@ -1385,6 +1385,141 @@ def test_later_misses_are_sent_while_a_miss_waits_out_its_backoff(tmp_path, monk
     assert len(cache_rows(tmp_path)) == 4
 
 
+def test_a_due_retry_is_sent_while_the_calling_thread_is_busy(tmp_path, monkeypatch):
+    # One worker. q0's first attempt is answered 503, and the calling thread
+    # then spends 0.5 s reading the second chunk. The worker queues q0's
+    # retry itself, so it is sent once its 0.05 s backoff is over, during
+    # that read, not after it.
+    sent = []  # (prompt, when)
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        sent.append((prompt, time.monotonic()))
+        if len(sent) == 1:
+            return 503, {}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    read_ends = []  # when each read-ahead returned
+    original_read_ahead = ResponseCache.read_ahead
+
+    def read_ahead(self, keys):
+        if read_ends:  # the second chunk
+            time.sleep(0.5)
+        rows = original_read_ahead(self, keys)
+        read_ends.append(time.monotonic())
+        return rows
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    monkeypatch.setattr(ResponseCache, "read_ahead", read_ahead)
+    n = READ_AHEAD + 2
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(n)))
+    with open_client("http://stub", tmp_path, max_retries=1, backoff_seconds=0.05) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=1)
+    first, retry = [when for prompt, when in sent if prompt == "question 0?"]
+    assert retry - first >= 0.05
+    assert retry < read_ends[1]
+    assert [pred.text for pred in preds] == [f"question {i}?" for i in range(n)]
+
+
+def test_an_attempt_in_flight_when_the_run_fails_is_not_retried(tmp_path, monkeypatch):
+    # Two workers. q0's request is held until q1 has been answered 400 and
+    # q1's worker has stopped the run, and is then answered 503. Its retry is
+    # refused, so q0 ends unsent, and the run ends, naming q1. The run is on
+    # a thread of its own, so a retry queued after the stop, which no worker
+    # would send, fails this test instead of hanging it.
+    lock = threading.Lock()
+    sent = []
+    q1_answered = threading.Event()
+    q1_worker = []
+
+    def post(self, body: bytes):
+        prompt = json.loads(body)["prompt"]
+        with lock:
+            sent.append(prompt)
+        if prompt == "question 0?":
+            assert q1_answered.wait(timeout=10)
+            q1_worker[0].join(timeout=1)  # it ends once it has stopped the run
+            return 503, {}, b""
+        q1_worker.append(threading.current_thread())
+        q1_answered.set()
+        return 400, {}, b""
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(2)))
+    aborts = []
+
+    def run(client):
+        try:
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=2)
+        except RunAbortedError as exc:
+            aborts.append(exc)
+
+    with open_client("http://stub", tmp_path, max_retries=1, backoff_seconds=0.01) as client:
+        thread = threading.Thread(target=run, args=(client,), daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert [exc.failed_id for exc in aborts] == ["q1"]
+    assert "HTTP 400" in str(aborts[0].cause)
+    assert aborts[0].completed_ids == []
+    assert sorted(sent) == ["question 0?", "question 1?"]
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_a_retry_after_holds_every_attempt_of_the_run(tmp_path, monkeypatch, max_in_flight):
+    # For its first 0.25 s the endpoint refuses every request with 429 and
+    # Retry-After: 1, which the client caps at its 0.1 s timeout. The pause
+    # holds first attempts and retries alike, so each round of refusals
+    # costs at most one request per worker.
+    window, pause = 0.25, 0.1
+    lock = threading.Lock()
+    first_sent = None
+    refused = 0
+
+    def post(self, body: bytes):
+        nonlocal first_sent, refused
+        prompt = json.loads(body)["prompt"]
+        with lock:
+            first_sent = first_sent or time.monotonic()
+            if time.monotonic() - first_sent < window:
+                refused += 1
+                return 429, {"Retry-After": "1"}, b""
+        return 200, {}, json.dumps({"text": prompt, "token_logprobs": [-0.5]}).encode()
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(40)))
+    with open_client("http://stub", tmp_path, max_retries=5, timeout=pause) as client:
+        preds = run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
+    assert [pred.text for pred in preds] == [f"question {i}?" for i in range(40)]
+    assert 1 <= refused <= max_in_flight * (math.ceil(window / pause) + 1)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 4])
+def test_a_rate_limit_that_outlasts_the_retries_aborts_naming_the_first_record(
+    tmp_path, monkeypatch, max_in_flight
+):
+    # Every request is refused with 429 and a Retry-After. The refused q0
+    # keeps its place in the queue, so it is sent first after each pause and
+    # runs out of retries in the third round, before any other record does.
+    lock = threading.Lock()
+    sent = []
+
+    def post(self, body: bytes):
+        with lock:
+            sent.append(json.loads(body)["prompt"])
+        return 429, {"Retry-After": "1"}, b""
+
+    monkeypatch.setattr(GenerationClient, "_post", post)
+    corpus = make_corpus(*(make_record(f"q{i}", f"question {i}?", ["a"]) for i in range(12)))
+    with open_client("http://stub", tmp_path, max_retries=2, timeout=0.05) as client:
+        with pytest.raises(RunAbortedError) as excinfo:
+            run_corpus(corpus, ZEROSHOT, client, max_in_flight=max_in_flight)
+    assert excinfo.value.failed_id == "q0"
+    assert "HTTP 429" in str(excinfo.value.cause)
+    assert sent.count("question 0?") == 3
+    assert len(sent) <= 3 * max_in_flight
+
+
 def test_the_oldest_miss_is_stored_as_soon_as_its_fetch_ends(tmp_path, monkeypatch):
     # One worker, all misses. Before it starts the fetch of the record after
     # the first chunk, the calling thread lets q0's fetch end. It then stores

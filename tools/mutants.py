@@ -15,8 +15,11 @@ tests run once on an unmutated copy and must pass. Hypothesis does not
 shrink here: a mutant only has to be caught, not minimised.
 
 The gate fails (exit 1) when the unmutated run fails, when a snippet is not
-found exactly once, or when a mutant survives. A change that moves a
-guarded snippet updates its row; a change whose tests guard a line adds one.
+found exactly once, when a mutant survives, or when a run of tests is
+stopped at :data:`TIMEOUT_SECONDS` (reported as ``TIMED OUT``), so a mutant
+that deadlocks fails the gate by name rather than hanging it. A change that
+moves a guarded snippet updates its row; a change whose tests guard a line
+adds one.
 """
 
 from __future__ import annotations
@@ -58,7 +61,14 @@ class Mutant(NamedTuple):
 
 
 INFERENCE = "answer_or_search/inference.py"
+PPL = "answer_or_search/ppl_threshold.py"
+CLI = "answer_or_search/cli.py"
 T = "tests/test_inference.py::"
+P = "tests/test_ppl_threshold.py::"
+C = "tests/test_cli.py::"
+
+#: How long one run of a mutant's tests may take: a mutant that deadlocks fails the gate.
+TIMEOUT_SECONDS = 120
 
 MUTANTS = (
     # A record whose key is known is not fetched again: each distinct request is sent once.
@@ -71,11 +81,11 @@ MUTANTS = (
             T + "test_run_corpus_resolves_hits_and_misses_across_read_ahead_chunks",
         ),
     ),
-    # Once a fetch fails for good, no worker sends another attempt.
+    # Once a fetch fails for good, its worker stops the run: no worker sends another attempt.
     Mutant(
         INFERENCE,
-        "            if self.stopped:\n                raise _NotSent\n",
-        "",
+        "                    self.stop()\n                    future.set_exception(exc)\n",
+        "                    future.set_exception(exc)\n",
         (
             T + "test_a_retry_is_not_sent_once_another_record_has_failed",
             T + "test_an_abort_with_misses_started_ahead_stores_what_was_fetched_and_sends_no_more",
@@ -84,7 +94,7 @@ MUTANTS = (
     # The oldest miss is stored as soon as its fetch ends.
     Mutant(
         INFERENCE,
-        "                or fetcher.ended(waiting[0][2])\n",
+        "                or waiting[0][2].done()\n",
         "",
         (T + "test_the_oldest_miss_is_stored_as_soon_as_its_fetch_ends",),
     ),
@@ -105,25 +115,137 @@ MUTANTS = (
             T + "test_run_corpus_refetches_a_cached_entry_that_breaks_the_contract",
         ),
     ),
-    # A retry waits out its backoff before it is queued again.
+    # A retry is sent only once its backoff is over.
     Mutant(
         INFERENCE,
-        "if self.stopped or retry_at <= now:",
-        "if self.stopped or True:",
+        "if due is not None and due <= time.monotonic():",
+        "if due is not None:",
         (
             T + "test_later_misses_are_sent_while_a_miss_waits_out_its_backoff",
             T + "test_a_repeated_question_is_sent_once",
         ),
     ),
+    # A Retry-After holds every attempt of the run, not only the refused one.
+    Mutant(
+        INFERENCE,
+        "if retry_after:",
+        "if False:",
+        (
+            T + "test_a_retry_after_holds_every_attempt_of_the_run",
+            T + "test_a_rate_limit_that_outlasts_the_retries_aborts_naming_the_first_record",
+        ),
+    ),
+    # The attempt refused with a Retry-After keeps its place, so it is sent first after the pause.
+    Mutant(
+        INFERENCE,
+        "self._not_before = max(self._not_before, time.monotonic() + wait)\n",
+        "self._not_before = max(self._not_before, time.monotonic() + wait)\n"
+        "                            key = (self._not_before, next(self._order))\n",
+        (T + "test_a_rate_limit_that_outlasts_the_retries_aborts_naming_the_first_record",),
+    ),
+    # An attempt queued after the run stopped ends unsent, rather than waiting for no worker.
+    Mutant(
+        INFERENCE,
+        "            if self._stopped:\n"
+        "                future.set_exception(_NotSent())\n"
+        "                return\n",
+        "",
+        (T + "test_an_attempt_in_flight_when_the_run_fails_is_not_retried",),
+    ),
+    # A read-ahead row is used: a warm run costs one query per chunk.
+    Mutant(
+        INFERENCE,
+        "if key in self._ahead:",
+        "if False:",
+        (T + "test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk",),
+    ),
+    # A key read ahead without a row is held too, so its miss costs no second query.
+    Mutant(
+        INFERENCE,
+        "            self._ahead.update(dict.fromkeys(keys))\n",
+        "",
+        (T + "test_a_warm_run_reads_the_cache_with_one_query_per_read_ahead_chunk",),
+    ),
+    # Each chunk's keys start at the chunk's first record.
+    Mutant(
+        INFERENCE,
+        "records[index : index + READ_AHEAD]",
+        "records[index + 1 : index + READ_AHEAD + 1]",
+        (T + "test_run_corpus_resolves_hits_and_misses_across_read_ahead_chunks",),
+    ),
+    # A put replaces the row a read-ahead holds.
+    Mutant(
+        INFERENCE,
+        "            self._ahead.pop(key, None)\n",
+        "",
+        (T + "test_a_put_replaces_the_row_a_read_ahead_holds",),
+    ),
+    # A row is unpacked, never indexed: a row of another length is a miss.
+    Mutant(
+        INFERENCE,
+        "answer, token_logprobs = response\n",
+        "answer, token_logprobs = response[0], response[1]\n",
+        (T + "test_cache_unusable_row_is_a_miss",),
+    ),
+    # A threshold between a finite and an infinite perplexity is the finite one.
+    Mutant(
+        PPL,
+        "            tau = tau if tau < math.inf else ppl\n",
+        "",
+        (
+            P + "test_calibrate_accepts_an_infinite_perplexity",
+            P + "test_max_f1_with_infinite_perplexities_reaches_the_best_f1_of_a_sweep",
+        ),
+    ),
+    # A quantile next to an infinite perplexity is the finite one, never NaN.
+    Mutant(
+        PPL,
+        "    if b == math.inf:\n        return a\n",
+        "",
+        (P + "test_target_rate_tau_is_never_nan_next_to_an_infinite_perplexity",),
+    ),
+    # Where a run keeps its files does not change its config hash.
+    Mutant(
+        CLI,
+        '"cache", hashed=False, flag="--cache-dir"',
+        '"cache", flag="--cache-dir"',
+        (
+            C + "test_config_hash_with_every_hashed_key_set_is_pinned",
+            C + "test_config_hash_ignores_directory_overrides",
+        ),
+    ),
+    # How often a run retries does not change its config hash.
+    Mutant(
+        CLI,
+        'lambda n: n >= 0, ">= 0", hashed=False)',
+        'lambda n: n >= 0, ">= 0")',
+        (C + "test_config_hash_with_every_hashed_key_set_is_pinned",),
+    ),
+    # The override flag of the lambda key is --lambda.
+    Mutant(
+        CLI,
+        'flag="--lambda"',
+        'flag="--lam"',
+        (
+            C + "test_the_parser_offers_exactly_the_override_flags",
+            C + "test_lambda_flag_sets_the_reports_lambda",
+        ),
+    ),
 )
 
 
-def run_tests(src: Path, tests: list[str]) -> subprocess.CompletedProcess:
-    """Run ``tests`` from the repository root on the package in ``src``."""
+def run_tests(src: Path, tests: list[str]) -> subprocess.CompletedProcess | None:
+    """Run ``tests`` from the repository root on the package in ``src``; None when
+    they are stopped at :data:`TIMEOUT_SECONDS`."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     command = [sys.executable, "-c", _RUN_TESTS, str(src), *tests]
-    return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        return subprocess.run(
+            command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_SECONDS
+        )
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -133,7 +255,9 @@ def main() -> int:
         shutil.copytree(ROOT / "src", src)
         every_test = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
         unmutated = run_tests(src, every_test)
-        if unmutated.returncode != 0:
+        if unmutated is None:
+            failures.append("the tests on the unmutated source TIMED OUT")
+        elif unmutated.returncode != 0:
             print(unmutated.stdout + unmutated.stderr, file=sys.stderr)
             failures.append(f"the tests fail on the unmutated source (exit {unmutated.returncode})")
         for number, mutant in enumerate(MUTANTS, 1):
@@ -146,11 +270,13 @@ def main() -> int:
             started = time.monotonic()
             path.write_text(original.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
             try:
-                code = run_tests(src, list(mutant.tests)).returncode
+                run = run_tests(src, list(mutant.tests))
             finally:
                 path.write_text(original, encoding="utf-8")
             # Exit 1 is a failed test; any other code means the tests did not run to a verdict.
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"NOT RUN (exit {code})")
+            code = None if run is None else run.returncode
+            verdicts = {None: "TIMED OUT", 0: "SURVIVED", 1: "killed"}
+            verdict = verdicts.get(code, f"NOT RUN (exit {code})")
             print(f"mutant {number} in {mutant.file}: {verdict} in {time.monotonic() - started:.1f} s")
             if code != 1:
                 failures.append(f"mutant {number}: {verdict}")
