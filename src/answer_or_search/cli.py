@@ -45,7 +45,7 @@ from .corpus import (
     write_canonical,
 )
 from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbortedError
-from .fileio import atomic_write, check_manifest, read_jsonl, write_json, write_manifest
+from .fileio import atomic_write, read_jsonl, write_json, write_manifest
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, PROMPT_STYLES, Prediction
 from .predictions import FEWSHOT_BALANCED, ZEROSHOT_QA, read_predictions, write_predictions
@@ -234,9 +234,7 @@ def _load_split(config: PipelineConfig, split: str) -> Corpus:
     path = corpus_path(config, split)
     if not path.exists():
         raise DataError(f"canonical corpus for split {split!r} not found at {path}; run 'ingest'")
-    corpus = ingest(path, "canonical-jsonl", split)
-    check_manifest(path, len(corpus))
-    return corpus
+    return ingest(path, "canonical-jsonl", split)
 
 
 def _load_split_and_predictions(
@@ -272,10 +270,10 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
-    from .inference import FewShotPool, GenerationClient, ResponseCache, prompt_builder, run_corpus
+    from .inference import GenerationClient, ResponseCache, prompt_builder, run_corpus
 
     corpus = _load_split(config, args.split)
-    pool = None
+    pool: tuple = ()
     if config.prompt_style == FEWSHOT_BALANCED:
         if not config.pool_path:
             raise ConfigError(f"prompt.pool_path is required for {FEWSHOT_BALANCED} prompts")
@@ -288,9 +286,11 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
                 f"{dataset.token.literal!r}, not {config.token.literal!r}; rerun 'label' "
                 "under this config"
             )
-        pool = FewShotPool(dataset.examples, seed=config.seed)
+        pool = dataset.examples
     # Bad prompt settings fail here, before cache_dir is created or a request sent.
-    prompt_for = prompt_builder(config.prompt_style, config.template, pool, config.fewshot_k)
+    prompt_for = prompt_builder(
+        config.prompt_style, config.template, pool, config.fewshot_k, config.seed
+    )
     progress = config.output_dir / f"progress.{args.split}.json"
     with ResponseCache(config.cache_dir) as cache, closing(
         GenerationClient(

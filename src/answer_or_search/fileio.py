@@ -5,7 +5,8 @@ the target and is moved into place with ``os.replace``, so a reader sees the
 old file or the new one, never half of one. Readers turn every decoding or
 parsing failure into a :class:`DataError` naming the file and line. Every
 output has a sidecar ``<name>.manifest.json``, written after it, whose
-``records`` (its data rows; 1 for one document) lets readers reject a stale file.
+``records`` (its data rows; 1 for one document) lets readers reject a stale
+file: :func:`read_lines` and :func:`read_json` check it on what they parsed.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def _open(path: Path, what: str) -> TextIO:
 
 
 def read_lines(path: str | Path, parse: Callable[[str, int], T], what: str) -> list[T]:
-    """``parse(line, line_no)`` for every non-blank line, newline stripped.
+    """``parse(line, line_no)`` for every non-blank line, newline stripped,
+    checked against ``path``'s sidecar manifest if any.
 
     Line numbers count blank lines too, so they match what an editor shows.
     """
@@ -125,6 +127,7 @@ def read_lines(path: str | Path, parse: Callable[[str, int], T], what: str) -> l
                     rows.append(parse(line.rstrip("\n"), line_no))
         except PARSE_ERRORS as exc:
             raise DataError(f"malformed {what} in {path} at line {line_no}: {exc}") from exc
+    check_manifest(path, len(rows))
     return rows
 
 
@@ -134,13 +137,16 @@ def read_jsonl(path: str | Path, parse: Callable[[Any], T], what: str) -> list[T
 
 
 def read_json(path: str | Path, parse: Callable[[Any], T], what: str) -> T:
-    """``parse(doc)`` for the one JSON document in ``path``."""
+    """``parse(doc)`` for the one JSON document in ``path``, checked against its
+    sidecar manifest if any; a manifest has none, so reading one costs one stat."""
     path = Path(path)
     with _open(path, what) as fh:
         try:
-            return parse(json.load(fh))
+            parsed = parse(json.load(fh))
         except PARSE_ERRORS as exc:
             raise DataError(f"malformed {what} in {path}: {exc}") from exc
+    check_manifest(path, 1)
+    return parsed
 
 
 def manifest_path_for(path: str | Path) -> Path:

@@ -31,10 +31,9 @@ import sqlite3
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Mapping
+from typing import TYPE_CHECKING, Callable, Generator, Mapping, Sequence
 from urllib.parse import unquote, urlsplit, urlunsplit
 
 if TYPE_CHECKING:
@@ -77,22 +76,12 @@ AUTH_TOKEN_ENV = "GENERATION_API_TOKEN"
 _PLACEHOLDER = "{q}"
 
 
-@dataclass(frozen=True)
-class FewShotPool:
-    """Demonstration pool for balanced few-shot prompts: the examples of a
-    masked dataset, split on ``was_masked``. Selection under a fixed seed is
-    deterministic.
-    """
-
-    examples: tuple[MaskedExample, ...]
-    seed: int
-
-
 def prompt_builder(
     prompt_style: str,
     template: str = DEFAULT_TEMPLATE,
-    pool: FewShotPool | None = None,
+    pool: Sequence[MaskedExample] = (),
     fewshot_k: int = 16,
+    seed: int = 0,
 ) -> Callable[[str], str]:
     """The run's ``question -> prompt`` function, its settings checked here, once.
 
@@ -100,51 +89,38 @@ def prompt_builder(
       hold exactly one ``{q}`` slot (else :class:`TemplateError`).
     - ``instruct-idk`` puts :data:`IDK_INSTRUCTION` on the line before it.
     - ``fewshot-balanced`` puts before it ``fewshot_k`` demonstrations drawn
-      from ``pool`` under its seed, half answered and half masked. An
-      unbalanced demonstration set skews the model's predictions, so a pool
-      that cannot supply both halves raises :class:`BalanceError` rather than
-      warn. The sample is drawn once, so every prompt of a run shares it.
+      from ``pool``, a masked dataset's examples, half answered and half
+      masked (split on ``was_masked``). ``seed`` seeds the draw, so one seed
+      draws the same sample every run. An unbalanced demonstration set
+      skews the model's predictions, so a pool that cannot supply both halves
+      raises :class:`BalanceError` rather than warn. The sample is drawn
+      once, so every prompt of a run shares it.
     """
-    if prompt_style not in _BUILDERS:
+    if prompt_style == ZEROSHOT_QA:
+        n = template.count(_PLACEHOLDER)
+        if n != 1:
+            raise TemplateError(
+                f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
+            )
+        return lambda question: template.replace(_PLACEHOLDER, question)
+    if prompt_style == INSTRUCT_IDK:
+        return lambda question: f"{IDK_INSTRUCTION}\n{question}"
+    if prompt_style != FEWSHOT_BALANCED:
         raise ConfigError(f"unknown prompt style {prompt_style!r}")
-    return _BUILDERS[prompt_style](template, pool, fewshot_k)
-
-
-def _zeroshot(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
-    n = template.count(_PLACEHOLDER)
-    if n != 1:
-        raise TemplateError(
-            f"template must contain exactly one {_PLACEHOLDER} placeholder, found {n}"
-        )
-    return lambda question: template.replace(_PLACEHOLDER, question)
-
-
-def _instruct(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
-    return lambda question: f"{IDK_INSTRUCTION}\n{question}"
-
-
-def _fewshot(template: str, pool: FewShotPool | None, k: int) -> Callable[[str], str]:
-    if pool is None:
-        raise ConfigError(f"{FEWSHOT_BALANCED} prompts require a demonstration pool")
-    if k <= 0 or k % 2 != 0:
-        raise ConfigError(f"k must be an even positive integer, got {k}")
-    need = k // 2
-    answered = [ex for ex in pool.examples if not ex.was_masked]
-    masked = [ex for ex in pool.examples if ex.was_masked]
+    if fewshot_k <= 0 or fewshot_k % 2 != 0:
+        raise ConfigError(f"k must be an even positive integer, got {fewshot_k}")
+    need = fewshot_k // 2
+    answered = [ex for ex in pool if not ex.was_masked]
+    masked = [ex for ex in pool if ex.was_masked]
     if len(answered) < need:
         raise BalanceError("answered", need, len(answered))
     if len(masked) < need:
         raise BalanceError("masked", need, len(masked))
-
-    rng = random.Random(pool.seed)
+    rng = random.Random(seed)
     chosen = rng.sample(answered, need) + rng.sample(masked, need)
     rng.shuffle(chosen)
     demonstrations = "".join(f"Q: {ex.question}\nA: {ex.target}\n\n" for ex in chosen)
     return lambda question: f"{demonstrations}Q: {question}\nA:"
-
-
-#: The builder of each name in ``predictions.PROMPT_STYLES``.
-_BUILDERS = {ZEROSHOT_QA: _zeroshot, INSTRUCT_IDK: _instruct, FEWSHOT_BALANCED: _fewshot}
 
 
 # ---------------------------------------------------------------------------

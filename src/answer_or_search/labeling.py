@@ -23,7 +23,6 @@ from .corpus import (
 )
 from .errors import DataError, PairingError
 from .fileio import (
-    check_manifest,
     manifest_path_for,
     read_json,
     read_jsonl,
@@ -48,20 +47,10 @@ class MaskedDataset:
     examples: tuple[MaskedExample, ...]
     token: SearchToken
 
-    @property
-    def n_total(self) -> int:
-        return len(self.examples)
-
-    @property
-    def n_masked(self) -> int:
-        return sum(1 for ex in self.examples if ex.was_masked)
-
-    @property
-    def n_answer(self) -> int:
-        return self.n_total - self.n_masked
-
     def stats(self) -> dict:
-        return {"n_total": self.n_total, "n_answer": self.n_answer, "n_masked": self.n_masked}
+        n_total = len(self.examples)
+        n_masked = sum(1 for ex in self.examples if ex.was_masked)
+        return {"n_total": n_total, "n_answer": n_total - n_masked, "n_masked": n_masked}
 
 
 def mask_prediction(
@@ -146,7 +135,7 @@ def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> 
     )
     write_manifest(
         path,
-        dataset.n_total,
+        len(dataset.examples),
         stats=dataset.stats(),
         search_token=dataset.token.literal,
         **fields,
@@ -177,7 +166,6 @@ def read_masked_dataset(path: str | Path) -> MaskedDataset:
         return MaskedDataset(examples, SearchToken(manifest["search_token"])), manifest["stats"]
 
     dataset, stats = read_json(manifest_path_for(path), parse_manifest, "masked dataset manifest")
-    check_manifest(path, len(examples))
     if dataset.stats() != stats:
         raise DataError(f"manifest stats {stats} do not match examples {dataset.stats()}")
     return dataset

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .corpus import parse_record_id
 from .errors import DataError
-from .fileio import check_manifest, decode_infinity, encode_infinity, is_number, read_jsonl, write_jsonl
+from .fileio import decode_infinity, encode_infinity, is_number, read_jsonl, write_jsonl
 
 #: The prompt styles ``infer`` can build, named here and nowhere else.
 PROMPT_STYLES = ("zeroshot-qa", "fewshot-balanced", "instruct-idk")
@@ -124,6 +124,4 @@ def read_predictions(path: str | Path) -> list[Prediction]:
         seen.add(pred.record_id)
         return pred
 
-    preds = read_jsonl(path, parse, "predictions file")
-    check_manifest(path, len(preds))
-    return preds
+    return read_jsonl(path, parse, "predictions file")

@@ -35,7 +35,15 @@ from answer_or_search.inference import CACHE_FILE, GenerationClient, ResponseCac
 from answer_or_search.mock_service import Script, serve
 from answer_or_search.predictions import DEFAULT_MAX_NEW_TOKENS
 
-from conftest import cache_rows, stub_post, table_names, write_cache_row, write_old_layout_cache
+from conftest import (
+    RawServer,
+    cache_rows,
+    http_response,
+    stub_post,
+    table_names,
+    write_cache_row,
+    write_old_layout_cache,
+)
 
 # (question, gold, model answer, logprob): 3 correct with low perplexity,
 # 3 wrong with high perplexity, so PPL-t separates them cleanly.
@@ -513,6 +521,32 @@ def test_infer_on_a_redirect_exits_transport_naming_the_status_and_location(
     err = capsys.readouterr().err
     assert "HTTP 307" in err and "'http://elsewhere/'" in err
     assert len(posts) == 1  # not followed
+
+
+@pytest.mark.parametrize(
+    "delta, requests, error",
+    [
+        # The connection closes short of the declared body: a transport error, retried.
+        (10, [1, 1], "endpoint failed after 2 attempts: IncompleteRead"),
+        # The client stops 5 bytes short of the body's end, which is not JSON: not retried.
+        (-5, [1], "endpoint returned non-JSON body"),
+    ],
+    ids=["declared-longer", "declared-shorter"],
+)
+def test_infer_on_a_content_length_that_disagrees_with_the_body_exits_transport(
+    workspace, capsys, delta, requests, error
+):
+    workspace["dev_file"].write_text(json.dumps({"id": "q1", "question": "q?", "answers": ["a"]}))
+    run(workspace, "ingest")
+    body = json.dumps({"text": "a", "token_logprobs": [-0.5]}).encode()
+    response = http_response("200 OK", body, {"Content-Length": str(len(body) + delta)})
+    # One connection per request: RawServer waits out its accept timeout on any unused one.
+    with RawServer([[response] for _ in requests]) as server:
+        rewrite_config(workspace, lambda c: c["endpoint"].update(url=server.url))
+        assert run(workspace, "infer", "--split", "dev") == EXIT_TRANSPORT
+        assert [len(heads) for heads in server.requests] == requests
+    assert f"aborted at record q1: {error}" in capsys.readouterr().err
+    assert not (workspace["out"] / "predictions.dev.jsonl").exists()
 
 
 def test_split_outside_the_known_splits_is_a_usage_error(workspace, capsys):
@@ -1024,6 +1058,32 @@ def test_malformed_input_exits_data(workspace, capsys, command, flag, content):
     capsys.readouterr()
     assert run(workspace, *argv) == EXIT_DATA
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, name",
+    [("evaluate", "--threshold", "threshold.json"), ("tradeoff", "--report", "eval_report.json")],
+    ids=["evaluate-threshold", "tradeoff-report"],
+)
+def test_a_document_whose_manifest_counts_other_than_one_record_exits_data(
+    workspace, capsys, command, flag, name
+):
+    run(workspace, "ingest")
+    run(workspace, "infer", "--split", "dev")
+    run(workspace, "calibrate", "--split", "dev")
+    threshold = workspace["out"] / "threshold.json"
+    assert run(workspace, "evaluate", "--threshold", str(threshold)) == EXIT_OK
+    path = workspace["out"] / name
+    by_hand = workspace["tmp"] / name
+    by_hand.write_bytes(path.read_bytes())
+    manifest = path.with_name(f"{name}.manifest.json")
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "records": 2}))
+    capsys.readouterr()
+    assert run(workspace, command, flag, str(path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(path) in err and str(manifest) in err
+    # A file supplied by hand, with no sidecar, is read unchecked.
+    assert run(workspace, command, flag, str(by_hand)) == EXIT_OK
 
 
 # A second predictions row that breaks the response contract or a field's type.

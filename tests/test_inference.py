@@ -33,7 +33,6 @@ from answer_or_search.errors import (
 )
 from answer_or_search.inference import (
     CACHE_FILE,
-    FewShotPool,
     GenerationClient,
     IDK_INSTRUCTION,
     READ_AHEAD,
@@ -250,7 +249,7 @@ def test_zeroshot_rejects_double_placeholder():
         prompt_builder("zeroshot-qa", "{q} {q}")
 
 
-def _pool(n_answered: int, n_masked: int, seed: int = 7) -> FewShotPool:
+def _pool(n_answered: int, n_masked: int) -> tuple[MaskedExample, ...]:
     examples = [
         MaskedExample(f"a{i}", f"answered question {i}?", f"answer {i}", was_masked=False)
         for i in range(n_answered)
@@ -259,11 +258,12 @@ def _pool(n_answered: int, n_masked: int, seed: int = 7) -> FewShotPool:
         MaskedExample(f"m{i}", f"masked question {i}?", "<search>", was_masked=True)
         for i in range(n_masked)
     ]
-    return FewShotPool(examples=tuple(examples), seed=seed)
+    return tuple(examples)
 
 
-def _fewshot(pool: FewShotPool, k: int, question: str = "target question?") -> str:
-    return prompt_builder("fewshot-balanced", pool=pool, fewshot_k=k)(question)
+def _fewshot(pool: tuple[MaskedExample, ...], k: int, seed: int = 7) -> str:
+    prompt_for = prompt_builder("fewshot-balanced", pool=pool, fewshot_k=k, seed=seed)
+    return prompt_for("target question?")
 
 
 def test_fewshot_16_is_8_answered_8_masked():
@@ -293,9 +293,9 @@ def test_fewshot_rejects_odd_k():
 
 
 def test_fewshot_deterministic_under_seed():
-    first = _fewshot(_pool(10, 10, seed=42), 8)
-    second = _fewshot(_pool(10, 10, seed=42), 8)
-    different = _fewshot(_pool(10, 10, seed=43), 8)
+    first = _fewshot(_pool(10, 10), 8, seed=42)
+    second = _fewshot(_pool(10, 10), 8, seed=42)
+    different = _fewshot(_pool(10, 10), 8, seed=43)
     assert first == second
     assert first != different
 
@@ -303,14 +303,14 @@ def test_fewshot_deterministic_under_seed():
 def test_fewshot_prompt_is_the_blank_line_joined_demonstrations_then_the_question():
     # The bytes earlier versions gave this prompt: cached few-shot responses are keyed by them.
     examples = (MaskedExample("1", "a?", "x", False), MaskedExample("2", "b?", "<search>", True))
-    pool = FewShotPool(examples=examples, seed=0)
-    assert _fewshot(pool, 2) == "Q: b?\nA: <search>\n\nQ: a?\nA: x\n\nQ: target question?\nA:"
+    expected = "Q: b?\nA: <search>\n\nQ: a?\nA: x\n\nQ: target question?\nA:"
+    assert _fewshot(examples, 2, seed=0) == expected
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_fewshot_always_balanced(half_k, seed):
-    prompt = _fewshot(_pool(8, 8, seed=seed), 2 * half_k)
+    prompt = _fewshot(_pool(8, 8), 2 * half_k, seed=seed)
     assert prompt.count("<search>") == half_k
 
 
@@ -1057,7 +1057,7 @@ def test_run_corpus_draws_the_fewshot_demonstrations_once(tmp_path, monkeypatch)
 
     monkeypatch.setattr(inference, "random", SimpleNamespace(Random=CountedRandom))
     with serve(Script()) as service, open_client(service.url, tmp_path, timeout=5) as client:
-        prompt_for = prompt_builder("fewshot-balanced", pool=_pool(4, 4), fewshot_k=4)
+        prompt_for = prompt_builder("fewshot-balanced", pool=_pool(4, 4), fewshot_k=4, seed=7)
         run_corpus(_three_record_corpus(), prompt_for, client, max_in_flight=1)
         prompts = service.request_log
     assert draws == [7]

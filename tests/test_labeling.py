@@ -94,8 +94,9 @@ def _corpus_and_preds(n_correct: int, n_total: int):
 def test_dataset_stats_reflect_the_correct_rate():
     corpus, preds = _corpus_and_preds(273, 1000)
     dataset = build_masked_dataset(preds, corpus)
-    assert dataset.stats() == {"n_total": 1000, "n_answer": 273, "n_masked": 727}
-    assert dataset.n_answer / dataset.n_total == pytest.approx(0.273)
+    stats = dataset.stats()
+    assert stats == {"n_total": 1000, "n_answer": 273, "n_masked": 727}
+    assert stats["n_answer"] / stats["n_total"] == pytest.approx(0.273)
 
 
 def test_empty_prediction_list_gives_empty_dataset():
@@ -135,7 +136,7 @@ def test_mask_rate_equals_hallucination_rate_by_construction(correct_flags):
     ]
     dataset = build_masked_dataset(preds, make_corpus(*records))
     hallucinated = sum(1 for ok in correct_flags if not ok)
-    assert dataset.n_masked == hallucinated
+    assert dataset.stats()["n_masked"] == hallucinated
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ class Mutant(NamedTuple):
 INFERENCE = "answer_or_search/inference.py"
 PPL = "answer_or_search/ppl_threshold.py"
 CLI = "answer_or_search/cli.py"
+FILEIO = "answer_or_search/fileio.py"
 T = "tests/test_inference.py::"
 P = "tests/test_ppl_threshold.py::"
 C = "tests/test_cli.py::"
@@ -186,6 +187,37 @@ MUTANTS = (
         "answer, token_logprobs = response\n",
         "answer, token_logprobs = response[0], response[1]\n",
         (T + "test_cache_unusable_row_is_a_miss",),
+    ),
+    # A few-shot prompt takes an even number of demonstrations, half from each side.
+    Mutant(
+        INFERENCE,
+        "if fewshot_k <= 0 or fewshot_k % 2 != 0:",
+        "if fewshot_k <= 0:",
+        (T + "test_fewshot_rejects_odd_k",),
+    ),
+    # The demonstrations are drawn under the run's seed.
+    Mutant(
+        INFERENCE,
+        "random.Random(seed)",
+        "random.Random(0)",
+        (
+            T + "test_fewshot_deterministic_under_seed",
+            T + "test_run_corpus_draws_the_fewshot_demonstrations_once",
+        ),
+    ),
+    # A line-delimited file is checked against its sidecar: a truncated one is refused.
+    Mutant(
+        FILEIO,
+        "    check_manifest(path, len(rows))\n",
+        "",
+        (C + "test_malformed_input_exits_data[label-predictions-truncated]",),
+    ),
+    # A JSON document is checked against its sidecar too.
+    Mutant(
+        FILEIO,
+        "    check_manifest(path, 1)\n",
+        "",
+        (C + "test_a_document_whose_manifest_counts_other_than_one_record_exits_data",),
     ),
     # A threshold between a finite and an infinite perplexity is the finite one.
     Mutant(
