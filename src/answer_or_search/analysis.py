@@ -109,9 +109,11 @@ def histogram(values: Sequence[float], spec: HistogramSpec) -> HistogramResult:
     return HistogramResult(spec=spec, counts=tuple(counts), out_of_range=out_of_range)
 
 
-def write_tradeoff_table(points: Sequence[TradeoffPoint], path: str | Path) -> Path:
+def write_tradeoff_table(
+    points: Sequence[TradeoffPoint], path: str | Path, manifest: dict | None = None
+) -> Path:
     """Emit a plot-ready CSV table: a ratio,c,h header, then one row per point."""
-    with atomic_write(path) as fh:
+    with atomic_write(path, manifest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["ratio", "c", "h"])
         for pt in points:
@@ -119,9 +121,11 @@ def write_tradeoff_table(points: Sequence[TradeoffPoint], path: str | Path) -> P
     return Path(path)
 
 
-def write_histogram_table(results: dict[str, HistogramResult], path: str | Path) -> Path:
+def write_histogram_table(
+    results: dict[str, HistogramResult], path: str | Path, manifest: dict | None = None
+) -> Path:
     """Emit per-class bin counts as CSV: one row per (class, bin) plus out-of-range rows."""
-    with atomic_write(path) as fh:
+    with atomic_write(path, manifest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "bin_lo", "bin_hi", "count"])
         for cls, result in results.items():

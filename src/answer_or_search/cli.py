@@ -20,8 +20,8 @@ from pathlib import Path
 
 import yaml
 
-# Only what every stage needs is imported here; each subcommand imports the
-# modules of its own stage, so a stage never pays to load another's.
+# Every stage loads these: the parser and the config check use their names.
+# Each subcommand imports the rest of its own stage's modules.
 from .analysis import (
     TRANSFORMS,
     HistogramSpec,
@@ -45,7 +45,7 @@ from .corpus import (
     write_canonical,
 )
 from .errors import EXIT_OK, AnswerOrSearchError, ConfigError, DataError, RunAbortedError
-from .fileio import atomic_write, read_jsonl, write_json, write_manifest
+from .fileio import atomic_write, read_jsonl, write_json
 from .ppl_threshold import STRATEGIES, apply_threshold, calibrate, load_threshold, save_threshold
 from .predictions import DEFAULT_MAX_NEW_TOKENS, DEFAULT_TEMPLATE, PROMPT_STYLES, Prediction
 from .predictions import FEWSHOT_BALANCED, ZEROSHOT_QA, read_predictions, write_predictions
@@ -263,8 +263,8 @@ def cmd_ingest(config: PipelineConfig, args: argparse.Namespace) -> int:
                 )
             seen[rec.id] = split
     for split, corp in corpora.items():
-        out = write_canonical(corp, corpus_path(config, split))
-        write_manifest(out, len(corp), split=split, **config.provenance)
+        sidecar = {"split": split, **config.provenance}
+        out = write_canonical(corp, corpus_path(config, split), sidecar)
         print(f"ingest: split={split} records={len(corp)} -> {out}")
     return EXIT_OK
 
@@ -313,14 +313,15 @@ def cmd_infer(config: PipelineConfig, args: argparse.Namespace) -> int:
             )
             raise
 
-    out = write_predictions(predictions, predictions_path(config, args.split))
-    write_manifest(
-        out,
-        len(predictions),
-        split=args.split,
-        model_tag=config.model_tag,
-        prompt_style=config.prompt_style,
-        **config.provenance,
+    out = write_predictions(
+        predictions,
+        predictions_path(config, args.split),
+        {
+            "split": args.split,
+            "model_tag": config.model_tag,
+            "prompt_style": config.prompt_style,
+            **config.provenance,
+        },
     )
     # The progress an aborted run left is stale once every prediction is written.
     try:
@@ -360,8 +361,8 @@ def cmd_calibrate(config: PipelineConfig, args: argparse.Namespace) -> int:
         for p in preds
     ]
     threshold = calibrate(scored, strategy=config.ppl_strategy, target_rate=config.ppl_target_rate)
-    out = save_threshold(threshold, config.output_dir / "threshold.json")
-    write_manifest(out, 1, split=args.split, **config.provenance)
+    sidecar = {"split": args.split, **config.provenance}
+    out = save_threshold(threshold, config.output_dir / "threshold.json", sidecar)
     print(
         f"calibrate: strategy={threshold.calibration} tau={threshold.tau:g} "
         f"items={len(scored)} -> {out}"
@@ -403,13 +404,12 @@ def cmd_evaluate(config: PipelineConfig, args: argparse.Namespace) -> int:
         base_ids=base_ids,
         adapted_ids=[rid for rid, _ in adapted],
     )
-    json_path = write_report(report, config.output_dir / "eval_report.json")
-    write_manifest(json_path, 1, split=args.split, **config.provenance)
+    sidecar = {"split": args.split, **config.provenance}
+    json_path = write_report(report, config.output_dir / "eval_report.json", sidecar)
     table = render_table(report, title=f"split={args.split} lambda={config.lam:g}")
     txt_path = config.output_dir / "eval_report.txt"
-    with atomic_write(txt_path) as fh:
+    with atomic_write(txt_path, sidecar) as fh:
         fh.write(table)
-    write_manifest(txt_path, 1, split=args.split, **config.provenance)
     print(table, end="")
     print(f"evaluate: report -> {json_path}")
     return EXIT_OK
@@ -420,8 +420,8 @@ def cmd_tradeoff(config: PipelineConfig, args: argparse.Namespace) -> int:
 
     report = read_report(args.report)
     points = tradeoff_curve(report.c * 100, report.h * 100, report.s * 100, args.ratios)
-    out = write_tradeoff_table(points, config.output_dir / "tradeoff.csv")
-    write_manifest(out, len(points), source=args.report, **config.provenance)
+    sidecar = {"source": args.report, **config.provenance}
+    out = write_tradeoff_table(points, config.output_dir / "tradeoff.csv", sidecar)
     for pt in points:
         print(f"tradeoff: ratio={pt.ratio:.2f} c={pt.c:.1f} h={pt.h:.1f}")
     print(f"tradeoff: table -> {out}")
@@ -444,9 +444,8 @@ def cmd_histogram(config: PipelineConfig, args: argparse.Namespace) -> int:
         )
         for cls, values in grouped.items()
     }
-    out = write_histogram_table(results, config.output_dir / "histogram.csv")
-    rows = sum(len(result.counts) + 1 for result in results.values())  # + out-of-range
-    write_manifest(out, rows, split=args.split, **config.provenance)
+    sidecar = {"split": args.split, **config.provenance}
+    out = write_histogram_table(results, config.output_dir / "histogram.csv", sidecar)
     for cls, result in results.items():
         print(f"histogram: class={cls} in_range={sum(result.counts)} out_of_range={result.out_of_range}")
     print(f"histogram: table -> {out}")

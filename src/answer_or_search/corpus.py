@@ -257,7 +257,7 @@ def ingest(
     return Corpus(name=name or Path(path).stem, records=tuple(records))
 
 
-def write_canonical(corpus: Corpus, path: str | Path) -> Path:
+def write_canonical(corpus: Corpus, path: str | Path, manifest: dict | None = None) -> Path:
     """Emit ``corpus`` in the canonical line-delimited format.
 
     Re-ingesting the emitted file reproduces the corpus exactly (ids,
@@ -274,4 +274,5 @@ def write_canonical(corpus: Corpus, path: str | Path) -> Path:
             }
             for rec in corpus
         ),
+        manifest,
     )

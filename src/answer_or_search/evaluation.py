@@ -303,9 +303,9 @@ def render_table(report: EvalReport, title: str = "evaluation") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: EvalReport, json_path: str | Path) -> Path:
-    """Serialize a report as JSON; its provenance goes in the sidecar manifest."""
-    return write_json(json_path, report.to_dict())
+def write_report(report: EvalReport, json_path: str | Path, manifest: dict | None = None) -> Path:
+    """Serialize a report as JSON; its provenance goes in the sidecar ``manifest``."""
+    return write_json(json_path, report.to_dict(), manifest)
 
 
 def read_report(path: str | Path) -> EvalReport:

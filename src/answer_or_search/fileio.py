@@ -4,9 +4,10 @@ Writers go through :func:`atomic_write`: the text lands in a tmp file next to
 the target and is moved into place with ``os.replace``, so a reader sees the
 old file or the new one, never half of one. Readers turn every decoding or
 parsing failure into a :class:`DataError` naming the file and line. Every
-output has a sidecar ``<name>.manifest.json``, written after it, whose
-``records`` (its data rows; 1 for one document) lets readers reject a stale
-file: :func:`read_lines` and :func:`read_json` check it on what they parsed.
+output has a sidecar ``<name>.manifest.json``, which the same
+:func:`atomic_write` writes after the rename; its ``records`` (the data rows
+of what was written; 1 for one document) lets readers reject a stale file:
+:func:`read_lines` and :func:`read_json` check it on what they parsed.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def decode_infinity(raw: object) -> object:
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
+def atomic_write(path: str | Path, manifest: dict | None = None) -> Iterator[TextIO]:
     """Text handle whose contents replace ``path`` only if the block succeeds.
 
     The parent directory is created. The tmp file is named
@@ -67,6 +68,10 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     ``ValueError`` (a NaN, which standard JSON cannot hold, say) becomes a
     :class:`DataError` naming ``path``. Newlines are written untranslated, so
     the bytes are the same on every platform. There is no fsync.
+
+    Given ``manifest``, the sidecar ``{"records": n, **manifest}`` is written
+    once the data is in place, ``n`` counted in the bytes written (see
+    :func:`_count_records`); a failed write leaves any earlier sidecar as it was.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -74,6 +79,7 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         path.parent.mkdir(parents=True, exist_ok=True)
         with tmp.open("w", encoding="utf-8", newline="") as fh:
             yield fh
+        records = None if manifest is None else _count_records(tmp, path.suffix)
         os.replace(tmp, path)
     except BaseException as exc:
         with suppress(OSError):
@@ -83,19 +89,33 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         if isinstance(exc, ValueError):
             raise DataError(f"{path} cannot be written: {exc}") from exc
         raise
+    if manifest is not None:
+        write_json(manifest_path_for(path), {"records": records, **manifest})
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> Path:
+def _count_records(path: Path, suffix: str) -> int:
+    """The records of ``path`` as a file of type ``suffix`` holds them: the
+    non-blank lines of a ``.jsonl``, the lines under a ``.csv``'s header, 1 for
+    any other document. Lines split as the readers split them."""
+    if suffix not in (".jsonl", ".csv"):
+        return 1
+    with path.open("r", encoding="utf-8") as fh:
+        if suffix == ".jsonl":
+            return sum(1 for line in fh if line.strip())
+        return sum(1 for _ in fh) - 1
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict], manifest: dict | None = None) -> Path:
     """Write one JSON object per line (``", "``/``": "`` separators), non-ASCII kept verbatim."""
-    with atomic_write(path) as fh:
+    with atomic_write(path, manifest) as fh:
         for row in rows:
             fh.write(_encode_row(row) + "\n")
     return Path(path)
 
 
-def write_json(path: str | Path, doc: dict) -> Path:
+def write_json(path: str | Path, doc: dict, manifest: dict | None = None) -> Path:
     """Write one JSON document with sorted keys and two-space indents."""
-    with atomic_write(path) as fh:
+    with atomic_write(path, manifest) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return Path(path)
@@ -153,11 +173,6 @@ def manifest_path_for(path: str | Path) -> Path:
     """The sidecar manifest of an output file: ``<name>.manifest.json``."""
     path = Path(path)
     return path.with_name(path.name + ".manifest.json")
-
-
-def write_manifest(path: str | Path, records: int, **fields) -> Path:
-    """Write the sidecar of ``path``: its record count plus provenance fields."""
-    return write_json(manifest_path_for(path), {"records": records, **fields})
 
 
 def check_manifest(path: str | Path, n: int) -> None:

@@ -22,13 +22,7 @@ from .corpus import (
     parse_record_id,
 )
 from .errors import DataError, PairingError
-from .fileio import (
-    manifest_path_for,
-    read_json,
-    read_jsonl,
-    write_jsonl,
-    write_manifest,
-)
+from .fileio import manifest_path_for, read_json, read_jsonl, write_jsonl
 from .predictions import Prediction
 
 
@@ -121,7 +115,7 @@ def build_masked_dataset(
 def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> Path:
     """Emit the dataset as line-delimited records plus a sidecar manifest,
     which holds its stats and search token besides ``fields``."""
-    path = write_jsonl(
+    return write_jsonl(
         path,
         (
             {
@@ -132,15 +126,8 @@ def write_masked_dataset(dataset: MaskedDataset, path: str | Path, **fields) -> 
             }
             for ex in dataset.examples
         ),
+        {"stats": dataset.stats(), "search_token": dataset.token.literal, **fields},
     )
-    write_manifest(
-        path,
-        len(dataset.examples),
-        stats=dataset.stats(),
-        search_token=dataset.token.literal,
-        **fields,
-    )
-    return path
 
 
 def _parse_example(raw: dict) -> MaskedExample:

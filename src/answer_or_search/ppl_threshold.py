@@ -130,11 +130,11 @@ def apply_threshold(
     return [token.literal if p.perplexity > threshold.tau else p.text for p in predictions]
 
 
-def save_threshold(threshold: PplThreshold, path: str | Path) -> Path:
+def save_threshold(threshold: PplThreshold, path: str | Path, manifest: dict | None = None) -> Path:
     """Persist the threshold: {tau, strategy, target_rate}."""
     tau = encode_infinity(threshold.tau)
     doc = {"tau": tau, "strategy": threshold.calibration, "target_rate": threshold.target_rate}
-    return write_json(path, doc)
+    return write_json(path, doc, manifest)
 
 
 def _parse_threshold(doc: dict) -> PplThreshold:

@@ -108,8 +108,10 @@ class Prediction:
         return pred
 
 
-def write_predictions(predictions: Sequence[Prediction], path: str | Path) -> Path:
-    return write_jsonl(path, (pred.to_dict() for pred in predictions))
+def write_predictions(
+    predictions: Sequence[Prediction], path: str | Path, manifest: dict | None = None
+) -> Path:
+    return write_jsonl(path, (pred.to_dict() for pred in predictions), manifest)
 
 
 def read_predictions(path: str | Path) -> list[Prediction]:

@@ -255,6 +255,15 @@ def test_report_from_rates_retention_matches_published_parentheses():
     assert report.retention_h == pytest.approx(0.228, abs=5e-3)
 
 
+def test_report_from_rates_with_no_base_hallucination_leaves_its_retention_undefined():
+    report = report_from_rates(100.0, 0.0, 80.0, 0.0, 20.0)
+    assert report.retention_h is None
+    assert report.retention_c == pytest.approx(0.8)
+    # tp = 80, fp = 0, fn = 20: F1 = 160 / 180.
+    assert report.f1 == pytest.approx(8 / 9)
+    assert "(undef)" in render_table(report)
+
+
 def test_report_from_rates_validates_sums():
     with pytest.raises(DataError):
         report_from_rates(27.3, 72.7, 50.0, 16.6, 62.0)

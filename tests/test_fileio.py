@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from answer_or_search.errors import DataError
 from answer_or_search.fileio import (
@@ -14,8 +19,9 @@ from answer_or_search.fileio import (
     read_jsonl,
     write_json,
     write_jsonl,
-    write_manifest,
 )
+
+from conftest import ANY_LINE
 
 
 def test_failed_write_keeps_previous_file_and_leaves_no_tmp(tmp_path):
@@ -116,9 +122,73 @@ def test_check_manifest_passes_without_sidecar(tmp_path):
 
 
 def test_check_manifest_rejects_count_mismatch(tmp_path):
-    path = write_jsonl(tmp_path / "rows.jsonl", [{"id": "a"}, {"id": "b"}])
-    write_manifest(path, 2, split="dev")
+    path = write_jsonl(tmp_path / "rows.jsonl", [{"id": "a"}, {"id": "b"}], {"split": "dev"})
     assert json.loads(manifest_path_for(path).read_text()) == {"records": 2, "split": "dev"}
     check_manifest(path, 2)
     with pytest.raises(DataError, match="truncated"):
         check_manifest(path, 1)
+
+
+# ---------------------------------------------------------------------------
+# the sidecar atomic_write writes
+# ---------------------------------------------------------------------------
+
+
+def ci_records(path: Path) -> int:
+    """CI's rule: the lines of a .jsonl, the lines under a .csv's header, 1 for
+    any other document. Lines split as text-mode reading splits them, which is
+    how the readers see a file: a JSON string may hold U+2028 verbatim, which
+    ``str.splitlines`` would also break at."""
+    with path.open(encoding="utf-8") as fh:
+        lines = fh.readlines()
+    return {".jsonl": len(lines), ".csv": len(lines) - 1}.get(path.suffix, 1)
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), ANY_LINE)
+
+
+@given(
+    rows=st.lists(st.dictionaries(ANY_LINE, JSON_SCALARS, max_size=3), max_size=6),
+    table=st.lists(st.lists(ANY_LINE, min_size=1, max_size=3), max_size=6),
+    doc=st.dictionaries(ANY_LINE, JSON_SCALARS, max_size=3),
+    text=ANY_LINE,
+)
+@settings(max_examples=25, deadline=None)
+def test_the_sidecar_counts_what_atomic_write_wrote(rows, table, doc, text):
+    manifest = {"split": "dev", "config_hash": "c"}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with atomic_write(out / "rows.jsonl", manifest) as fh:
+            for row in rows:
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+        with atomic_write(out / "table.csv", manifest) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["class", "count"])
+            writer.writerows(table)
+        with atomic_write(out / "doc.json", manifest) as fh:
+            json.dump(doc, fh, ensure_ascii=False)
+        with atomic_write(out / "report.txt", manifest) as fh:
+            fh.write(text)
+        for name in ("rows.jsonl", "table.csv", "doc.json", "report.txt"):
+            sidecar = json.loads(manifest_path_for(out / name).read_text(encoding="utf-8"))
+            assert sidecar == {"records": ci_records(out / name), **manifest}, name
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["no-earlier-sidecar", "earlier-sidecar"])
+@pytest.mark.parametrize("failure", ["block-raises", "directory-at-target"])
+def test_a_failed_write_leaves_the_sidecar_as_it_was(tmp_path, failure, earlier):
+    path = tmp_path / "rows.jsonl"
+    sidecar = manifest_path_for(path)
+    if earlier:
+        write_jsonl(path, [{"id": "a"}], {"split": "dev"})
+    before = sidecar.read_bytes() if earlier else None
+    if failure == "directory-at-target":
+        path.unlink(missing_ok=True)
+        path.mkdir()  # os.replace cannot move a file over a directory
+    with pytest.raises((RuntimeError, DataError)):
+        with atomic_write(path, {"split": "test"}) as fh:
+            fh.write('{"id": "b"}\n{"id": "c"}\n')
+            if failure == "block-raises":
+                raise RuntimeError("disk full")
+    assert (sidecar.read_bytes() if sidecar.exists() else None) == before
+    assert list(tmp_path.glob("*.tmp")) == []

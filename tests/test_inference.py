@@ -790,6 +790,17 @@ def test_generate_reaches_an_https_endpoint_through_a_connect_tunnel(tmp_path, p
     assert PROXY_AUTHORIZATION in head
 
 
+def test_generate_sends_the_api_token_of_the_environment_as_a_bearer_token(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("GENERATION_API_TOKEN", "secret")
+    with RawServer([[ok_response("one")]]) as server:
+        with open_client(server.url, tmp_path) as client:
+            assert client.generate("q?")["text"] == "one"
+    ((head,),) = server.requests
+    assert "Authorization: Bearer secret\r\n" in head
+
+
 def test_close_closes_the_kept_alive_connections(tmp_path):
     with RawServer([[ok_response("one"), ok_response("two")]]) as server:
         with ResponseCache(tmp_path) as cache:
@@ -997,6 +1008,26 @@ def test_run_corpus_preserves_corpus_order(tmp_path):
         preds = run_corpus(_three_record_corpus(), ZEROSHOT, client, max_in_flight=3)
     assert [p.record_id for p in preds] == ["q1", "q2", "q3"]
     assert [p.text for p in preds] == ["one", "two", "three"]
+
+
+def test_run_corpus_refuses_no_workers_before_sending_a_request(tmp_path):
+    # With no worker nothing would ever fetch a miss: the run would wait forever,
+    # so it runs in a thread the test stops waiting for.
+    raised: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            run_corpus(_three_record_corpus(), ZEROSHOT, client, max_in_flight=0)
+        except BaseException as exc:
+            raised.append(exc)
+
+    with _scripted_service() as service, open_client(service.url, tmp_path, timeout=5) as client:
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "run_corpus did not return"
+        assert service.request_log == []
+    assert [type(exc) for exc in raised] == [ConfigError]
 
 
 def test_run_corpus_warm_cache_is_deterministic_and_offline(tmp_path):

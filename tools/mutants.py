@@ -64,9 +64,12 @@ INFERENCE = "answer_or_search/inference.py"
 PPL = "answer_or_search/ppl_threshold.py"
 CLI = "answer_or_search/cli.py"
 FILEIO = "answer_or_search/fileio.py"
+EVALUATION = "answer_or_search/evaluation.py"
 T = "tests/test_inference.py::"
 P = "tests/test_ppl_threshold.py::"
 C = "tests/test_cli.py::"
+F = "tests/test_fileio.py::"
+E = "tests/test_evaluation.py::"
 
 #: How long one run of a mutant's tests may take: a mutant that deadlocks fails the gate.
 TIMEOUT_SECONDS = 120
@@ -218,6 +221,43 @@ MUTANTS = (
         "    check_manifest(path, 1)\n",
         "",
         (C + "test_a_document_whose_manifest_counts_other_than_one_record_exits_data",),
+    ),
+    # A sidecar counts the rows under a .csv's header, not the header.
+    Mutant(
+        FILEIO,
+        "        return sum(1 for _ in fh) - 1\n",
+        "        return sum(1 for _ in fh)\n",
+        (F + "test_the_sidecar_counts_what_atomic_write_wrote",),
+    ),
+    # The sidecar is written only once the data is in place: a failed rename writes none.
+    Mutant(
+        FILEIO,
+        "        os.replace(tmp, path)\n",
+        "        if manifest is not None:\n"
+        '            write_json(manifest_path_for(path), {"records": records, **manifest})\n'
+        "        os.replace(tmp, path)\n",
+        (F + "test_a_failed_write_leaves_the_sidecar_as_it_was",),
+    ),
+    # With no base hallucination, the retention of hallucinations is undefined, not a division.
+    Mutant(
+        EVALUATION,
+        "if base_h > 0 else None",
+        "if base_h >= 0 else None",
+        (E + "test_report_from_rates_with_no_base_hallucination_leaves_its_retention_undefined",),
+    ),
+    # The API token of the environment goes out as a bearer token.
+    Mutant(
+        INFERENCE,
+        '            self._headers["Authorization"] = f"Bearer {token}"\n',
+        "            pass\n",
+        (T + "test_generate_sends_the_api_token_of_the_environment_as_a_bearer_token",),
+    ),
+    # A run with no worker is refused: nothing would ever fetch its misses.
+    Mutant(
+        INFERENCE,
+        "    if max_in_flight < 1:\n",
+        "    if max_in_flight < 0:\n",
+        (T + "test_run_corpus_refuses_no_workers_before_sending_a_request",),
     ),
     # A threshold between a finite and an infinite perplexity is the finite one.
     Mutant(
